@@ -53,20 +53,24 @@ bench:
 # — the MPEG-TS container layer (PES mux, PSI generation, demux
 # validation) and the framed fast path end to end, the reliable
 # layer's steady-state send (stamp, retain, ack bookkeeping), and the
-# store's disabled path and cached registry lookup allocate nothing.
+# store's disabled path and cached registry lookup allocate nothing;
+# and a ring-network dial, accept and close stay within their budget of
+# one allocation of at most 2 KB.
 alloc-gate:
 	$(GO) test -run='TestDecodeZeroAlloc|TestEncodeZeroAlloc' ./internal/sig
 	$(GO) test -run='TestRunnerEventZeroAlloc|TestClusterEventZeroAlloc|TestRunnerEventEndToEndAllocs' ./internal/box
 	$(GO) test -run='TestMediaZeroAlloc|TestTSFramingZeroAlloc' ./internal/media
 	$(GO) test -run='TestTSZeroAlloc' ./internal/ts
-	$(GO) test -run='TestRelSendSteadyStateZeroAlloc' ./internal/transport
+	$(GO) test -run='TestRelSendSteadyStateZeroAlloc|TestRingDialAllocBudget' ./internal/transport
 	$(GO) test -run='TestStoreZeroAlloc' ./internal/store
 
 # storm-smoke drives 500 concurrent call lifecycles for 5 seconds over
 # the in-memory network: a shutdown-under-load and liveness check, not
 # a measurement. The second leg reruns it on a 4-shard cluster over
-# ring-port channels at GOMAXPROCS=4 with the give-up gate armed, so
-# every CI run re-proves the sharded runtime under load.
+# ring-port channels at GOMAXPROCS=4 with the gate armed — no give-up,
+# and no envelope past a ring's capacity (transport.ring_spills = 0) —
+# so every CI run re-proves the sharded runtime under load and the ring
+# size against real traffic.
 storm-smoke:
 	$(GO) run ./cmd/callstorm -paths 500 -servers 4 -mode link -net mem -hold 250ms -duration 5s
 	GOMAXPROCS=4 $(GO) run ./cmd/callstorm -paths 500 -servers 4 -mode link -net ring -shards 4 -hold 250ms -duration 5s -gate -alloc-gate 8
@@ -174,14 +178,18 @@ bench-diff:
 	$(GO) run ./cmd/benchdiff -old .bench_runtime_head.json -new BENCH_runtime.json -max-regress 10
 	@rm -f .bench_runtime_head.json
 
-# profile-runtime captures CPU and allocation profiles of a callstorm
-# leg sized like the bench-runtime single-shard leg, for
-# `go tool pprof` spelunking: which call sites still allocate, where
-# the event loop spends its time.
+# profile-runtime captures CPU and allocation profiles of two callstorm
+# legs for `go tool pprof` spelunking. The first is sized like the
+# bench-runtime single-shard leg (1 s holds: mostly idle, so it shows
+# where the event loop and the timers spend their time); the second is
+# one saturated shard at GOMAXPROCS=1 redialing on 3 ms holds, so the
+# channel churn path — dial, ring pipe, teardown — is what gets
+# profiled.
 profile-runtime:
 	$(GO) run ./cmd/callstorm -paths 1200 -servers 8 -mode link -net ring -hold 1s -duration 10s -cpuprofile callstorm.cpu.pprof -memprofile callstorm.allocs.pprof
-	@echo "profiles written: callstorm.cpu.pprof callstorm.allocs.pprof"
-	@echo "inspect with: go tool pprof -top -sample_index=alloc_objects callstorm.allocs.pprof"
+	GOMAXPROCS=1 $(GO) run ./cmd/callstorm -paths 256 -servers 4 -mode link -net ring -shards 1 -hold 3ms -duration 10s -cpuprofile callstorm.sat.cpu.pprof -memprofile callstorm.sat.allocs.pprof
+	@echo "profiles written: callstorm.cpu.pprof callstorm.allocs.pprof callstorm.sat.cpu.pprof callstorm.sat.allocs.pprof"
+	@echo "inspect with: go tool pprof -top -sample_index=alloc_space callstorm.sat.allocs.pprof"
 
 # bench-mc records the before/after checker numbers: the twelve-model
 # suite at workers 1 vs 4, written to BENCH_mc.json. Forcing 4 (rather

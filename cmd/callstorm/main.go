@@ -49,6 +49,7 @@ import (
 )
 
 type stormStats struct {
+	pathsUp   atomic.Int64 // distinct paths that have reached flowing at least once
 	setups    atomic.Int64 // calls that reached flowing
 	completed atomic.Int64 // full lifecycles (flowing + held + torn down)
 	giveups   atomic.Int64 // calls that hit the give-up timer
@@ -97,6 +98,12 @@ type result struct {
 	TimersHWM      int64 `json:"timerwheel_pending_hwm"`
 	QueueDepthHWM  int64 `json:"queue_depth_hwm"`
 
+	// RingSpills counts envelopes that found a ring port's ring full;
+	// RingOccupancy[n-1] counts drains that found n envelopes waiting.
+	// Both stay zero/empty off -net ring.
+	RingSpills    int64    `json:"ring_spills"`
+	RingOccupancy []uint64 `json:"ring_occupancy,omitempty"`
+
 	SetupCount int64   `json:"setup_latency_count"`
 	SetupP50MS float64 `json:"setup_latency_p50_ms"`
 	SetupP95MS float64 `json:"setup_latency_p95_ms"`
@@ -130,7 +137,7 @@ func main() {
 	flag.DurationVar(&cfg.stagger, "stagger", 0, "spread each path's first dial uniformly over this window (0: dial immediately)")
 	flag.DurationVar(&cfg.giveup, "giveup", 10*time.Second, "abandon and redial a call that has not flowed after this long")
 	sweep := flag.String("sweep", "", "comma-separated GOMAXPROCS/shard counts; run one leg per value (e.g. 1,2,4,8)")
-	gate := flag.Bool("gate", false, "exit nonzero if any leg recorded giveups")
+	gate := flag.Bool("gate", false, "exit nonzero if any leg recorded giveups or ring spills")
 	allocGate := flag.Float64("alloc-gate", 0, "exit nonzero if any leg exceeds this allocs/event budget (0: off)")
 	out := flag.String("out", "", "write the result JSON here (empty: stdout only)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the measurement window here")
@@ -144,11 +151,11 @@ func main() {
 	}
 
 	var blob []byte
-	giveups := int64(0)
+	giveups, spills := int64(0), int64(0)
 	allocsWorst := 0.0
 	if *sweep == "" {
 		res := runStorm(cfg)
-		giveups = res.Giveups
+		giveups, spills = res.Giveups, res.RingSpills
 		allocsWorst = res.AllocsPerEvent
 		blob, _ = json.MarshalIndent(res, "", "  ")
 	} else {
@@ -174,6 +181,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "callstorm: === sweep leg: GOMAXPROCS=%d shards=%d ===\n", n, n)
 			res := runStorm(legCfg)
 			giveups += res.Giveups
+			spills += res.RingSpills
 			if res.AllocsPerEvent > allocsWorst {
 				allocsWorst = res.AllocsPerEvent
 			}
@@ -202,8 +210,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *gate && giveups > 0 {
-		fmt.Fprintf(os.Stderr, "callstorm: GATE FAILED: %d giveups (want 0)\n", giveups)
+	if *gate && giveups+spills > 0 {
+		fmt.Fprintf(os.Stderr, "callstorm: GATE FAILED: %d giveups, %d ring spills (want 0)\n", giveups, spills)
 		os.Exit(1)
 	}
 	if *allocGate > 0 && allocsWorst > *allocGate {
@@ -275,11 +283,11 @@ func runStorm(cfg stormConfig) result {
 
 	// Ramp: every path flowing at least once.
 	rampDeadline := time.Now().Add(cfg.ramp)
-	for stats.setups.Load() < int64(cfg.paths) && time.Now().Before(rampDeadline) {
+	for stats.pathsUp.Load() < int64(cfg.paths) && time.Now().Before(rampDeadline) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	fmt.Fprintf(os.Stderr, "callstorm: ramp done, %d/%d paths set up; measuring %v...\n",
-		stats.setups.Load(), cfg.paths, cfg.duration)
+		stats.pathsUp.Load(), cfg.paths, cfg.duration)
 
 	// Steady window.
 	mEvents := telemetry.C(box.MetricLoopIterations)
@@ -330,11 +338,19 @@ func runStorm(cfg stormConfig) result {
 		InboxDepthHWM:  snap.Gauges[box.MetricInboxDepth].HighWater,
 		TimersHWM:      snap.Gauges[timerwheel.MetricPending].HighWater,
 		QueueDepthHWM:  snap.Gauges[transport.MetricQueueDepth].HighWater,
+		RingSpills:     int64(snap.Counters[transport.MetricRingSpills]),
 
 		SetupCount: int64(ttf.Count),
 		SetupP50MS: float64(ttf.P50) / float64(time.Millisecond),
 		SetupP95MS: float64(ttf.P95) / float64(time.Millisecond),
 		SetupP99MS: float64(ttf.P99) / float64(time.Millisecond),
+	}
+	for n := 1; ; n++ {
+		c, ok := snap.Counters[transport.MetricRingOccupancyPrefix+strconv.Itoa(n)]
+		if !ok {
+			break
+		}
+		res.RingOccupancy = append(res.RingOccupancy, c)
 	}
 	if events > 0 {
 		res.NsPerEvent = float64(elapsed.Nanoseconds()) / float64(events)
@@ -443,6 +459,7 @@ func clientProgram(stats *stormStats, addr string, hold, stagger, giveup time.Du
 		return hold/2 + hold/2 + time.Duration(rng.Int63n(int64(hold)/2)) - hold/4
 	}
 	initial := "call"
+	flowedOnce := false
 	var states []*box.State
 	if stagger > 0 {
 		initial = "stagger"
@@ -467,6 +484,10 @@ func clientProgram(stats *stormStats, addr string, hold, stagger, giveup time.Du
 				{When: func(ctx *box.Ctx) bool { return ctx.IsFlowing(s0) }, To: "hold",
 					Do: func(ctx *box.Ctx) {
 						ctx.CancelTimer("giveup")
+						if !flowedOnce {
+							flowedOnce = true
+							stats.pathsUp.Add(1)
+						}
 						stats.setups.Add(1)
 						stats.holding.Add(1)
 					}},

@@ -109,7 +109,9 @@ func (o Output) String() string {
 type chanInfo struct {
 	name      string
 	initiator bool
-	slotNames []string // cached TunnelSlot names, indexed by tunnel
+	slotNames []string  // cached TunnelSlot names, indexed by tunnel
+	owned     []string  // names of the live slots of this channel (ensureSlot adds them)
+	own1      [1]string // owned's first backing: most channels carry one tunnel
 }
 
 // tunnelSlot returns the slot name for tunnel i, cached so
@@ -266,9 +268,13 @@ func (b *Box) ChanVersion() uint64 { return b.chanVer }
 // AddChannel registers a signaling channel. The runtime calls it when
 // a channel is accepted; Dial registers the initiating side.
 func (b *Box) AddChannel(name string, initiator bool) {
-	ci := b.chanCache[name]
+	ci := b.chans[name] // re-adding a live channel keeps the slots it owns
+	if ci == nil {
+		ci = b.chanCache[name]
+	}
 	if ci == nil {
 		ci = &chanInfo{name: name}
+		ci.owned = ci.own1[:0]
 	}
 	ci.initiator = initiator
 	b.chans[name] = ci
@@ -312,6 +318,7 @@ func (b *Box) ensureSlot(name string) (*slot.Slot, error) {
 	}
 	s := slot.New(name, ci.initiator)
 	b.slots[name] = s
+	ci.owned = append(ci.owned, name)
 	return s, nil
 }
 
@@ -374,33 +381,37 @@ func asRaw(g core.Goal) (core.RawGoal, bool) {
 // destroys all its tunnels and slots", paper Section IV-B). A slot
 // that was flowlinked to a destroyed slot falls back to a closeSlot:
 // its path is broken, so its half of the channel is shut down cleanly.
+// The cost is that of the channel's own slots, whatever else the box
+// holds.
 func (b *Box) destroyChannel(name string) {
-	if ci := b.chans[name]; ci != nil {
-		if b.chanCache == nil {
-			b.chanCache = make(map[string]*chanInfo, 8)
-		}
-		if len(b.chanCache) < chanCacheCap || b.chanCache[name] != nil {
-			b.chanCache[name] = ci
-		}
+	ci := b.chans[name]
+	if ci == nil {
+		return // no channel, so no slot of it either (see ensureSlot)
 	}
 	delete(b.chans, name)
 	b.chanVer++
 	b.markDirty(name)
+	// Every goal partner of an owned slot is a candidate widow; the ones
+	// still standing once the channel's slots are gone belong to other
+	// channels.
 	widowed := b.widowScratch[:0]
-	for sn := range b.slots {
-		ch, _, ok := slotChannel(sn)
-		if !ok || ch != name {
-			continue
-		}
+	for _, sn := range ci.owned {
 		if g := b.goals[sn]; g != nil {
 			for _, partner := range g.SlotNames() {
-				if pch, _, ok := slotChannel(partner); ok && pch != name {
+				if partner != sn {
 					widowed = append(widowed, partner)
 				}
 			}
 		}
 		delete(b.slots, sn)
 		delete(b.goals, sn)
+	}
+	ci.owned = ci.owned[:0]
+	if len(b.chanCache) < chanCacheCap { // a record already cached is this one: AddChannel reuses it
+		if b.chanCache == nil {
+			b.chanCache = make(map[string]*chanInfo, 8)
+		}
+		b.chanCache[name] = ci
 	}
 	for _, sn := range widowed {
 		if b.slots[sn] == nil {

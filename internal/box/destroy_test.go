@@ -1,0 +1,177 @@
+package box
+
+import (
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"ipmedia/internal/core"
+	"ipmedia/internal/sig"
+	"ipmedia/internal/slot"
+)
+
+// standingBox builds a box holding n channels "s0".."s<n-1>", each
+// with one held tunnel: the parked population a busy relay carries.
+func standingBox(tb testing.TB, n int) *Box {
+	tb.Helper()
+	b := New("relay", core.ServerProfile{Name: "relay"})
+	for i := 0; i < n; i++ {
+		ch := "s" + strconv.Itoa(i)
+		b.AddChannel(ch, false)
+		if _, err := b.ensureGoal(TunnelSlot(ch, 0)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return b
+}
+
+func handle(tb testing.TB, b *Box, ev Event) {
+	tb.Helper()
+	outs, err := b.Handle(ev)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b.Recycle(outs)
+}
+
+func teardown(ch string) Event {
+	return Event{Kind: EvEnvelope, Channel: ch, Env: sig.Envelope{Meta: &sig.Meta{Kind: sig.MetaTeardown}}}
+}
+
+// TestDestroyChannelOnlyOwnSlots: tearing one channel down on a box
+// that holds 2000 others removes exactly that channel's slots —
+// cached-name tunnels, a tunnel index past the name cache, and a slot a
+// program named itself — leaves every other slot and goal object
+// untouched, and hands the surviving half of a flowlink to a closeSlot.
+func TestDestroyChannelOnlyOwnSlots(t *testing.T) {
+	const standing = 2000
+	b := standingBox(t, standing)
+	type held struct {
+		s *slot.Slot
+		g core.Goal
+	}
+	before := make(map[string]held, standing)
+	for name, s := range b.slots {
+		before[name] = held{s, b.goals[name]}
+	}
+
+	b.AddChannel("victim", false)
+	partner := TunnelSlot("s7", 0)
+	handle(t, b, Event{Kind: EvCall, Call: func(ctx *Ctx) {
+		ctx.SetGoal(core.NewFlowLink(TunnelSlot("victim", 0), partner))
+		ctx.SetGoal(core.NewHoldSlot("victim.t7", b.Profile())) // named by the program, not by dispatch
+	}})
+	open := sig.Open(sig.Audio, sig.Descriptor{})
+	handle(t, b, Event{Kind: EvEnvelope, Channel: "victim", Env: sig.Envelope{Tunnel: 1, Sig: open}})
+	handle(t, b, Event{Kind: EvEnvelope, Channel: "victim", Env: sig.Envelope{Tunnel: 1500, Sig: open}})
+	for _, sn := range []string{"victim.t0", "victim.t1", "victim.t7", "victim.t1500"} {
+		if b.Slot(sn) == nil {
+			t.Fatalf("setup: slot %s missing", sn)
+		}
+	}
+
+	handle(t, b, teardown("victim"))
+
+	if b.HasChannel("victim") {
+		t.Error("victim channel survived its teardown")
+	}
+	for name := range b.slots {
+		if strings.HasPrefix(name, "victim.") {
+			t.Errorf("slot %s survived its channel", name)
+		}
+	}
+	for name := range b.goals {
+		if strings.HasPrefix(name, "victim.") {
+			t.Errorf("goal mapping %s survived its channel", name)
+		}
+	}
+	if len(b.slots) != standing || len(b.goals) != standing {
+		t.Errorf("box holds %d slots / %d goals, want %d each", len(b.slots), len(b.goals), standing)
+	}
+	for name, was := range before {
+		if b.slots[name] != was.s {
+			t.Errorf("slot %s was replaced or removed", name)
+		}
+		if name != partner && b.goals[name] != was.g {
+			t.Errorf("goal of %s was replaced or removed", name)
+		}
+	}
+	if g := b.GoalFor(partner); g == nil || g.Kind() != "closeSlot" {
+		t.Errorf("widowed partner %s is controlled by %v, want a closeSlot", partner, g)
+	}
+
+	// A redial of the name starts with no slots, and its teardown must
+	// not reach for the ones the first incarnation owned.
+	b.AddChannel("victim", true)
+	handle(t, b, Event{Kind: EvEnvelope, Channel: "victim", Env: sig.Envelope{Tunnel: 0, Sig: open}})
+	handle(t, b, teardown("victim"))
+	if len(b.slots) != standing {
+		t.Errorf("after redial and teardown the box holds %d slots, want %d", len(b.slots), standing)
+	}
+}
+
+// TestAddChannelTwiceKeepsOwnedSlots: registering a live channel again
+// (an accept racing a dial of the same name) must not orphan the slots
+// it already owns.
+func TestAddChannelTwiceKeepsOwnedSlots(t *testing.T) {
+	b := standingBox(t, 1)
+	b.AddChannel("s0", true)
+	handle(t, b, teardown("s0"))
+	if len(b.slots) != 0 || len(b.goals) != 0 {
+		t.Fatalf("teardown left %d slots / %d goals behind", len(b.slots), len(b.goals))
+	}
+}
+
+// churn runs n dial-shaped channel lifetimes (add, first signal,
+// teardown) on bx.
+func churn(tb testing.TB, bx *Box, n int) {
+	open := Event{Kind: EvEnvelope, Channel: "call", Env: sig.Envelope{Sig: sig.Open(sig.Audio, sig.Descriptor{})}}
+	down := teardown("call")
+	for i := 0; i < n; i++ {
+		bx.AddChannel("call", false)
+		handle(tb, bx, open)
+		handle(tb, bx, down)
+	}
+}
+
+func BenchmarkDestroyChannel(b *testing.B) {
+	for _, standing := range []int{10, 2000} {
+		b.Run(strconv.Itoa(standing), func(b *testing.B) {
+			bx := standingBox(b, standing)
+			b.ReportAllocs()
+			b.ResetTimer()
+			churn(b, bx, b.N)
+		})
+	}
+}
+
+// TestDestroyChannelCostIgnoresPopulation: a channel's set-up and
+// tear-down must cost the same on a box holding 10 other channels as on
+// one holding 2000. The walk-every-slot teardown this replaces was 37x
+// slower at 2000 (70 µs against 1.9 µs); the bound leaves room for cache misses in the bigger
+// maps and for a noisy host.
+func TestDestroyChannelCostIgnoresPopulation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing comparison: not under the race detector")
+	}
+	const lifetimes = 20000
+	best := func(standing int) time.Duration {
+		bx := standingBox(t, standing)
+		churn(t, bx, lifetimes/10) // warm the caches and the output buffer
+		var d time.Duration
+		for try := 0; try < 5; try++ {
+			t0 := time.Now()
+			churn(t, bx, lifetimes)
+			if e := time.Since(t0); d == 0 || e < d {
+				d = e
+			}
+		}
+		return d / lifetimes
+	}
+	small, large := best(10), best(2000)
+	t.Logf("channel lifetime: %v at 10 standing, %v at 2000", small, large)
+	if large > 2*small {
+		t.Errorf("teardown cost grows with the standing population: %v at 10 channels, %v at 2000", small, large)
+	}
+}

@@ -60,37 +60,38 @@ const (
 	ringDrainMax   = 256
 )
 
-// Caches of per-channel setup metas and per-timer fire closures are
-// capped so a pathological churn of unique names cannot grow a runner
-// without bound. Real boxes hold a handful of channels and timers.
+// Caches of per-channel setup metas and readiness closures and of
+// per-timer fire closures are capped so a pathological churn of unique
+// names cannot grow a runner without bound. Real boxes hold a handful
+// of channels and timers.
 const runnerCacheCap = 512
 
 // itemKind discriminates inbox items.
 type itemKind uint8
 
 const (
-	itemEvent itemKind = iota // one box event
-	itemBatch                 // a burst of envelopes for one channel
-	itemRun                   // runtime-internal work, run outside the box
-	itemRing                  // drain an inline (SPSC ring) port
-	itemStop                  // finish a runner: cleanup, release Stop
+	itemEvent    itemKind = iota // one box event
+	itemBatch                    // a burst of envelopes for one channel
+	itemAccept                   // register an accepted port as a new channel
+	itemPortLost                 // a pump's transport went away without a teardown
+	itemRing                     // drain the channel's inline (SPSC ring) port
+	itemStop                     // finish a runner: cleanup, release Stop
 )
 
 // inboxItem is one unit of work for a shard loop. Events and batches
-// go through the box core; run items execute directly on the loop
-// goroutine (they may call handle themselves, e.g. port-loss cleanup,
-// which must not nest inside an in-progress Handle). Every item names
-// the runner it belongs to: shards multiplex many runners over one
-// loop.
+// go through the box core; accept and port-loss items execute directly
+// on the loop goroutine (port-loss cleanup calls handle itself, which
+// must not nest inside an in-progress Handle). Every item names the
+// runner it belongs to: shards multiplex many runners over one loop.
 type inboxItem struct {
-	kind  itemKind
-	r     *Runner
-	ev    Event                // itemEvent payload; ev.Channel also labels itemBatch/itemRing
-	batch []sig.Envelope       // itemBatch payload, owned by the pump
-	ack   chan<- struct{}      // itemBatch: signaled when the batch is processed
-	run   func()               // itemRun payload
-	ring  transport.InlinePort // itemRing payload
-	done  chan struct{}        // itemEvent: signaled after dispatch (Do)
+	kind    itemKind
+	r       *Runner
+	ev      Event              // itemEvent payload; ev.Channel also labels itemBatch/itemRing/itemPortLost
+	batch   []sig.Envelope     // itemBatch payload, owned by the pump
+	ack     chan<- struct{}    // itemBatch: signaled when the batch is processed
+	port    transport.Port     // itemAccept, itemPortLost: the port concerned
+	nameFor func(n int) string // itemAccept: names the n-th accepted channel (nil: in<n>)
+	done    chan struct{}      // itemEvent: signaled after dispatch (Do)
 }
 
 // inbox is the shard's MPSC queue: producers append under a mutex,
@@ -244,6 +245,7 @@ type Runner struct {
 	ports     map[string]transport.Port
 	timers    map[string]*timerwheel.Timer
 	timerFns  map[string]func()
+	readyFns  map[string]func()
 	setupMeta map[string]*sig.Meta
 	acceptN   int
 	chanVer   uint64 // box.ChanVersion after the last dispatched item
@@ -345,11 +347,14 @@ func (r *Runner) execute(it *inboxItem) int {
 			r.handle(Event{Kind: EvEnvelope, Channel: it.ev.Channel, Env: e})
 		}
 		it.ack <- struct{}{}
-	case itemRun:
+	case itemAccept:
 		n = 1
-		it.run()
+		r.accept(it.port, it.nameFor)
+	case itemPortLost:
+		n = 1
+		r.portLost(it.ev.Channel, it.port)
 	case itemRing:
-		n = r.drainRing(it.ev.Channel, it.ring)
+		n = r.drainRing(it.ev.Channel)
 	case itemStop:
 		r.closeAll()
 		close(r.stopDone)
@@ -361,14 +366,16 @@ func (r *Runner) execute(it *inboxItem) int {
 	return n
 }
 
-// drainRing moves pending envelopes out of an inline port and through
-// the box, up to the fairness cap; past the cap it re-posts itself so
-// one busy channel cannot starve the shard's other boxes. Loop
-// goroutine only.
-func (r *Runner) drainRing(channel string, ip transport.InlinePort) int {
-	if r.ports[channel] != transport.Port(ip) {
-		// Stale notification: the channel was torn down or redialed
-		// after this item was posted.
+// drainRing moves pending envelopes out of the channel's inline port
+// and through the box, up to the fairness cap; past the cap it re-posts
+// itself so one busy channel cannot starve the shard's other boxes. The
+// port is whatever the channel name maps to now: a notification that
+// outlived its channel finds nothing, and one that outlived a redial
+// drains the new port, which is harmless (an early drain finds the
+// ring empty and re-arms its edge). Loop goroutine only.
+func (r *Runner) drainRing(channel string) int {
+	ip, _ := r.ports[channel].(transport.InlinePort)
+	if ip == nil {
 		return 0
 	}
 	buf := r.sh.ringBuf[:]
@@ -396,8 +403,7 @@ func (r *Runner) drainRing(channel string, ip transport.InlinePort) int {
 	}
 	// Fairness cap hit with the ring possibly non-empty and the edge
 	// NOT re-armed: hand the loop back and queue another drain.
-	r.sh.inbox.push(inboxItem{kind: itemRing, r: r,
-		ev: Event{Kind: EvEnvelope, Channel: channel}, ring: ip})
+	r.sh.inbox.push(inboxItem{kind: itemRing, r: r, ev: Event{Kind: EvEnvelope, Channel: channel}})
 	return events
 }
 
@@ -585,6 +591,28 @@ func (r *Runner) timerFnFor(name string) func() {
 	return fn
 }
 
+// readyFnFor returns the readiness callback for the named channel's
+// inline port: it posts a drain item, naming the channel rather than
+// the port so that one cached closure serves every redial of the name.
+// It runs on the producer's goroutine, one edge per empty→non-empty
+// transition; a refused push means the runner stopped, and its cleanup
+// closes the port. Loop goroutine only.
+func (r *Runner) readyFnFor(channel string) func() {
+	if fn := r.readyFns[channel]; fn != nil {
+		return fn
+	}
+	fn := func() {
+		r.sh.inbox.push(inboxItem{kind: itemRing, r: r, ev: Event{Kind: EvEnvelope, Channel: channel}})
+	}
+	if r.readyFns == nil {
+		r.readyFns = map[string]func(){} // only runners that own a ring port pay for it
+	}
+	if len(r.readyFns) < runnerCacheCap {
+		r.readyFns[channel] = fn
+	}
+	return fn
+}
+
 // process executes box outputs. Loop goroutine only.
 func (r *Runner) process(outs []Output) {
 	for _, o := range outs {
@@ -644,13 +672,7 @@ func (r *Runner) process(outs []Output) {
 func (r *Runner) addPort(channel string, p transport.Port) {
 	r.ports[channel] = p
 	if ip, ok := p.(transport.InlinePort); ok {
-		ip.SetReady(func() {
-			// Producer's goroutine, one edge per empty→non-empty
-			// transition. A refused push means the runner stopped; its
-			// cleanup closes the port.
-			r.sh.inbox.push(inboxItem{kind: itemRing, r: r,
-				ev: Event{Kind: EvEnvelope, Channel: channel}, ring: ip})
-		})
+		ip.SetReady(r.readyFnFor(channel))
 		return
 	}
 	r.wg.Add(1)
@@ -699,9 +721,9 @@ func (r *Runner) pump(channel string, p transport.Port) {
 		}
 	}
 	// Transport gone without a teardown: synthesize one so the box
-	// cleans up. Run items execute outside the box core because
+	// cleans up. The item executes outside the box core because
 	// portLost re-enters handle.
-	r.sh.inbox.push(inboxItem{kind: itemRun, r: r, run: func() { r.portLost(channel, p) }})
+	r.sh.inbox.push(inboxItem{kind: itemPortLost, r: r, ev: Event{Channel: channel}, port: p})
 }
 
 // portLost is the loop-side cleanup when a transport disappears. Loop
@@ -736,21 +758,10 @@ func (r *Runner) Listen(addr string, nameFor func(n int) string) error {
 			if err != nil {
 				return
 			}
-			port := p
-			ok := r.sh.inbox.push(inboxItem{kind: itemRun, r: r, run: func() {
-				n := r.acceptN
-				r.acceptN++
-				name := "in" + strconv.Itoa(n)
-				if nameFor != nil {
-					name = nameFor(n)
-				}
-				r.box.AddChannel(name, false)
-				r.addPort(name, port)
-			}})
-			if !ok {
+			if !r.sh.inbox.push(inboxItem{kind: itemAccept, r: r, port: p, nameFor: nameFor}) {
 				// Lost the race with Stop: the loop will never register
 				// this port, so close it here instead of leaking it.
-				port.Close()
+				p.Close()
 				return
 			}
 		}
@@ -760,6 +771,19 @@ func (r *Runner) Listen(addr string, nameFor func(n int) string) error {
 		l.Close()
 	}()
 	return nil
+}
+
+// accept registers an accepted port under the next accept name. Loop
+// goroutine only.
+func (r *Runner) accept(p transport.Port, nameFor func(n int) string) {
+	n := r.acceptN
+	r.acceptN++
+	name := "in" + strconv.Itoa(n)
+	if nameFor != nil {
+		name = nameFor(n)
+	}
+	r.box.AddChannel(name, false)
+	r.addPort(name, p)
 }
 
 // notifyChanged wakes the AwaitChannel waiters of exactly the channels

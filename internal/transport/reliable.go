@@ -14,7 +14,9 @@
 // reordering, and drops duplicates, counting them under
 // slot.dup_dropped. Acks are cumulative and delayed: a short wheel
 // timer batches them, and every AckEvery deliveries forces one out
-// immediately. A rexmit timer resends the unacked suffix, counted
+// immediately. A rexmit timer resends the unacked suffix once the
+// oldest retained envelope has gone a full RexmitInterval without ack
+// progress (it restarts on every ack that releases something), counted
 // under slot.retransmits. Control traffic (hello, ack) travels as
 // MetaApp envelopes consumed by this layer; boxes never see it, and
 // delivered envelopes have their sequence stripped, so nothing above
@@ -67,8 +69,9 @@ var ackMeta = &sig.Meta{Kind: sig.MetaApp, App: relAckApp}
 // RelConfig tunes the reliable layer. The zero value gets defaults
 // sized for the shared 5ms timer wheel.
 type RelConfig struct {
-	// RexmitInterval is the retransmission period for unacked
-	// envelopes. Default 60ms.
+	// RexmitInterval is how long the send side waits without ack
+	// progress before it retransmits the unacked envelopes. Default
+	// 60ms.
 	RexmitInterval time.Duration
 	// AckDelay is how long a cumulative ack may wait to batch with
 	// later deliveries. Default 15ms (must be well under
@@ -337,6 +340,7 @@ type RelPort struct {
 	lingering   bool // Close deferred until the unacked tail is delivered
 	greeted     bool // the current binding has seen incoming traffic
 	rexmitArmed bool
+	rexmitFrom  time.Time // start of the current wait for ack progress
 	ackPending  bool
 	sinceAck    int
 	downSince   time.Time
@@ -446,9 +450,10 @@ func (p *RelPort) onHelloRetry(gen, tries int) {
 	p.armHelloRetryLocked(gen, tries+1)
 }
 
-// resendUnackedLocked retransmits every retained envelope. Caller
-// holds p.mu.
+// resendUnackedLocked retransmits every retained envelope and
+// restarts the wait for ack progress. Caller holds p.mu.
 func (p *RelPort) resendUnackedLocked(under Port) {
+	p.rexmitFrom = time.Now()
 	n := 0
 	p.st.Unacked(func(e sig.Envelope) bool {
 		n++
@@ -473,6 +478,9 @@ func (p *RelPort) Send(e sig.Envelope) error {
 		// after this is not a fault worth recovering.
 		p.closing = true
 	}
+	if p.st.Len() == 0 {
+		p.rexmitFrom = time.Now() // nothing was waiting: the wait starts with this envelope
+	}
 	stamped := p.st.Stamp(e)
 	under := p.under
 	p.armRexmitLocked()
@@ -489,28 +497,36 @@ func (p *RelPort) Send(e sig.Envelope) error {
 	return nil
 }
 
-// armRexmitLocked keeps exactly one self-rearming retransmit timer
-// alive while anything is unacked. Caller holds p.mu.
+// armRexmitLocked keeps exactly one retransmit timer alive while
+// anything is unacked, due a full RexmitInterval after the wait for
+// ack progress last restarted. Caller holds p.mu.
 func (p *RelPort) armRexmitLocked() {
 	if p.rexmitArmed || p.closed || p.st.Len() == 0 {
 		return
 	}
 	p.rexmitArmed = true
-	p.net.wheel.Schedule(p.cfg.RexmitInterval, p.onRexmit)
+	p.net.wheel.Schedule(p.cfg.RexmitInterval-time.Since(p.rexmitFrom), p.onRexmit)
 }
 
+// onRexmit resends only if a full interval passed without ack
+// progress; an ack (or a first envelope into an empty tracker) since
+// the timer was armed just moves the deadline, so a loss-free channel
+// never retransmits however steadily it sends.
 func (p *RelPort) onRexmit() {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.rexmitArmed = false
 	if p.closed || p.st.Len() == 0 {
-		p.mu.Unlock()
 		return
 	}
-	if under := p.under; under != nil {
-		p.resendUnackedLocked(under)
+	if time.Since(p.rexmitFrom) >= p.cfg.RexmitInterval {
+		if under := p.under; under != nil {
+			p.resendUnackedLocked(under)
+		} else {
+			p.rexmitFrom = time.Now() // between wires: the rebind replays
+		}
 	}
 	p.armRexmitLocked()
-	p.mu.Unlock()
 }
 
 // pump drains one underlying port into the channel. One pump runs per
@@ -548,7 +564,9 @@ func (p *RelPort) handleIn(e sig.Envelope, gen int) {
 			if gen == p.gen {
 				p.greeted = true
 			}
-			p.st.Ack(e.Seq)
+			if p.st.Ack(e.Seq) > 0 {
+				p.rexmitFrom = time.Now()
+			}
 			done := p.lingering && p.st.Len() == 0
 			p.mu.Unlock()
 			if done {

@@ -2,7 +2,7 @@
 //
 // A ring port is one end of an in-process signaling channel whose
 // receive side is a bounded single-producer/single-consumer ring
-// (Vyukov sequence slots) drained *inline* by the owning runtime shard
+// (a Lamport queue) drained *inline* by the owning runtime shard
 // instead of a per-port pump goroutine. Delivery is edge-triggered:
 // the producer raises one readiness notification (SetReady callback)
 // when the ring goes empty→non-empty, the consumer drains with
@@ -27,6 +27,7 @@
 package transport
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -34,92 +35,81 @@ import (
 	"ipmedia/internal/telemetry"
 )
 
-// ringCap is the per-direction ring capacity. Signaling channels carry
-// a handful of envelopes per call phase, so the ring is small; bursts
-// beyond it take the spill path rather than growing the footprint of
-// the hundred thousand idle channels a loaded host holds.
-const ringCap = 32
+// ringCap is the per-direction ring capacity, fixed at compile time so
+// the slots sit inline in the pipe. A parked channel holds its whole
+// pipe — both rings and both ports, one 1.8 KB allocation — for as long
+// as it lives, so this is what a host with a hundred thousand idle
+// channels pays per channel. Four is sized against measurement, not
+// guessed: a call puts fourteen envelopes on its two channels, three or
+// four per direction per channel over the channel's whole life, and
+// transport.ring_occupancy.<n> (what each drain found waiting) has never
+// read past three, with transport.ring_spills at zero, on one shard or
+// across four (EXPERIMENTS.md "Channel churn"). A burst past the ring
+// takes the spill path.
+const (
+	ringCap  = 4
+	ringMask = ringCap - 1
+)
 
-// ringSlot is one Vyukov sequence slot.
-type ringSlot struct {
-	seq atomic.Uint64
-	env sig.Envelope
+// ringMetrics are the instruments every pipe of one network shares,
+// resolved once rather than on every Dial.
+type ringMetrics struct {
+	framesIn, framesOut, spills *telemetry.Counter
+	// occupancy[n-1] counts drains that found n envelopes in the ring.
+	occupancy [ringCap]*telemetry.Counter
 }
 
-// spscRing is the receive side of one direction of a ring channel.
+func newRingMetrics() *ringMetrics {
+	m := &ringMetrics{
+		framesIn:  telemetry.C(MetricFramesIn),
+		framesOut: telemetry.C(MetricFramesOut),
+		spills:    telemetry.C(MetricRingSpills),
+	}
+	for i := range m.occupancy {
+		m.occupancy[i] = telemetry.C(MetricRingOccupancyPrefix + strconv.Itoa(i+1))
+	}
+	return m
+}
+
+// spscRing is the receive side of one direction of a ring channel: a
+// Lamport queue (the producer owns tail, the consumer owns head, and
+// each reads the other's index before touching a slot) plus the spill.
 type spscRing struct {
-	mask  uint64
-	slots []ringSlot
 	head  atomic.Uint64 // next index to pop; consumer-owned
 	tail  atomic.Uint64 // next index to push; producer-owned
+	slots [ringCap]sig.Envelope
 
 	mu     sync.Mutex
 	spill  []sig.Envelope // FIFO overflow, always younger than ring content
 	spillN atomic.Int64   // len(spill), readable without the lock
 	closed atomic.Bool
 
-	notified atomic.Bool            // an edge notification is outstanding
-	ready    atomic.Pointer[func()] // consumer's readiness callback
-	done     chan struct{}          // closed when the ring closes
-}
-
-func newSPSCRing(capacity int) *spscRing {
-	// Round up to a power of two for mask indexing.
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
-	r := &spscRing{mask: uint64(n - 1), slots: make([]ringSlot, n), done: make(chan struct{})}
-	for i := range r.slots {
-		r.slots[i].seq.Store(uint64(i))
-	}
-	return r
-}
-
-// tryPush appends e if the ring has room. Producer goroutine only.
-func (r *spscRing) tryPush(e sig.Envelope) bool {
-	t := r.tail.Load()
-	s := &r.slots[t&r.mask]
-	if s.seq.Load() != t {
-		return false // consumer has not freed this slot yet
-	}
-	s.env = e
-	s.seq.Store(t + 1)
-	r.tail.Store(t + 1)
-	return true
-}
-
-// tryPop removes the oldest ring entry. Consumer goroutine only.
-func (r *spscRing) tryPop() (sig.Envelope, bool) {
-	h := r.head.Load()
-	s := &r.slots[h&r.mask]
-	if s.seq.Load() != h+1 {
-		return sig.Envelope{}, false
-	}
-	e := s.env
-	s.env = sig.Envelope{} // drop Meta references promptly
-	s.seq.Store(h + uint64(len(r.slots)))
-	r.head.Store(h + 1)
-	return e, true
+	notified atomic.Bool  // an edge notification is outstanding
+	ready    atomic.Value // func(): the consumer's readiness callback
+	m        *ringMetrics
 }
 
 // nonEmpty reports whether data is pending. Consumer goroutine only
 // (it reads the consumer-owned head).
 func (r *spscRing) nonEmpty() bool {
-	h := r.head.Load()
-	return r.slots[h&r.mask].seq.Load() == h+1 || r.spillN.Load() > 0
+	return r.head.Load() != r.tail.Load() || r.spillN.Load() > 0
 }
 
 // push enqueues e, spilling when the ring is full or a spill is
-// already in progress (FIFO across the ring/spill boundary). Producer
-// goroutine only.
+// already in progress (FIFO across the ring/spill boundary). The spill
+// slice stays with the ring once grown, so a channel that keeps
+// bursting allocates for its first spill only. Producer goroutine only.
 func (r *spscRing) push(e sig.Envelope) error {
 	if r.closed.Load() {
 		return ErrClosed
 	}
-	if r.spillN.Load() == 0 && r.tryPush(e) {
-		r.notify()
-		return nil
+	if r.spillN.Load() == 0 {
+		if t := r.tail.Load(); t-r.head.Load() < ringCap {
+			r.slots[t&ringMask] = e
+			r.tail.Store(t + 1)
+			r.notify()
+			return nil
+		}
 	}
 	r.mu.Lock()
 	if r.closed.Load() {
@@ -129,6 +119,7 @@ func (r *spscRing) push(e sig.Envelope) error {
 	r.spill = append(r.spill, e)
 	r.spillN.Store(int64(len(r.spill)))
 	r.mu.Unlock()
+	r.m.spills.Inc()
 	r.notify()
 	return nil
 }
@@ -139,8 +130,8 @@ func (r *spscRing) push(e sig.Envelope) error {
 // extra wake-up finds an empty ring and returns.
 func (r *spscRing) notify() {
 	if r.notified.CompareAndSwap(false, true) {
-		if fn := r.ready.Load(); fn != nil {
-			(*fn)()
+		if fn, _ := r.ready.Load().(func()); fn != nil {
+			fn()
 		}
 		// No callback registered yet: the flag stays raised and
 		// setReady delivers the wake-up on registration.
@@ -151,7 +142,7 @@ func (r *spscRing) notify() {
 // close, or an undelivered notification is already pending, the
 // callback fires immediately (on this goroutine). Consumer only.
 func (r *spscRing) setReady(fn func()) {
-	r.ready.Store(&fn)
+	r.ready.Store(fn)
 	if r.notified.Load() || r.nonEmpty() || r.closed.Load() {
 		r.notified.Store(true)
 		fn()
@@ -165,22 +156,28 @@ func (r *spscRing) setReady(fn func()) {
 // fully drained. Consumer goroutine only.
 func (r *spscRing) tryRecvBatch(buf []sig.Envelope) (int, bool) {
 	for {
-		n := 0
-		for n < len(buf) {
-			e, ok := r.tryPop()
-			if !ok {
-				break
-			}
-			buf[n] = e
-			n++
+		// Read the spill count before the ring: from the moment it is
+		// nonzero the producer stays off the ring until this goroutine
+		// has emptied the spill, so a ring drained after this load holds
+		// nothing younger than the spill.
+		spilled := r.spillN.Load() > 0
+		h := r.head.Load()
+		avail := int(r.tail.Load() - h)
+		n := min(avail, len(buf))
+		for i := 0; i < n; i++ {
+			s := &r.slots[(h+uint64(i))&ringMask]
+			buf[i] = *s
+			*s = sig.Envelope{} // drop Meta references promptly
 		}
-		if n < len(buf) && r.spillN.Load() > 0 {
+		if n > 0 {
+			r.head.Store(h + uint64(n))
+			r.m.occupancy[avail-1].Inc()
+		}
+		if spilled && n == avail && n < len(buf) {
 			r.mu.Lock()
 			k := copy(buf[n:], r.spill)
 			rest := copy(r.spill, r.spill[k:])
-			for i := rest; i < len(r.spill); i++ {
-				r.spill[i] = sig.Envelope{}
-			}
+			clear(r.spill[rest:])
 			r.spill = r.spill[:rest]
 			r.spillN.Store(int64(rest))
 			r.mu.Unlock()
@@ -210,16 +207,15 @@ func (r *spscRing) tryRecvBatch(buf []sig.Envelope) (int, bool) {
 	}
 }
 
+// close marks the ring closed and wakes the consumer, which drains
+// what is left and then sees ok=false.
 func (r *spscRing) close() {
 	r.mu.Lock()
-	if r.closed.Load() {
-		r.mu.Unlock()
-		return
-	}
-	r.closed.Store(true)
+	was := r.closed.Swap(true)
 	r.mu.Unlock()
-	close(r.done)
-	r.notify()
+	if !was {
+		r.notify()
+	}
 }
 
 // InlinePort is a Port whose receive side is drained inline by the
@@ -241,13 +237,21 @@ type ringPort struct {
 	peerName string
 	recv     *spscRing // our receive side
 	send     *spscRing // peer's receive side
-	once     sync.Once
-
-	framesOut *telemetry.Counter
-	framesIn  *telemetry.Counter
 
 	recvOnce sync.Once
 	out      chan sig.Envelope
+}
+
+// ringPipe is a whole ring channel — both ports and both rings, slots
+// inline — so that a Dial is one allocation. The ports hand out
+// interior pointers; the pipe is collected when the last one is
+// dropped. Closed pipes are not recycled: the peer's shard may still be
+// inside Send on its port when ours closes, and an envelope that lands
+// in a ring already handed to the next call would be a cross-call leak
+// that no cheap generation check on this path excludes.
+type ringPipe struct {
+	ports [2]ringPort
+	rings [2]spscRing
 }
 
 // RingPipe creates an in-memory SPSC ring channel and returns its two
@@ -255,15 +259,15 @@ type ringPort struct {
 // goroutine (see the package comment); box runners satisfy this by
 // construction. aName and bName label the ends for diagnostics.
 func RingPipe(aName, bName string) (Port, Port) {
-	return ringPipe(aName, bName, ringCap)
+	return newRingPipe(aName, bName, newRingMetrics())
 }
 
-func ringPipe(aName, bName string, capacity int) (Port, Port) {
-	framesIn := telemetry.C(MetricFramesIn)
-	framesOut := telemetry.C(MetricFramesOut)
-	ra, rb := newSPSCRing(capacity), newSPSCRing(capacity)
-	a := &ringPort{peerName: bName, recv: ra, send: rb, framesOut: framesOut, framesIn: framesIn}
-	b := &ringPort{peerName: aName, recv: rb, send: ra, framesOut: framesOut, framesIn: framesIn}
+func newRingPipe(aName, bName string, m *ringMetrics) (*ringPort, *ringPort) {
+	pp := &ringPipe{}
+	a, b := &pp.ports[0], &pp.ports[1]
+	a.peerName, a.recv, a.send = bName, &pp.rings[0], &pp.rings[1]
+	b.peerName, b.recv, b.send = aName, &pp.rings[1], &pp.rings[0]
+	pp.rings[0].m, pp.rings[1].m = m, m
 	return a, b
 }
 
@@ -271,7 +275,7 @@ func (p *ringPort) Send(e sig.Envelope) error {
 	if err := p.send.push(e); err != nil {
 		return err
 	}
-	p.framesOut.Inc()
+	p.send.m.framesOut.Inc()
 	return nil
 }
 
@@ -282,7 +286,7 @@ func (p *ringPort) SetReady(fn func()) { p.recv.setReady(fn) }
 func (p *ringPort) TryRecvBatch(buf []sig.Envelope) (int, bool) {
 	n, ok := p.recv.tryRecvBatch(buf)
 	if n > 0 {
-		p.framesIn.Add(uint64(n))
+		p.recv.m.framesIn.Add(uint64(n))
 	}
 	return n, ok
 }
@@ -308,6 +312,8 @@ func (p *ringPort) Recv() <-chan sig.Envelope {
 	return p.out
 }
 
+// recvPump needs no close signal of its own: closing the ring raises
+// the same readiness edge a push does.
 func (p *ringPort) recvPump(wake chan struct{}) {
 	defer close(p.out)
 	var buf [16]sig.Envelope
@@ -315,27 +321,22 @@ func (p *ringPort) recvPump(wake chan struct{}) {
 		n, ok := p.recv.tryRecvBatch(buf[:])
 		for i := 0; i < n; i++ {
 			p.out <- buf[i]
-			p.framesIn.Inc()
+			p.recv.m.framesIn.Inc()
 			buf[i] = sig.Envelope{}
 		}
 		if n == 0 {
 			if !ok {
 				return
 			}
-			select {
-			case <-wake:
-			case <-p.recv.done:
-				// Final drain pass above via tryRecvBatch.
-			}
+			<-wake
 		}
 	}
 }
 
+// Close closes both directions; the rings make it idempotent.
 func (p *ringPort) Close() error {
-	p.once.Do(func() {
-		p.send.close()
-		p.recv.close()
-	})
+	p.send.close()
+	p.recv.close()
 	return nil
 }
 

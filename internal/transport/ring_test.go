@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 
 	"ipmedia/internal/sig"
+	"ipmedia/internal/telemetry"
 )
 
 // drainInline consumes a ring port through the InlinePort path the way
@@ -48,7 +50,7 @@ func drainInline(t *testing.T, p Port, out chan<- sig.Envelope, done *sync.WaitG
 // TestRingFIFOThroughSpill pushes far more envelopes than the ring
 // holds, forcing the spill path, and checks strict FIFO on the far end.
 func TestRingFIFOThroughSpill(t *testing.T) {
-	a, b := ringPipe("a", "b", 4) // tiny ring: most envelopes spill
+	a, b := RingPipe("a", "b") // production capacity: most envelopes spill
 	const total = 10000
 
 	out := make(chan sig.Envelope, total)
@@ -141,8 +143,8 @@ func TestRingCloseSemantics(t *testing.T) {
 // TestRingInlineCloseDrains: closing while the consumer is mid-drain
 // still delivers everything already pushed, then reports closed.
 func TestRingInlineCloseDrains(t *testing.T) {
-	a, b := ringPipe("a", "b", 4)
-	const total = 64
+	a, b := RingPipe("a", "b")
+	const total = 8 * ringCap
 	for i := 0; i < total; i++ {
 		if err := a.Send(sig.Envelope{Seq: uint32(i)}); err != nil {
 			t.Fatalf("send %d: %v", i, err)
@@ -271,4 +273,124 @@ func TestMemNetworkStripes(t *testing.T) {
 		}(addr)
 	}
 	wg.Wait()
+}
+
+// TestRingCloseVsSend races a sender against the consumer closing the
+// one-allocation pipe under it (run with -race): whatever the
+// interleaving, sends after the close fail with ErrClosed, and what the
+// consumer drained is a gap-free prefix of what the sender had accepted.
+func TestRingCloseVsSend(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		a, b := RingPipe("a", "b")
+		accepted := make(chan uint32, 1)
+		go func() {
+			// Bounded, so a slow consumer is not buried under the spill.
+			var n uint32
+			for n < uint32(round)+4*ringCap && a.Send(sig.Envelope{Seq: n}) == nil {
+				n++
+			}
+			accepted <- n
+		}()
+
+		ip := b.(InlinePort)
+		var buf [ringCap]sig.Envelope
+		next := uint32(0)
+		drain := func() (open bool) {
+			n, open := ip.TryRecvBatch(buf[:])
+			for i := 0; i < n; i++ {
+				if buf[i].Seq != next {
+					t.Fatalf("round %d: got seq %d, want %d", round, buf[i].Seq, next)
+				}
+				next++
+			}
+			return n > 0 || open
+		}
+		for next < uint32(round) { // let the sender run a varying distance ahead
+			drain()
+		}
+		b.Close()
+		for drain() {
+		}
+		if sent := <-accepted; next > sent {
+			t.Fatalf("round %d: drained %d envelopes, sender had only %d accepted", round, next, sent)
+		}
+		if err := a.Send(sig.Envelope{}); err != ErrClosed {
+			t.Fatalf("round %d: send after close: %v", round, err)
+		}
+	}
+}
+
+// TestRingDialAllocBudget is the alloc gate for channel set-up: one
+// ring-network Dial, its accept, and the close of both ends cost one
+// allocation — the pipe, both ports and both rings inline — of at most
+// 2 KB. (Two 32-slot rings, their slot arrays, two ports and two done
+// channels made this 13.7 KB in eight allocations.)
+func TestRingDialAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const maxAllocs, maxBytes = 1, 2048
+	net := NewRingMemNetwork()
+	l, err := net.Listen("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			near, err := net.Dial("svc")
+			if err != nil {
+				b.Fatal(err)
+			}
+			far, err := l.Accept()
+			if err != nil {
+				b.Fatal(err)
+			}
+			near.Close()
+			far.Close()
+		}
+	})
+	a, by := res.AllocsPerOp(), res.AllocedBytesPerOp()
+	t.Logf("ring dial+accept+close: %d allocs, %d B, %d ns per channel", a, by, res.NsPerOp())
+	if a > maxAllocs || by > maxBytes {
+		t.Fatalf("ring dial+accept+close: %d allocs, %d B per channel; budget %d allocs, %d B", a, by, maxAllocs, maxBytes)
+	}
+}
+
+// TestRingSpillCountedAndReused: a burst past the ring's capacity is
+// counted under transport.ring_spills, the drain that follows records
+// a full ring, and a channel that keeps bursting reuses its spill list
+// — only the first burst allocates.
+func TestRingSpillCountedAndReused(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	telemetry.SetDefault(reg)
+	defer telemetry.SetDefault(nil)
+	a, b := RingPipe("a", "b")
+	ip := b.(InlinePort)
+	ip.SetReady(func() {})
+	const extra = 3
+	var buf [ringCap + extra]sig.Envelope
+	burst := func() {
+		for i := 0; i < len(buf); i++ {
+			a.Send(sig.Envelope{Seq: uint32(i)})
+		}
+		for got := 0; got < len(buf); {
+			n, _ := ip.TryRecvBatch(buf[got:])
+			got += n
+		}
+	}
+	burst()
+	if got := reg.Counter(MetricRingSpills).Value(); got != extra {
+		t.Fatalf("ring_spills = %d after one burst of %d, want %d", got, len(buf), extra)
+	}
+	if got := reg.Counter(MetricRingOccupancyPrefix + strconv.Itoa(ringCap)).Value(); got != 1 {
+		t.Fatalf("drains that found a full ring = %d, want 1", got)
+	}
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Fatalf("a repeat burst through the spill allocates %.1f times, want 0", allocs)
+	}
 }

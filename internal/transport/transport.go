@@ -60,6 +60,12 @@ const (
 	// channel state). Unlike a giveup, a reset is a prompt, clean
 	// failure — the peer is alive, only the channel is unrecoverable.
 	MetricResets = "transport.resets"
+	// MetricRingSpills counts envelopes that found a ring port's ring
+	// full and took the spill list; MetricRingOccupancyPrefix + "<n>"
+	// counts drains that found n envelopes waiting in the ring. Together
+	// they are the evidence the ring capacity is sized against.
+	MetricRingSpills          = "transport.ring_spills"
+	MetricRingOccupancyPrefix = "transport.ring_occupancy."
 )
 
 // Port is one end of a signaling channel. Sends never block: receive
@@ -296,7 +302,7 @@ type memStripe struct {
 // dialed channels are SPSC ring channels drained inline by box
 // runners; otherwise they are classic queue pipes.
 type MemNetwork struct {
-	rings   bool
+	rings   *ringMetrics // non-nil: dial ring pipes
 	stripes [memStripeCount]memStripe
 }
 
@@ -318,7 +324,7 @@ func NewMemNetwork() *MemNetwork {
 // which should stay on NewMemNetwork.
 func NewRingMemNetwork() *MemNetwork {
 	n := NewMemNetwork()
-	n.rings = true
+	n.rings = newRingMetrics()
 	return n
 }
 
@@ -363,8 +369,8 @@ func (n *MemNetwork) Dial(addr string) (Port, error) {
 		return nil, fmt.Errorf("transport: no listener at %q", addr)
 	}
 	var near, far Port
-	if n.rings {
-		near, far = RingPipe(addr, "dialer")
+	if n.rings != nil {
+		near, far = newRingPipe(addr, "dialer", n.rings)
 	} else {
 		near, far = Pipe(addr, "dialer")
 	}
