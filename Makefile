@@ -54,11 +54,13 @@ bench:
 # validation) and the framed fast path end to end, the reliable
 # layer's steady-state send (stamp, retain, ack bookkeeping), and the
 # store's disabled path and cached registry lookup allocate nothing;
-# and a ring-network dial, accept and close stay within their budget of
-# one allocation of at most 2 KB.
+# a ring-network dial, accept and close stay within their budget of
+# one allocation of at most 2 KB; and a whole call through a relay
+# already holding 600 others — dial, splice, flow, teardown — stays
+# within its budget of 11 allocations.
 alloc-gate:
 	$(GO) test -run='TestDecodeZeroAlloc|TestEncodeZeroAlloc' ./internal/sig
-	$(GO) test -run='TestRunnerEventZeroAlloc|TestClusterEventZeroAlloc|TestRunnerEventEndToEndAllocs' ./internal/box
+	$(GO) test -run='TestRunnerEventZeroAlloc|TestClusterEventZeroAlloc|TestRunnerEventEndToEndAllocs|TestCallCycleAllocBudget' ./internal/box
 	$(GO) test -run='TestMediaZeroAlloc|TestTSFramingZeroAlloc' ./internal/media
 	$(GO) test -run='TestTSZeroAlloc' ./internal/ts
 	$(GO) test -run='TestRelSendSteadyStateZeroAlloc|TestRingDialAllocBudget' ./internal/transport
@@ -73,7 +75,7 @@ alloc-gate:
 # size against real traffic.
 storm-smoke:
 	$(GO) run ./cmd/callstorm -paths 500 -servers 4 -mode link -net mem -hold 250ms -duration 5s
-	GOMAXPROCS=4 $(GO) run ./cmd/callstorm -paths 500 -servers 4 -mode link -net ring -shards 4 -hold 250ms -duration 5s -gate -alloc-gate 8
+	GOMAXPROCS=4 $(GO) run ./cmd/callstorm -paths 500 -servers 4 -mode link -net ring -shards 4 -hold 250ms -duration 5s -gate -alloc-gate 0.71
 
 # media-smoke blasts the in-memory media plane for ~2 seconds: a
 # pipeline liveness check, not a measurement.

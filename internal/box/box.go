@@ -23,6 +23,7 @@ import (
 	"ipmedia/internal/sig"
 	"ipmedia/internal/slot"
 	"ipmedia/internal/telemetry"
+	"ipmedia/internal/transport"
 )
 
 // TunnelSlot names the slot at this box for tunnel i of the named
@@ -106,12 +107,79 @@ func (o Output) String() string {
 	}
 }
 
+// chanInfo is the one record a box and its runner keep per signaling
+// channel. It outlives the channel: when the channel is destroyed and
+// its port is gone the record is parked under its name, and the next
+// channel of that name reopens it with everything it built up — the
+// slot names, tunnel 0's slot storage, the runner's readiness callback
+// and setup meta — so a redial or a re-accept builds none of it again.
+// What a box keeps is bounded by the most channels it has held at once
+// lately (see retire).
+//
+// A record is in one of three states: live (the box holds the channel),
+// closing (the channel is destroyed, the runner's port is not yet gone)
+// or parked. Box.channel sees live records only, Box.record all.
 type chanInfo struct {
 	name      string
+	live      bool // the box holds the channel: between AddChannel and destroyChannel
 	initiator bool
+	minted    bool      // a default accept name (in<k>): any accepted channel may reopen the record
 	slotNames []string  // cached TunnelSlot names, indexed by tunnel
-	owned     []string  // names of the live slots of this channel (ensureSlot adds them)
+	owned     []string  // names of the live slots of this channel (newSlot adds them)
 	own1      [1]string // owned's first backing: most channels carry one tunnel
+	s0        boxSlot   // storage for tunnel 0's slot, Reset for each channel the record serves
+
+	// Runner state, unused in a box driven without one. Loop goroutine
+	// only.
+	port  transport.Port // nil once closed or lost
+	ready func()         // the inline port's readiness callback, built once
+	setup *sig.Meta      // the setup meta announcing this box on the channel, built once
+
+	parked             bool      // on the box's parked list
+	parkPrev, parkNext *chanInfo // its links
+}
+
+// parkList is a box's parked records, oldest first. It is linked
+// through the records so that reopening one by name unlinks it in O(1)
+// and parking allocates nothing.
+type parkList struct {
+	head, tail *chanInfo
+	n          int
+}
+
+func (l *parkList) push(ci *chanInfo) {
+	ci.parked, ci.parkPrev, ci.parkNext = true, l.tail, nil
+	if l.tail != nil {
+		l.tail.parkNext = ci
+	} else {
+		l.head = ci
+	}
+	l.tail = ci
+	l.n++
+}
+
+func (l *parkList) remove(ci *chanInfo) {
+	if ci.parkPrev != nil {
+		ci.parkPrev.parkNext = ci.parkNext
+	} else {
+		l.head = ci.parkNext
+	}
+	if ci.parkNext != nil {
+		ci.parkNext.parkPrev = ci.parkPrev
+	} else {
+		l.tail = ci.parkPrev
+	}
+	ci.parked, ci.parkPrev, ci.parkNext = false, nil, nil
+	l.n--
+}
+
+// boxSlot is a slot together with its place in the box: the channel
+// record that owns it and its tunnel index, so an action naming the
+// slot resolves to (channel, tunnel) by one lookup.
+type boxSlot struct {
+	slot.Slot
+	ci     *chanInfo
+	tunnel int
 }
 
 // tunnelSlot returns the slot name for tunnel i, cached so
@@ -143,9 +211,19 @@ type Box struct {
 	name    string
 	profile core.Profile // profile for annotation-created goals
 
-	slots map[string]*slot.Slot
+	slots map[string]*boxSlot
 	goals map[string]core.Goal // the Maps object: slot name -> goal
-	chans map[string]*chanInfo
+
+	// chans holds every channel record by name — live, closing or parked
+	// — live counts the live ones and parked lists the parked ones. peak
+	// is the most channels held at once in the current window of
+	// peakWindow opens, peakPrev in the window before: together, how many
+	// names the box has had in use lately.
+	chans          map[string]*chanInfo
+	live           int
+	parked         parkList
+	peak, peakPrev int
+	opens          int
 
 	program  *Program
 	state    string
@@ -168,18 +246,17 @@ type Box struct {
 	track    bool     // record dirty channel names (runtime-driven boxes only)
 	goalCtrs map[string]*telemetry.Counter
 
-	// chanCache recycles chanInfo records by channel name: dial-heavy
-	// workloads destroy and re-create the same channels constantly, and
-	// a recycled record keeps its built-up tunnelSlot name cache, so a
-	// redial does no slot-name string building at all. Bounded so
-	// hostile channel-name churn cannot grow it without limit.
-	chanCache map[string]*chanInfo
-
-	widowScratch []string // reused by destroyChannel
+	acts         []core.Action // lent to goal objects (core.ActionLender)
+	widowScratch []string      // reused by destroyChannel
 }
 
-// chanCacheCap bounds chanCache (matches the runner's name caches).
-const chanCacheCap = 256
+// parkSlack is how many channel records a box keeps beyond the most
+// channels it has held at once lately; peakWindow is how many channel
+// opens "lately" spans, twice over.
+const (
+	parkSlack  = 8
+	peakWindow = 1024
+)
 
 // New creates a box. The profile is used by all annotation-created
 // goals; application servers pass core.ServerProfile, media endpoints
@@ -188,7 +265,7 @@ func New(name string, profile core.Profile) *Box {
 	b := &Box{
 		name:     name,
 		profile:  profile,
-		slots:    map[string]*slot.Slot{},
+		slots:    map[string]*boxSlot{},
 		goals:    map[string]core.Goal{},
 		chans:    map[string]*chanInfo{},
 		pendingT: map[string]bool{},
@@ -206,7 +283,17 @@ func (b *Box) Name() string { return b.name }
 func (b *Box) Profile() core.Profile { return b.profile }
 
 // Slot implements core.Slots for this box's goal objects.
-func (b *Box) Slot(name string) *slot.Slot { return b.slots[name] }
+func (b *Box) Slot(name string) *slot.Slot {
+	if bs := b.slots[name]; bs != nil {
+		return &bs.Slot
+	}
+	return nil
+}
+
+// LendActions implements core.ActionLender: one buffer serves every
+// goal call on this box, because the box turns a call's actions into
+// outputs (emitActions) before it makes the next call.
+func (b *Box) LendActions() *[]core.Action { return &b.acts }
 
 // GoalFor returns the goal object currently controlling the named
 // slot, if any.
@@ -250,15 +337,32 @@ func (b *Box) Links() [][2]string {
 
 // Channels returns the names of the box's signaling channels.
 func (b *Box) Channels() []string {
-	out := make([]string, 0, len(b.chans))
-	for n := range b.chans {
-		out = append(out, n)
+	out := make([]string, 0, b.live)
+	for n, ci := range b.chans {
+		if ci.live {
+			out = append(out, n)
+		}
 	}
 	return out
 }
 
+// channel returns the record of the named channel if the box holds
+// the channel, nil otherwise (no record, or a closing or parked one).
+func (b *Box) channel(name string) *chanInfo {
+	if ci := b.chans[name]; ci != nil && ci.live {
+		return ci
+	}
+	return nil
+}
+
+// record returns the record kept under the name, whatever its state.
+// This is the runner's lookup: a port outlives its channel (a local
+// teardown closes it one output later, a remote one when the transport
+// reports the loss), and a notification can outlive both.
+func (b *Box) record(name string) *chanInfo { return b.chans[name] }
+
 // HasChannel reports whether the named channel exists.
-func (b *Box) HasChannel(name string) bool { return b.chans[name] != nil }
+func (b *Box) HasChannel(name string) bool { return b.channel(name) != nil }
 
 // ChanVersion counts mutations of the channel table (additions and
 // destructions). Runtimes use it to notify channel waiters only when
@@ -267,19 +371,77 @@ func (b *Box) ChanVersion() uint64 { return b.chanVer }
 
 // AddChannel registers a signaling channel. The runtime calls it when
 // a channel is accepted; Dial registers the initiating side.
-func (b *Box) AddChannel(name string, initiator bool) {
-	ci := b.chans[name] // re-adding a live channel keeps the slots it owns
-	if ci == nil {
-		ci = b.chanCache[name]
-	}
+func (b *Box) AddChannel(name string, initiator bool) { b.addChannel(name, initiator, false) }
+
+// addChannel opens the named channel on its record — the live one
+// (re-adding a live channel keeps the slots it owns), a closing or
+// parked one, or a new one — and returns the record. minted says the
+// name is a default accept name; a name a program opens itself stops
+// being one.
+func (b *Box) addChannel(name string, initiator, minted bool) *chanInfo {
+	ci := b.chans[name]
 	if ci == nil {
 		ci = &chanInfo{name: name}
 		ci.owned = ci.own1[:0]
+		b.chans[name] = ci
+	}
+	ci.minted = minted
+	b.open(ci, initiator)
+	return ci
+}
+
+// open makes ci's channel live (if it is not) and records the change.
+func (b *Box) open(ci *chanInfo, initiator bool) {
+	if ci.parked {
+		b.parked.remove(ci)
+	}
+	if !ci.live {
+		ci.live = true
+		if b.live++; b.live > b.peak {
+			b.peak = b.live
+		}
+		if b.opens++; b.opens == peakWindow {
+			b.opens, b.peakPrev, b.peak = 0, b.peak, b.live
+		}
 	}
 	ci.initiator = initiator
-	b.chans[name] = ci
 	b.chanVer++
-	b.markDirty(name)
+	b.markDirty(ci.name)
+}
+
+// reopenMinted opens a channel on the most recently parked record that
+// carries a default accept name, under that name, or returns nil if
+// none is parked. The walk passes the records of dialed channels parked
+// since; a listener's parked records are nearly all accept names.
+func (b *Box) reopenMinted() *chanInfo {
+	for ci := b.parked.tail; ci != nil; ci = ci.parkPrev {
+		if ci.minted {
+			b.open(ci, false)
+			return ci
+		}
+	}
+	return nil
+}
+
+// retire parks a record once its channel is destroyed and its port is
+// gone; whichever of the two happens last calls it. A box keeps as many
+// records as it has held channels at once lately, plus parkSlack, and
+// forgets the longest-parked beyond that. So the names in use keep
+// their records from one channel to the next however they take turns
+// being live, a churn of never-repeated names cannot grow the table nor
+// push the repeated ones out, and what a burst parked goes within two
+// windows of the burst. A later channel under a forgotten name starts
+// afresh.
+func (b *Box) retire(ci *chanInfo) {
+	if ci.live || ci.port != nil || ci.parked {
+		return
+	}
+	b.parked.push(ci)
+	for b.parked.n > 0 && len(b.chans) > max(b.peak, b.peakPrev)+parkSlack {
+		old := b.parked.head
+		b.parked.remove(old)
+		delete(b.chans, old.name)
+	}
 }
 
 // TrackDirtyChannels turns on dirty-channel recording: every channel
@@ -303,23 +465,36 @@ func (b *Box) markDirty(name string) {
 	}
 }
 
-// ensureSlot creates the slot (and its default goal) on first use.
-func (b *Box) ensureSlot(name string) (*slot.Slot, error) {
+// ensureSlot returns the named slot, creating it on first use; the
+// name must be a tunnel of a channel the box holds.
+func (b *Box) ensureSlot(name string) (*boxSlot, error) {
 	if s := b.slots[name]; s != nil {
 		return s, nil
 	}
-	ch, _, ok := slotChannel(name)
+	ch, tunnel, ok := slotChannel(name)
 	if !ok {
 		return nil, fmt.Errorf("box %s: malformed slot name %q", b.name, name)
 	}
-	ci := b.chans[ch]
+	ci := b.channel(ch)
 	if ci == nil {
 		return nil, fmt.Errorf("box %s: slot %q references unknown channel %q", b.name, name, ch)
 	}
-	s := slot.New(name, ci.initiator)
+	return b.newSlot(ci, tunnel, name), nil
+}
+
+// newSlot creates the slot of a tunnel of ci. A channel's first slot,
+// if it is tunnel 0's (most channels carry that one tunnel), lives in
+// the channel record; any other is allocated.
+func (b *Box) newSlot(ci *chanInfo, tunnel int, name string) *boxSlot {
+	s := &ci.s0
+	if tunnel != 0 || len(ci.owned) > 0 {
+		s = &boxSlot{}
+	}
+	s.Slot.Reset(name, ci.initiator)
+	s.ci, s.tunnel = ci, tunnel
 	b.slots[name] = s
 	ci.owned = append(ci.owned, name)
-	return s, nil
+	return s
 }
 
 // ensureGoal returns the goal for a slot, installing the default if
@@ -351,17 +526,21 @@ func (b *Box) install(g core.Goal) error {
 	return nil
 }
 
-// emitActions converts goal actions into transport outputs.
+// emitActions converts goal actions into transport outputs. Every slot
+// a goal can act on is one the box holds (Emit resolves it through
+// Slot, install creates a raw goal's), and the slot knows its channel
+// and tunnel.
 func (b *Box) emitActions(acts []core.Action) {
-	for _, a := range acts {
-		ch, tunnel, ok := slotChannel(a.Slot)
-		if !ok {
+	for i := range acts {
+		a := &acts[i]
+		s := b.slots[a.Slot]
+		if s == nil {
 			continue
 		}
 		b.outs = append(b.outs, Output{
 			Kind:    OutSend,
-			Channel: ch,
-			Env:     sig.Envelope{Tunnel: tunnel, Sig: a.Sig},
+			Channel: s.ci.name,
+			Env:     sig.Envelope{Tunnel: s.tunnel, Sig: a.Sig},
 		})
 	}
 }
@@ -384,11 +563,12 @@ func asRaw(g core.Goal) (core.RawGoal, bool) {
 // The cost is that of the channel's own slots, whatever else the box
 // holds.
 func (b *Box) destroyChannel(name string) {
-	ci := b.chans[name]
+	ci := b.channel(name)
 	if ci == nil {
 		return // no channel, so no slot of it either (see ensureSlot)
 	}
-	delete(b.chans, name)
+	ci.live = false
+	b.live--
 	b.chanVer++
 	b.markDirty(name)
 	// Every goal partner of an owned slot is a candidate widow; the ones
@@ -407,12 +587,7 @@ func (b *Box) destroyChannel(name string) {
 		delete(b.goals, sn)
 	}
 	ci.owned = ci.owned[:0]
-	if len(b.chanCache) < chanCacheCap { // a record already cached is this one: AddChannel reuses it
-		if b.chanCache == nil {
-			b.chanCache = make(map[string]*chanInfo, 8)
-		}
-		b.chanCache[name] = ci
-	}
+	b.retire(ci)
 	for _, sn := range widowed {
 		if b.slots[sn] == nil {
 			continue
@@ -508,15 +683,15 @@ func (b *Box) dispatch(ctx *Ctx, ev *Event) error {
 			}
 			return nil // metas are observed by hooks and guards
 		}
-		ci := b.chans[ev.Channel]
+		ci := b.channel(ev.Channel)
 		if ci == nil {
 			// Signal for a channel already destroyed locally; drop.
 			return nil
 		}
 		name := ci.tunnelSlot(ev.Env.Tunnel)
-		s, err := b.ensureSlot(name)
-		if err != nil {
-			return err
+		s := b.slots[name]
+		if s == nil {
+			s = b.newSlot(ci, ev.Env.Tunnel, name)
 		}
 		g, err := b.ensureGoal(name)
 		if err != nil {

@@ -80,16 +80,70 @@ func TestClusterCrossShardCall(t *testing.T) {
 	noErrs(t, caller, callee)
 }
 
+// acceptLog is a box hook that learns accepted channels' names the way
+// a program does — from the setup meta each one opens with, which
+// carries the dialer's name for the channel — and counts teardowns.
+type acceptLog struct {
+	mu     sync.Mutex
+	nameOf map[string]string // dialer's channel name -> accepted channel name
+	torn   int
+}
+
+func newAcceptLog(b *Box) *acceptLog {
+	l := &acceptLog{nameOf: map[string]string{}}
+	b.Hook = func(_ *Ctx, ev *Event) {
+		if ev.Kind != EvEnvelope || !ev.Env.IsMeta() {
+			return
+		}
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		switch ev.Env.Meta.Kind {
+		case sig.MetaSetup:
+			l.nameOf[ev.Env.Meta.Get("chan")] = ev.Channel
+		case sig.MetaTeardown:
+			l.torn++
+		}
+	}
+	return l
+}
+
+// await waits for the channel the dialer calls dialed to be set up and
+// returns the name it was accepted under.
+func (l *acceptLog) await(t *testing.T, dialed string) string {
+	t.Helper()
+	for end := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		l.mu.Lock()
+		name, ok := l.nameOf[dialed]
+		l.mu.Unlock()
+		if ok {
+			return name
+		}
+		if time.Now().After(end) {
+			t.Fatalf("server never saw the setup of %s", dialed)
+		}
+	}
+}
+
+func (l *acceptLog) teardowns() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.torn
+}
+
 // TestClusterCrossShardLifecycle is the -race stress for the sharded
-// runtime: channel setup, teardown, and retarget (redial under the
-// same name) spanning two shards, then Stop racing a cross-shard
+// runtime: channel setup, teardown, and retarget (redial under a new
+// name) spanning two shards, then Stop racing a cross-shard
 // Connect. Envelopes from shard 0's loop land in shard 1's inbox and
-// vice versa, so the race detector sees every cross-core handoff.
+// vice versa, so the race detector sees every cross-core handoff. The
+// server learns each accepted channel's name from its setup meta: the
+// retargeted channel may or may not be given the torn-down one's name.
 func TestClusterCrossShardLifecycle(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		net := transport.NewRingMemNetwork()
 		c := NewCluster(net, 2)
-		srv := c.RunnerOn(0, New("S", core.ServerProfile{Name: "S"}))
+		sb := New("S", core.ServerProfile{Name: "S"})
+		log := newAcceptLog(sb)
+		srv := c.RunnerOn(0, sb)
 		cli := c.RunnerOn(1, New("C", core.ServerProfile{Name: "C"}))
 		if err := srv.Listen("S", nil); err != nil {
 			t.Fatal(err)
@@ -99,7 +153,7 @@ func TestClusterCrossShardLifecycle(t *testing.T) {
 		if err := cli.Connect("c1", "S"); err != nil {
 			t.Fatal(err)
 		}
-		if !srv.AwaitChannel("in0", 5*time.Second) {
+		if first := log.await(t, "c1"); !srv.AwaitChannel(first, 5*time.Second) {
 			t.Fatal("server never saw the cross-shard channel")
 		}
 
@@ -109,10 +163,11 @@ func TestClusterCrossShardLifecycle(t *testing.T) {
 		if err := cli.Connect("c2", "S"); err != nil {
 			t.Fatal(err)
 		}
-		if !srv.AwaitChannel("in1", 5*time.Second) {
-			t.Fatal("server never saw the retargeted channel")
-		}
-		await(t, srv, "old channel torn down", func(ctx *Ctx) bool { return !ctx.Box().HasChannel("in0") })
+		second := log.await(t, "c2")
+		await(t, srv, "old channel torn down and the retargeted one standing", func(ctx *Ctx) bool {
+			chans := ctx.Box().Channels()
+			return log.teardowns() == 1 && len(chans) == 1 && chans[0] == second
+		})
 
 		// Stop racing a cross-shard Connect: either order is fine, but
 		// nothing may strand, deadlock, or trip the race detector.

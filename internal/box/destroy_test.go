@@ -53,7 +53,7 @@ func TestDestroyChannelOnlyOwnSlots(t *testing.T) {
 	}
 	before := make(map[string]held, standing)
 	for name, s := range b.slots {
-		before[name] = held{s, b.goals[name]}
+		before[name] = held{&s.Slot, b.goals[name]}
 	}
 
 	b.AddChannel("victim", false)
@@ -90,7 +90,7 @@ func TestDestroyChannelOnlyOwnSlots(t *testing.T) {
 		t.Errorf("box holds %d slots / %d goals, want %d each", len(b.slots), len(b.goals), standing)
 	}
 	for name, was := range before {
-		if b.slots[name] != was.s {
+		if b.Slot(name) != was.s {
 			t.Errorf("slot %s was replaced or removed", name)
 		}
 		if name != partner && b.goals[name] != was.g {

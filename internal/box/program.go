@@ -338,7 +338,7 @@ func (c *Ctx) Event() *Event { return c.ev }
 // channel's slots exist immediately; the runtime completes the
 // connection.
 func (c *Ctx) Dial(channel, addr string) {
-	if c.b.chans[channel] != nil {
+	if c.b.HasChannel(channel) {
 		c.Fail(fmt.Errorf("box %s: channel %q already exists", c.b.name, channel))
 		return
 	}
@@ -348,7 +348,7 @@ func (c *Ctx) Dial(channel, addr string) {
 
 // Teardown destroys a signaling channel and all its tunnels and slots.
 func (c *Ctx) Teardown(channel string) {
-	if c.b.chans[channel] == nil {
+	if !c.b.HasChannel(channel) {
 		return
 	}
 	c.b.destroyChannel(channel)

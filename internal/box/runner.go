@@ -60,11 +60,14 @@ const (
 	ringDrainMax   = 256
 )
 
-// Caches of per-channel setup metas and readiness closures and of
-// per-timer fire closures are capped so a pathological churn of unique
-// names cannot grow a runner without bound. Real boxes hold a handful
-// of channels and timers.
+// runnerCacheCap bounds the idle (fired or cancelled) timers a runner
+// keeps for re-arming, so a pathological churn of unique timer names
+// cannot grow it without bound. Real boxes hold a handful of timers.
 const runnerCacheCap = 512
+
+// teardownMeta is the one teardown meta-signal every runner sends and
+// synthesizes. It is immutable and not pooled, so Release ignores it.
+var teardownMeta = &sig.Meta{Kind: sig.MetaTeardown}
 
 // itemKind discriminates inbox items.
 type itemKind uint8
@@ -89,8 +92,8 @@ type inboxItem struct {
 	ev      Event              // itemEvent payload; ev.Channel also labels itemBatch/itemRing/itemPortLost
 	batch   []sig.Envelope     // itemBatch payload, owned by the pump
 	ack     chan<- struct{}    // itemBatch: signaled when the batch is processed
-	port    transport.Port     // itemAccept, itemPortLost: the port concerned
-	nameFor func(n int) string // itemAccept: names the n-th accepted channel (nil: in<n>)
+	port    transport.Port     // itemAccept, itemPortLost: the port concerned; pumped itemEvent, itemBatch: the source
+	nameFor func(n int) string // itemAccept: names the n-th accepted channel (nil: in<k>, reused)
 	done    chan struct{}      // itemEvent: signaled after dispatch (Do)
 }
 
@@ -241,14 +244,11 @@ type Runner struct {
 	ownShard bool
 	wg       sync.WaitGroup // pumps and accept goroutines
 
-	// loop-goroutine-only state
-	ports     map[string]transport.Port
-	timers    map[string]*timerwheel.Timer
-	timerFns  map[string]func()
-	readyFns  map[string]func()
-	setupMeta map[string]*sig.Meta
-	acceptN   int
-	chanVer   uint64 // box.ChanVersion after the last dispatched item
+	// loop-goroutine-only state; per-channel state (port, readiness
+	// callback, setup meta) is in the box's channel records
+	timers    map[string]*timerwheel.Timer // one per timer name, re-armed in place
+	acceptN   int                          // accept names minted so far
+	chanVer   uint64                       // box.ChanVersion after the last dispatched item
 	lifecycle Lifecycle
 	lcChans   map[string]lcEntry
 
@@ -308,19 +308,32 @@ func NewRunner(b *Box, net transport.Network) *Runner {
 
 func newRunner(b *Box, net transport.Network, sh *shard, own bool) *Runner {
 	b.TrackDirtyChannels()
-	return &Runner{
-		box:       b,
-		net:       net,
-		sh:        sh,
-		ownShard:  own,
-		stopc:     make(chan struct{}),
-		stopDone:  make(chan struct{}),
-		ports:     map[string]transport.Port{},
-		timers:    map[string]*timerwheel.Timer{},
-		timerFns:  map[string]func(){},
-		setupMeta: map[string]*sig.Meta{},
-		mTracer:   telemetry.T(),
+	r := &Runner{
+		box:      b,
+		net:      net,
+		sh:       sh,
+		ownShard: own,
+		stopc:    make(chan struct{}),
+		stopDone: make(chan struct{}),
+		timers:   map[string]*timerwheel.Timer{},
+		mTracer:  telemetry.T(),
 	}
+	for _, ci := range b.chans {
+		// Records an earlier runner of this box left behind: their ports
+		// are closed and their callbacks post to that runner. One that
+		// was only waiting for its port to go can be parked now.
+		ci.port, ci.ready = nil, nil
+		b.retire(ci)
+	}
+	return r
+}
+
+// port returns the named channel's port, nil if it has none.
+func (r *Runner) port(channel string) transport.Port {
+	if ci := r.box.record(channel); ci != nil {
+		return ci.port
+	}
+	return nil
 }
 
 // Box returns the underlying box. Touch it only via Do.
@@ -337,14 +350,23 @@ func (r *Runner) execute(it *inboxItem) int {
 	switch it.kind {
 	case itemEvent:
 		n = 1
-		r.handle(it.ev)
+		if it.port == nil || r.port(it.ev.Channel) == it.port {
+			r.handle(it.ev)
+		} else {
+			it.ev.Env.Release() // a pump's straggler: see pump
+		}
 		if it.done != nil {
 			it.done <- struct{}{}
 		}
 	case itemBatch:
 		n = len(it.batch)
+		current := r.port(it.ev.Channel) == it.port
 		for _, e := range it.batch {
-			r.handle(Event{Kind: EvEnvelope, Channel: it.ev.Channel, Env: e})
+			if current {
+				r.handle(Event{Kind: EvEnvelope, Channel: it.ev.Channel, Env: e})
+			} else {
+				e.Release()
+			}
 		}
 		it.ack <- struct{}{}
 	case itemAccept:
@@ -371,10 +393,15 @@ func (r *Runner) execute(it *inboxItem) int {
 // itself so one busy channel cannot starve the shard's other boxes. The
 // port is whatever the channel name maps to now: a notification that
 // outlived its channel finds nothing, and one that outlived a redial
-// drains the new port, which is harmless (an early drain finds the
-// ring empty and re-arms its edge). Loop goroutine only.
+// or a re-accept under the name drains the new port, which is harmless
+// (an early drain finds the ring empty and re-arms its edge). Loop
+// goroutine only.
 func (r *Runner) drainRing(channel string) int {
-	ip, _ := r.ports[channel].(transport.InlinePort)
+	ci := r.box.record(channel)
+	if ci == nil {
+		return 0
+	}
+	ip, _ := ci.port.(transport.InlinePort)
 	if ip == nil {
 		return 0
 	}
@@ -393,7 +420,7 @@ func (r *Runner) drainRing(channel string) int {
 		for i := 0; i < n; i++ {
 			r.handle(Event{Kind: EvEnvelope, Channel: channel, Env: buf[i]})
 			buf[i] = sig.Envelope{}
-			if r.ports[channel] != transport.Port(ip) {
+			if ci.port != transport.Port(ip) {
 				// The box tore this channel down mid-burst; the rest of
 				// the ring is for a dead channel.
 				return events + i + 1
@@ -410,8 +437,10 @@ func (r *Runner) drainRing(channel string) int {
 // closeAll is the runner's loop-side cleanup, executed by its stop
 // item (or inline by Stop when the shard loop is already gone).
 func (r *Runner) closeAll() {
-	for _, p := range r.ports {
-		p.Close()
+	for _, ci := range r.box.chans {
+		if ci.port != nil {
+			ci.port.Close()
+		}
 	}
 	for _, t := range r.timers {
 		t.Stop()
@@ -552,65 +581,67 @@ func (r *Runner) handle(ev Event) {
 	r.process(outs)
 	r.box.Recycle(outs)
 	r.fail(err)
+	if ev.Kind == EvTimer {
+		r.dropIdleTimer(ev.Timer)
+	}
 }
 
 // setupMetaFor returns the (immutable) setup meta announcing this box
-// on the named channel. Dial-heavy workloads redial the same channel
-// names constantly; caching the meta and its attrs map keeps redial
-// from allocating. Loop goroutine only.
-func (r *Runner) setupMetaFor(channel string) *sig.Meta {
-	if m := r.setupMeta[channel]; m != nil {
-		return m
+// on the channel, built once per channel record: dial-heavy workloads
+// redial the same channel names constantly, and a redial reopens the
+// name's record. Loop goroutine only.
+func (r *Runner) setupMetaFor(ci *chanInfo) *sig.Meta {
+	if ci.setup == nil {
+		ci.setup = &sig.Meta{Kind: sig.MetaSetup,
+			Attrs: sig.NewAttrs("from", r.box.Name(), "chan", ci.name)}
+		// Seed the decoder's intern table with the names this meta will
+		// put on the wire, so the peer decodes them without allocating.
+		sig.InternSeed(r.box.Name(), ci.name)
 	}
-	m := &sig.Meta{Kind: sig.MetaSetup,
-		Attrs: sig.NewAttrs("from", r.box.Name(), "chan", channel)}
-	// Seed the decoder's intern table with the names this meta will put
-	// on the wire, so the peer decodes them without allocating.
-	sig.InternSeed(r.box.Name(), channel)
-	if len(r.setupMeta) < runnerCacheCap {
-		r.setupMeta[channel] = m
-	}
-	return m
+	return ci.setup
 }
 
-// timerFnFor returns the inbox-posting fire closure for the named
-// timer, cached so re-arming a recurring timer does not allocate a new
-// closure per arm. Loop goroutine only.
-func (r *Runner) timerFnFor(name string) func() {
-	if fn := r.timerFns[name]; fn != nil {
-		return fn
+// armTimer arms (or re-arms) the named timer. A runner keeps one wheel
+// timer per name and re-arms it in place, so a recurring timer costs
+// its first arm only. Loop goroutine only.
+func (r *Runner) armTimer(name string, d time.Duration) {
+	if t := r.timers[name]; t != nil {
+		t.Reset(d)
+		return
 	}
-	fn := func() {
+	r.timers[name] = r.sh.wheel.Schedule(d, func() {
 		// Wheel goroutine: just post; the box's pendingT set makes
 		// stale fires (cancel racing this post) harmless.
 		r.sh.inbox.push(inboxItem{kind: itemEvent, r: r, ev: Event{Kind: EvTimer, Timer: name}})
-	}
-	if len(r.timerFns) < runnerCacheCap {
-		r.timerFns[name] = fn
-	}
-	return fn
+	})
 }
 
-// readyFnFor returns the readiness callback for the named channel's
-// inline port: it posts a drain item, naming the channel rather than
-// the port so that one cached closure serves every redial of the name.
-// It runs on the producer's goroutine, one edge per empty→non-empty
-// transition; a refused push means the runner stopped, and its cleanup
-// closes the port. Loop goroutine only.
-func (r *Runner) readyFnFor(channel string) func() {
-	if fn := r.readyFns[channel]; fn != nil {
-		return fn
+// dropIdleTimer forgets the named timer, which has just fired or been
+// stopped, if the runner holds more than runnerCacheCap of them. A
+// timer the box has pending stays: the program re-armed it in the same
+// event (or before a stale fire got here), and a second wheel timer
+// under the name would fire it early. Loop goroutine only.
+func (r *Runner) dropIdleTimer(name string) {
+	if len(r.timers) > runnerCacheCap && !r.box.pendingT[name] {
+		delete(r.timers, name)
 	}
-	fn := func() {
-		r.sh.inbox.push(inboxItem{kind: itemRing, r: r, ev: Event{Kind: EvEnvelope, Channel: channel}})
+}
+
+// readyFnFor returns the readiness callback for the channel's inline
+// port, built once per channel record: it posts a drain item, naming
+// the channel rather than the port so that one closure serves every
+// channel the record is reopened for. It runs on the producer's
+// goroutine, one edge per empty→non-empty transition; a refused push
+// means the runner stopped, and its cleanup closes the port. Loop
+// goroutine only.
+func (r *Runner) readyFnFor(ci *chanInfo) func() {
+	if ci.ready == nil {
+		channel := ci.name
+		ci.ready = func() {
+			r.sh.inbox.push(inboxItem{kind: itemRing, r: r, ev: Event{Kind: EvEnvelope, Channel: channel}})
+		}
 	}
-	if r.readyFns == nil {
-		r.readyFns = map[string]func(){} // only runners that own a ring port pay for it
-	}
-	if len(r.readyFns) < runnerCacheCap {
-		r.readyFns[channel] = fn
-	}
-	return fn
+	return ci.ready
 }
 
 // process executes box outputs. Loop goroutine only.
@@ -618,7 +649,7 @@ func (r *Runner) process(outs []Output) {
 	for _, o := range outs {
 		switch o.Kind {
 		case OutSend:
-			if p := r.ports[o.Channel]; p != nil {
+			if p := r.port(o.Channel); p != nil {
 				r.traceEvent("send", o.Channel, o.Env)
 				p.Send(o.Env)
 			}
@@ -638,25 +669,30 @@ func (r *Runner) process(outs []Output) {
 						Env: sig.Envelope{Meta: &sig.Meta{Kind: sig.MetaUnavailable}}}})
 				continue
 			}
-			r.addPort(o.Channel, p)
+			ci := r.box.record(o.Channel)
+			if ci == nil {
+				// The program tore the channel down again in the same event
+				// and the record was forgotten: the peer sees a lost port.
+				p.Close()
+				continue
+			}
+			r.addPort(ci, p)
 			r.lcSetup(o.Channel, o.Addr)
-			p.Send(sig.Envelope{Meta: r.setupMetaFor(o.Channel)})
+			p.Send(sig.Envelope{Meta: r.setupMetaFor(ci)})
 		case OutTeardown:
 			r.lcTeardown(o.Channel)
-			if p := r.ports[o.Channel]; p != nil {
-				p.Send(sig.Envelope{Meta: &sig.Meta{Kind: sig.MetaTeardown}})
-				p.Close()
-				delete(r.ports, o.Channel)
+			if ci := r.box.record(o.Channel); ci != nil && ci.port != nil {
+				ci.port.Send(sig.Envelope{Meta: teardownMeta})
+				ci.port.Close()
+				ci.port = nil
+				r.box.retire(ci)
 			}
 		case OutTimerSet:
-			if t := r.timers[o.Timer]; t != nil {
-				t.Stop()
-			}
-			r.timers[o.Timer] = r.sh.wheel.Schedule(o.Dur, r.timerFnFor(o.Timer))
+			r.armTimer(o.Timer, o.Dur)
 		case OutTimerCancel:
 			if t := r.timers[o.Timer]; t != nil {
 				t.Stop()
-				delete(r.timers, o.Timer)
+				r.dropIdleTimer(o.Timer)
 			}
 		case OutNote:
 			r.mu.Lock()
@@ -669,21 +705,25 @@ func (r *Runner) process(outs []Output) {
 // addPort registers a connected port. Inline (SPSC ring) ports are
 // drained by the shard loop on readiness notifications — no goroutine;
 // everything else gets a pump. Loop goroutine only.
-func (r *Runner) addPort(channel string, p transport.Port) {
-	r.ports[channel] = p
+func (r *Runner) addPort(ci *chanInfo, p transport.Port) {
+	ci.port = p
 	if ip, ok := p.(transport.InlinePort); ok {
-		ip.SetReady(r.readyFnFor(channel))
+		ip.SetReady(r.readyFnFor(ci))
 		return
 	}
 	r.wg.Add(1)
-	go r.pump(channel, p)
+	go r.pump(ci.name, p)
 }
 
 // pump moves envelopes from a port into the inbox until the transport
 // goes away, then posts the port-loss cleanup. Batch-capable ports
 // deliver bursts as single inbox items from ping-ponged buffers; the
 // loop acks each batch so a buffer is refilled only after its
-// envelopes were dispatched.
+// envelopes were dispatched. Every item carries the port as well as the
+// channel name: the loop dispatches a pump's envelopes only while its
+// port is the name's registered one, so what a pump still carries after
+// its channel was torn down locally cannot land in the channel that
+// dialed or accepted the name next.
 func (r *Runner) pump(channel string, p transport.Port) {
 	defer r.wg.Done()
 	if bp, ok := p.(transport.BatchPort); ok {
@@ -705,7 +745,7 @@ func (r *Runner) pump(channel string, p transport.Port) {
 			if n == len(bufs[cur]) && want < pumpBatchMax {
 				want *= 2 // saturated drain: the port is bursty, scale up
 			}
-			if !r.sh.inbox.push(inboxItem{kind: itemBatch, r: r,
+			if !r.sh.inbox.push(inboxItem{kind: itemBatch, r: r, port: p,
 				ev: Event{Kind: EvEnvelope, Channel: channel}, batch: bufs[cur][:n], ack: ack}) {
 				return
 			}
@@ -714,7 +754,7 @@ func (r *Runner) pump(channel string, p transport.Port) {
 		}
 	} else {
 		for e := range p.Recv() {
-			if !r.sh.inbox.push(inboxItem{kind: itemEvent, r: r,
+			if !r.sh.inbox.push(inboxItem{kind: itemEvent, r: r, port: p,
 				ev: Event{Kind: EvEnvelope, Channel: channel, Env: e}}) {
 				return
 			}
@@ -731,19 +771,37 @@ func (r *Runner) pump(channel string, p transport.Port) {
 // port: a teardown-then-redial reuses the channel name, and the old
 // pump's parting report must not kill the new channel.
 func (r *Runner) portLost(channel string, p transport.Port) {
-	if r.ports[channel] != p {
+	ci := r.box.record(channel)
+	if ci == nil || ci.port != p {
 		return
 	}
 	p.Close()
-	delete(r.ports, channel)
-	if r.box.HasChannel(channel) {
-		r.handle(Event{Kind: EvEnvelope, Channel: channel,
-			Env: sig.Envelope{Meta: &sig.Meta{Kind: sig.MetaTeardown}}})
+	ci.port = nil
+	if ci.live {
+		// The box destroys the channel and, the port being gone, retires
+		// the record.
+		r.handle(Event{Kind: EvEnvelope, Channel: channel, Env: sig.Envelope{Meta: teardownMeta}})
+	} else {
+		r.box.retire(ci)
 	}
 }
 
-// Listen accepts signaling channels at addr. Accepted channels are
-// named in0, in1, ... unless nameFor is non-nil.
+// SeqName is the Listen nameFor that names the n-th accepted channel
+// in<n> and never reuses a name: the default naming without the reuse.
+// It is for boxes that address their callers by arrival order — a
+// feature box whose program calls its first caller in0, a conference
+// bridge whose legs an application server names in its mix requests —
+// or that keep state of their own under a channel's name beyond the
+// channel's teardown.
+func SeqName(n int) string { return "in" + strconv.Itoa(n) }
+
+// Listen accepts signaling channels at addr. With a nil nameFor an
+// accepted channel is named in<k>, and a name is reused once its
+// channel is destroyed and its port gone, so k stays near the most
+// channels the box has held at once; a program learns the name from
+// the channel's setup meta event, not by counting, and must drop what
+// it keeps under the name when the channel is torn down. With nameFor
+// the n-th accepted channel is named nameFor(n), never reused.
 func (r *Runner) Listen(addr string, nameFor func(n int) string) error {
 	l, err := r.net.Listen(addr)
 	if err != nil {
@@ -773,17 +831,24 @@ func (r *Runner) Listen(addr string, nameFor func(n int) string) error {
 	return nil
 }
 
-// accept registers an accepted port under the next accept name. Loop
-// goroutine only.
+// accept registers an accepted port as a channel: under nameFor's next
+// name, or by default under a parked in<k> if the box has one and a
+// newly minted one otherwise. Loop goroutine only.
 func (r *Runner) accept(p transport.Port, nameFor func(n int) string) {
-	n := r.acceptN
-	r.acceptN++
-	name := "in" + strconv.Itoa(n)
-	if nameFor != nil {
-		name = nameFor(n)
+	var ci *chanInfo
+	if nameFor == nil {
+		ci = r.box.reopenMinted()
 	}
-	r.box.AddChannel(name, false)
-	r.addPort(name, p)
+	if ci == nil {
+		n := r.acceptN
+		r.acceptN++
+		if nameFor != nil {
+			ci = r.box.addChannel(nameFor(n), false, false)
+		} else {
+			ci = r.box.addChannel(SeqName(n), false, true)
+		}
+	}
+	r.addPort(ci, p)
 }
 
 // notifyChanged wakes the AwaitChannel waiters of exactly the channels
@@ -903,10 +968,10 @@ func (r *Runner) Connect(channel, addr string) error {
 		if err != nil {
 			return
 		}
-		r.box.AddChannel(channel, true)
-		r.addPort(channel, p)
+		ci := r.box.addChannel(channel, true, false)
+		r.addPort(ci, p)
 		r.lcSetup(channel, addr)
-		p.Send(sig.Envelope{Meta: r.setupMetaFor(channel)})
+		p.Send(sig.Envelope{Meta: r.setupMetaFor(ci)})
 	})
 	return err
 }

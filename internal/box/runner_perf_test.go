@@ -98,8 +98,7 @@ func TestBatchedMatchesSequential(t *testing.T) {
 				}
 			}
 			r.Do(func(ctx *Ctx) {
-				ctx.Box().AddChannel("c", false)
-				r.addPort("c", near)
+				r.addPort(ctx.Box().addChannel("c", false, false), near)
 			})
 		} else {
 			r.Do(func(ctx *Ctx) { ctx.Box().AddChannel("c", false) })

@@ -45,7 +45,9 @@ func (a Action) String() string { return fmt.Sprintf("%s<-%s", a.Slot, a.Sig) }
 type Goal interface {
 	// Kind names the primitive, e.g. "openSlot".
 	Kind() string
-	// SlotNames lists the slots this goal controls.
+	// SlotNames lists the slots this goal controls. The slice belongs
+	// to the goal object (built once, not per call): read it, do not
+	// modify it.
 	SlotNames() []string
 	// Attach initializes the goal object: it queries its slots' states
 	// and descriptors and emits whatever signals push toward its goal
@@ -68,17 +70,48 @@ type Goal interface {
 	AppendEncode(dst []byte) []byte
 }
 
+// ActionLender is implemented by a Slots that lends its goal objects
+// one reusable action buffer, so that a goal call allocates nothing
+// for the actions it returns. The box runtime implements it; a Slots
+// that does not (the model checker's) gets a fresh slice per call.
+type ActionLender interface {
+	// LendActions returns the address of the buffer. An Emitter fills
+	// it from the start and stores it back, grown if need be, so what a
+	// goal call returns aliases it: the actions are valid until the
+	// next goal call on the same Slots, and the caller consumes them
+	// before making one.
+	LendActions() *[]Action
+}
+
 // Emitter validates and collects a goal's outgoing signals. Emit
 // applies slot.Send immediately, so later logic in the same handler
-// sees the post-send slot state.
+// sees the post-send slot state. The actions Done returns sit in the
+// buffer the Slots lent, if it lends one (see ActionLender).
 type Emitter struct {
 	ss   Slots
-	acts []Action
+	lent *[]Action // the lender's buffer, handed back by Done; nil if nothing is lent
+	acts []Action  // starts as the lent buffer emptied, or nil
 	err  error
 }
 
-// NewEmitter returns an emitter over ss.
-func NewEmitter(ss Slots) *Emitter { return &Emitter{ss: ss} }
+// NewEmitter returns an emitter over ss. It stays small enough to be
+// inlined, so that an emitter a goal call uses and drops lives on that
+// call's stack.
+func NewEmitter(ss Slots) *Emitter {
+	e := &Emitter{ss: ss}
+	e.lent, e.acts = borrow(ss)
+	return e
+}
+
+// borrow returns ss's action buffer and its emptied contents, or nils
+// if ss lends none.
+func borrow(ss Slots) (*[]Action, []Action) {
+	if l, ok := ss.(ActionLender); ok {
+		lent := l.LendActions()
+		return lent, (*lent)[:0]
+	}
+	return nil, nil
+}
 
 // Emit validates g against the named slot and queues it for transport.
 func (e *Emitter) Emit(name string, g sig.Signal) {
@@ -118,4 +151,9 @@ func (e *Emitter) ackIfOwed(name string) {
 }
 
 // Done returns the collected actions and the first error encountered.
-func (e *Emitter) Done() ([]Action, error) { return e.acts, e.err }
+func (e *Emitter) Done() ([]Action, error) {
+	if e.lent != nil {
+		*e.lent = e.acts
+	}
+	return e.acts, e.err
+}

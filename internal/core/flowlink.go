@@ -35,16 +35,20 @@ type FlowLink struct {
 	// visible in paper Figure 13, including the apparently redundant
 	// describe(noMedia).
 	UtdA, UtdB bool
+
+	names [2]string // SlotNames, built by the constructor
 }
 
 // NewFlowLink builds a flowlink over slots a and b.
-func NewFlowLink(a, b string) *FlowLink { return &FlowLink{A: a, B: b} }
+func NewFlowLink(a, b string) *FlowLink {
+	return &FlowLink{A: a, B: b, names: [2]string{a, b}}
+}
 
 // Kind implements Goal.
 func (g *FlowLink) Kind() string { return "flowLink" }
 
 // SlotNames implements Goal.
-func (g *FlowLink) SlotNames() []string { return []string{g.A, g.B} }
+func (g *FlowLink) SlotNames() []string { return g.names[:] }
 
 // other returns the name of the other slot of the link.
 func (g *FlowLink) other(name string) string {
@@ -201,17 +205,21 @@ func boolByte(v bool) byte {
 // protocol endpoint at all.
 type Forwarder struct {
 	A, B string
+
+	names [2]string // SlotNames, built by the constructor
 }
 
 // NewForwarder builds an uncoordinated forwarding link over slots a
 // and b.
-func NewForwarder(a, b string) *Forwarder { return &Forwarder{A: a, B: b} }
+func NewForwarder(a, b string) *Forwarder {
+	return &Forwarder{A: a, B: b, names: [2]string{a, b}}
+}
 
 // Kind implements Goal.
 func (g *Forwarder) Kind() string { return "forwarder" }
 
 // SlotNames implements Goal.
-func (g *Forwarder) SlotNames() []string { return []string{g.A, g.B} }
+func (g *Forwarder) SlotNames() []string { return g.names[:] }
 
 // Attach implements Goal: a forwarder does nothing on attach.
 func (g *Forwarder) Attach(Slots) ([]Action, error) { return nil, nil }

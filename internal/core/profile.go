@@ -75,13 +75,17 @@ func NewEndpointProfile(origin, addr string, port int, recv, send []sig.Codec) *
 	return &EndpointProfile{Origin: origin, Addr: addr, Port: port, RecvCodecs: recv, SendCodecs: send}
 }
 
+// noMediaCodecs is the codec list of a muted receiver.
+var noMediaCodecs = []sig.Codec{sig.NoMedia}
+
 // desired builds the descriptor content implied by the current state,
-// without an ID.
+// without an ID. It is for comparing: its codec list is the profile's
+// own (or the shared muted one), not a copy.
 func (p *EndpointProfile) desired() sig.Descriptor {
 	if p.MuteIn {
-		return sig.Descriptor{Codecs: []sig.Codec{sig.NoMedia}}
+		return sig.Descriptor{Codecs: noMediaCodecs}
 	}
-	return sig.Descriptor{Addr: p.Addr, Port: p.Port, Codecs: append([]sig.Codec(nil), p.RecvCodecs...)}
+	return sig.Descriptor{Addr: p.Addr, Port: p.Port, Codecs: p.RecvCodecs}
 }
 
 // Describe returns the endpoint's current descriptor. Descriptor IDs
@@ -89,7 +93,9 @@ func (p *EndpointProfile) desired() sig.Descriptor {
 // reuses its ID. This keeps protocol state spaces finite under
 // openslot retry loops and mute toggles — a requirement of the model
 // checker — and is harmless live, since a selector answering the ID
-// still answers exactly this content.
+// still answers exactly this content. An issued descriptor gets its
+// own copy of the codec list, so later edits of RecvCodecs cannot
+// reach it.
 func (p *EndpointProfile) Describe() sig.Descriptor {
 	want := p.desired()
 	for _, d := range p.issued {
@@ -99,6 +105,7 @@ func (p *EndpointProfile) Describe() sig.Descriptor {
 	}
 	p.seq++
 	want.ID = sig.DescID{Origin: p.Origin, Seq: p.seq}
+	want.Codecs = append([]sig.Codec(nil), want.Codecs...)
 	p.issued = append(p.issued, want)
 	return want
 }

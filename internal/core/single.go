@@ -19,18 +19,20 @@ type OpenSlot struct {
 	Name   string     // slot controlled
 	Medium sig.Medium // medium of the channel to open
 	P      Profile
+
+	names [1]string // SlotNames, built by the constructor
 }
 
 // NewOpenSlot builds an openSlot goal for the named slot.
 func NewOpenSlot(name string, m sig.Medium, p Profile) *OpenSlot {
-	return &OpenSlot{Name: name, Medium: m, P: p}
+	return &OpenSlot{Name: name, Medium: m, P: p, names: [1]string{name}}
 }
 
 // Kind implements Goal.
 func (g *OpenSlot) Kind() string { return "openSlot" }
 
 // SlotNames implements Goal.
-func (g *OpenSlot) SlotNames() []string { return []string{g.Name} }
+func (g *OpenSlot) SlotNames() []string { return g.names[:] }
 
 // Attach implements Goal. Per the paper, openSlot(s,m) may annotate a
 // *program state* only if s is closed when the state is entered; that
@@ -126,7 +128,7 @@ func (g *OpenSlot) Refresh(ss Slots, inChanged, outChanged bool) ([]Action, erro
 
 // Clone implements Goal.
 func (g *OpenSlot) Clone() Goal {
-	return &OpenSlot{Name: g.Name, Medium: g.Medium, P: g.P.Clone()}
+	return NewOpenSlot(g.Name, g.Medium, g.P.Clone())
 }
 
 // AppendEncode implements Goal.
@@ -162,16 +164,20 @@ func refreshSingle(ss Slots, name string, p Profile, inChanged, outChanged bool)
 // and keep it there, rejecting any open immediately.
 type CloseSlot struct {
 	Name string
+
+	names [1]string // SlotNames, built by the constructor
 }
 
 // NewCloseSlot builds a closeSlot goal for the named slot.
-func NewCloseSlot(name string) *CloseSlot { return &CloseSlot{Name: name} }
+func NewCloseSlot(name string) *CloseSlot {
+	return &CloseSlot{Name: name, names: [1]string{name}}
+}
 
 // Kind implements Goal.
 func (g *CloseSlot) Kind() string { return "closeSlot" }
 
 // SlotNames implements Goal.
-func (g *CloseSlot) SlotNames() []string { return []string{g.Name} }
+func (g *CloseSlot) SlotNames() []string { return g.names[:] }
 
 // Attach implements Goal. A closeSlot can gain control with the slot
 // in any state and proceeds from that point (paper Section IV-A).
@@ -213,7 +219,7 @@ func (g *CloseSlot) OnEvent(ss Slots, name string, ev slot.Event, in sig.Signal)
 func (g *CloseSlot) Refresh(Slots, bool, bool) ([]Action, error) { return nil, nil }
 
 // Clone implements Goal.
-func (g *CloseSlot) Clone() Goal { return &CloseSlot{Name: g.Name} }
+func (g *CloseSlot) Clone() Goal { return NewCloseSlot(g.Name) }
 
 // AppendEncode implements Goal.
 func (g *CloseSlot) AppendEncode(dst []byte) []byte {
@@ -227,16 +233,20 @@ func (g *CloseSlot) AppendEncode(dst []byte) []byte {
 type HoldSlot struct {
 	Name string
 	P    Profile
+
+	names [1]string // SlotNames, built by the constructor
 }
 
 // NewHoldSlot builds a holdSlot goal for the named slot.
-func NewHoldSlot(name string, p Profile) *HoldSlot { return &HoldSlot{Name: name, P: p} }
+func NewHoldSlot(name string, p Profile) *HoldSlot {
+	return &HoldSlot{Name: name, P: p, names: [1]string{name}}
+}
 
 // Kind implements Goal.
 func (g *HoldSlot) Kind() string { return "holdSlot" }
 
 // SlotNames implements Goal.
-func (g *HoldSlot) SlotNames() []string { return []string{g.Name} }
+func (g *HoldSlot) SlotNames() []string { return g.names[:] }
 
 // Attach implements Goal. A holdSlot can gain control with the slot in
 // any state. On gaining control of an already-flowing slot it asserts
@@ -308,7 +318,7 @@ func (g *HoldSlot) Refresh(ss Slots, inChanged, outChanged bool) ([]Action, erro
 }
 
 // Clone implements Goal.
-func (g *HoldSlot) Clone() Goal { return &HoldSlot{Name: g.Name, P: g.P.Clone()} }
+func (g *HoldSlot) Clone() Goal { return NewHoldSlot(g.Name, g.P.Clone()) }
 
 // AppendEncode implements Goal.
 func (g *HoldSlot) AppendEncode(dst []byte) []byte {

@@ -119,7 +119,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	if cfg.AutoAccept {
 		b.DefaultGoal = func(slotName string) core.Goal { return core.NewHoldSlot(slotName, prof) }
 	} else {
-		b.DefaultGoal = func(slotName string) core.Goal { return &ringGoal{name: slotName} }
+		b.DefaultGoal = func(slotName string) core.Goal { return &ringGoal{names: [1]string{slotName}} }
 	}
 	b.Hook = d.hook
 	d.r = box.NewRunner(b, cfg.Net)
@@ -401,11 +401,11 @@ func (d *Device) SlotState(channel string) (st slot.State, enabled bool, ok bool
 // an incoming open pending (the user interface is "ringing") and only
 // acknowledges protocol obligations. Answer or Reject replace it.
 type ringGoal struct {
-	name string
+	names [1]string // the one slot controlled
 }
 
 func (g *ringGoal) Kind() string        { return "ringing" }
-func (g *ringGoal) SlotNames() []string { return []string{g.name} }
+func (g *ringGoal) SlotNames() []string { return g.names[:] }
 
 func (g *ringGoal) Attach(ss core.Slots) ([]core.Action, error) { return nil, nil }
 
@@ -429,5 +429,5 @@ func (g *ringGoal) Clone() core.Goal { c := *g; return &c }
 
 func (g *ringGoal) AppendEncode(dst []byte) []byte {
 	dst = append(dst, "ring:"...)
-	return append(dst, g.name...)
+	return append(dst, g.names[0]...)
 }

@@ -258,6 +258,72 @@ func TestBridgeConference(t *testing.T) {
 	})
 }
 
+// TestBridgeLegNamesAreNotReused: a leg that joins after another has
+// left is a new leg under a new name. What the bridge keeps under the
+// departed leg's name — the mix row an application silenced it with, its
+// place in the other legs' rows, its profile and media agent — is not
+// inherited by the newcomer, as it would be if the bridge's listener
+// handed accept names out again (the Runner.Listen default).
+func TestBridgeLegNamesAreNotReused(t *testing.T) {
+	f := newFixture(t)
+	defer f.cleanup()
+	br, err := NewBridge("bridge", f.net, f.plane)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.stops = append(f.stops, br.Stop)
+	legs := func() int {
+		n := 0
+		br.Runner().Do(func(ctx *box.Ctx) { n = len(ctx.Box().Channels()) })
+		return n
+	}
+
+	a := f.device("A", 5004, false)
+	b := f.device("B", 5006, false)
+	for _, d := range []*Device{a, b} {
+		if err := d.Call("conf", "bridge", sig.Audio); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.eventually("A and B in conference", func() bool {
+		return f.plane.HasFlow("bridge/in0", "A") && f.plane.HasFlow("bridge/in1", "B")
+	})
+	// B is silenced, A is told to hear only B, and B hangs up.
+	a.SendApp("conf", "mix", sig.NewAttrs("out", "in1", "in", ""))
+	a.SendApp("conf", "mix", sig.NewAttrs("out", "in0", "in", "in1"))
+	f.eventually("mix applied", func() bool {
+		h := br.Hears("in0")
+		return len(br.Hears("in1")) == 0 && len(h) == 1 && h[0] == "in1"
+	})
+	b.HangUp("conf")
+	f.eventually("B's leg gone", func() bool { return legs() == 1 })
+
+	c := f.device("C", 5008, false)
+	if err := c.Call("conf", "bridge", sig.Audio); err != nil {
+		t.Fatal(err)
+	}
+	f.eventually("C joined", func() bool { return legs() == 2 })
+	br.Runner().Do(func(ctx *box.Ctx) {
+		if ctx.Box().HasChannel("in1") || !ctx.Box().HasChannel("in2") {
+			t.Errorf("C's leg is one of %v, want in2", ctx.Box().Channels())
+		}
+	})
+	// C hears everyone (the default mix), on an agent of its own; A's
+	// row still names B's leg, so A does not hear C until told to.
+	f.eventually("the bridge mixes toward C", func() bool {
+		return f.plane.HasFlow("C", "bridge/in2") && f.plane.HasFlow("bridge/in2", "C")
+	})
+	if h := br.Hears("in2"); len(h) != 2 || h[0] != "in0" || h[1] != "in1" {
+		t.Errorf("C hears %v, want the default mix of every other leg [in0 in1]", h)
+	}
+	if h := br.Hears("in0"); len(h) != 1 || h[0] != "in1" {
+		t.Errorf("A hears %v, want only the leg it asked for [in1]", h)
+	}
+	if f.plane.HasFlow("bridge/in1", "C") {
+		t.Error("the departed leg's agent transmits to C")
+	}
+}
+
 // TestMovieServerCollaborativeSession: one channel, several tunnels,
 // one time pointer (paper Figure 8).
 func TestMovieServerCollaborativeSession(t *testing.T) {

@@ -61,7 +61,10 @@ func NewMovieServer(name string, net transport.Network, plane media.Registry) (*
 		ms.refreshAgents(ctx.Box())
 	}
 	ms.r = box.NewRunner(b, net)
-	if err := ms.r.Listen(name, nil); err != nil {
+	// The per-tunnel profiles and agents are keyed by slot name and
+	// outlive their channel, so a channel name is never given to a later
+	// one.
+	if err := ms.r.Listen(name, box.SeqName); err != nil {
 		ms.r.Stop()
 		return nil, err
 	}

@@ -84,7 +84,10 @@ func NewBridge(name string, net transport.Network, plane media.Registry) (*Bridg
 		br.refreshAgents(ctx.Box())
 	}
 	br.r = box.NewRunner(b, net)
-	if err := br.r.Listen(name, nil); err != nil {
+	// A leg's name is its address in mix requests and the key of its
+	// profile, agent and mix row, which outlive the leg: legs are numbered
+	// in joining order and a name is never given to a later leg.
+	if err := br.r.Listen(name, box.SeqName); err != nil {
 		br.r.Stop()
 		return nil, err
 	}

@@ -107,7 +107,9 @@ func NewTranscoder(cfg TranscoderConfig) (*Transcoder, error) {
 	}
 	tc.r = box.NewRunner(b, cfg.Net)
 	tc.r.SetProgram(prog)
-	if err := tc.r.Listen(cfg.Name, nil); err != nil {
+	// in0 is the first caller, the one this transcoder serves; a later
+	// one must not take the name over.
+	if err := tc.r.Listen(cfg.Name, box.SeqName); err != nil {
 		tc.r.Stop()
 		return nil, err
 	}

@@ -65,19 +65,28 @@ func (m *Monitor) Tunnel(boxA, slotA, boxB, slotB string) {
 // already declared at a new far end, or declares it when unknown. Long
 // chaos runs redial the same client slot at rotating servers; keying
 // on the stable end keeps the tunnel list bounded instead of growing
-// one stale entry per redial.
+// one stale entry per redial. A listener reuses the name of a channel
+// that is gone, so the new far end may be one an earlier tunnel still
+// names: that tunnel's channel is gone too, and it is dropped.
 func (m *Monitor) RetargetTunnel(boxA, slotA, boxB, slotB string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	a := path.SlotRef{Box: boxA, Slot: slotA}
 	b := path.SlotRef{Box: boxB, Slot: slotB}
-	for i, t := range m.tunnels {
-		if t[0] == a {
-			m.tunnels[i][1] = b
-			return
+	kept, found := m.tunnels[:0], false
+	for _, t := range m.tunnels {
+		switch {
+		case t[0] == a:
+			t[1], found = b, true
+		case t[1] == b:
+			continue
 		}
+		kept = append(kept, t)
 	}
-	m.tunnels = append(m.tunnels, [2]path.SlotRef{a, b})
+	if !found {
+		kept = append(kept, [2]path.SlotRef{a, b})
+	}
+	m.tunnels = kept
 }
 
 // PathReport describes one signaling path at snapshot time.

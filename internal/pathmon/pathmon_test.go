@@ -214,3 +214,30 @@ func TestSnapshotConcurrentWithRunners(t *testing.T) {
 		t.Fatalf("prop_evaluations = %d, want >= 100", evals)
 	}
 }
+
+// TestRetargetTunnelReusedFarEnd: a listener gives a new channel the
+// name of one that is gone, so a retarget can name a far end that an
+// older tunnel — of a caller that has not redialed yet — still holds.
+// The older tunnel is dropped, and the topology stays a set of paths.
+func TestRetargetTunnelReusedFarEnd(t *testing.T) {
+	m := New()
+	m.RetargetTunnel("cliA", "c.t0", "dev", "in0.t0")
+	m.RetargetTunnel("cliB", "c.t0", "dev", "in1.t0")
+	// cliA hung up, dev freed in0, and cliB's redial was accepted as in0.
+	m.RetargetTunnel("cliB", "c.t0", "dev", "in0.t0")
+	reports, err := m.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot after a far-end name was reused: %v", err)
+	}
+	if len(reports) != 1 {
+		t.Fatalf("snapshot has %d paths, want cliB's alone: %v", len(reports), reports)
+	}
+	if l, r := reports[0].Path.Ends(); l.Box+r.Box != "cliBdev" && l.Box+r.Box != "devcliB" {
+		t.Fatalf("the surviving path runs %s, want cliB to dev", reports[0].Path)
+	}
+	// cliA redials and lands on the other name.
+	m.RetargetTunnel("cliA", "c.t0", "dev", "in1.t0")
+	if reports, err = m.Snapshot(); err != nil || len(reports) != 2 {
+		t.Fatalf("after cliA's redial: %d paths, %v; want 2", len(reports), err)
+	}
+}

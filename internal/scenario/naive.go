@@ -53,20 +53,20 @@ func (n *NaiveServer) ownDesc() sig.Descriptor {
 
 // Leg builds the goal object for one server leg.
 func (n *NaiveServer) Leg(slotName string) *NaiveLeg {
-	return &NaiveLeg{srv: n, name: slotName}
+	return &NaiveLeg{srv: n, names: [1]string{slotName}}
 }
 
 // NaiveLeg is the per-slot goal of a naive server.
 type NaiveLeg struct {
-	srv  *NaiveServer
-	name string
+	srv   *NaiveServer
+	names [1]string // the one slot controlled
 }
 
 // Kind implements core.Goal.
 func (g *NaiveLeg) Kind() string { return "naiveLeg" }
 
 // SlotNames implements core.Goal.
-func (g *NaiveLeg) SlotNames() []string { return []string{g.name} }
+func (g *NaiveLeg) SlotNames() []string { return g.names[:] }
 
 // Attach implements core.Goal: a naive leg takes over silently.
 func (g *NaiveLeg) Attach(core.Slots) ([]core.Action, error) { return nil, nil }
@@ -129,7 +129,7 @@ func (g *NaiveLeg) Clone() core.Goal { c := *g; return &c }
 // AppendEncode implements core.Goal.
 func (g *NaiveLeg) AppendEncode(dst []byte) []byte {
 	dst = append(dst, "naive:"...)
-	return append(dst, g.name...)
+	return append(dst, g.names[0]...)
 }
 
 // Describe sends a descriptor command on a leg: "a signal to X telling

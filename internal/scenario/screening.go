@@ -92,7 +92,9 @@ func NewScreen(net transport.Network, cfg ScreenConfig) (*box.Runner, <-chan str
 		},
 	}
 	r.SetProgram(prog)
-	if err := r.Listen(cfg.Addr, nil); err != nil {
+	// in0 is the first caller, the one this feature instance serves; a
+	// later one must not take the name over.
+	if err := r.Listen(cfg.Addr, box.SeqName); err != nil {
 		r.Stop()
 		return nil, nil, err
 	}

@@ -124,7 +124,9 @@ func NewVoicemail(net transport.Network, cfg VoicemailConfig) (*box.Runner, <-ch
 		},
 	}
 	r.SetProgram(prog)
-	if err := r.Listen(cfg.Addr, nil); err != nil {
+	// in0 is the first caller, the one this feature instance serves; a
+	// later one must not take the name over.
+	if err := r.Listen(cfg.Addr, box.SeqName); err != nil {
 		r.Stop()
 		return nil, nil, err
 	}

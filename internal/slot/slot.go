@@ -112,7 +112,17 @@ type Slot struct {
 // "the winner of the race is always the end of the tunnel that
 // initiated setup of the signaling channel").
 func New(name string, initiator bool) *Slot {
-	return &Slot{name: name, initiator: initiator, m: metrics()}
+	s := new(Slot)
+	s.Reset(name, initiator)
+	return s
+}
+
+// Reset makes s the closed, history-free slot New(name, initiator)
+// returns, in place. It lets an owner that embeds a Slot in a recycled
+// record start the next tunnel end on the same storage; nothing may
+// still hold the slot for its previous tunnel.
+func (s *Slot) Reset(name string, initiator bool) {
+	*s = Slot{name: name, initiator: initiator, m: metrics()}
 }
 
 // transition moves the slot to state to, recording the transition in

@@ -51,7 +51,7 @@ const (
 const DefaultTick = 5 * time.Millisecond
 
 // Timer is one scheduled callback. The zero value is not usable;
-// Schedule creates timers.
+// Schedule creates timers, and Reset arms one again.
 type Timer struct {
 	fn         func()
 	expire     uint64 // absolute tick at which to fire
@@ -193,16 +193,36 @@ func (w *Wheel) ticksSince(at time.Time) uint64 {
 // round up to the next tick, with a one-tick minimum so fn never runs
 // synchronously or in the past.
 func (w *Wheel) Schedule(d time.Duration, fn func()) *Timer {
+	t := &Timer{fn: fn, w: w}
+	w.arm(t, d)
+	return t
+}
+
+// Reset re-arms the timer to run its callback once after d from now,
+// with Schedule's rounding, whatever state it is in: a pending timer is
+// moved, a stopped or fired one is armed again. An owner that re-arms
+// one timer keeps it for as long as it likes instead of scheduling a
+// new one per arm. As with Stop, a callback already collected for
+// firing still runs; Reset does not wait for it.
+func (t *Timer) Reset(d time.Duration) { t.w.arm(t, d) }
+
+// arm puts t into the wheel to fire after d, taking it out first if it
+// is pending.
+func (w *Wheel) arm(t *Timer, d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	t := &Timer{fn: fn, w: w}
 	now := time.Now()
 	// Round the absolute deadline UP to a tick boundary: the timer can
 	// fire up to one tick late but never early.
 	deadline := now.Sub(w.start) + d
 	expire := uint64((deadline + w.tick - 1) / w.tick)
 	w.mu.Lock()
+	moved := t.list != nil
+	if moved {
+		t.list.remove(t)
+		w.pending--
+	}
 	// The cursor only advances while the goroutine services due work;
 	// it is anchored to wall-clock ticks here so a stale cursor cannot
 	// distort the deadline.
@@ -217,11 +237,12 @@ func (w *Wheel) Schedule(d time.Duration, fn func()) *Timer {
 	}
 	w.insert(t)
 	w.pending++
-	w.gauge.Inc()
-	w.labelGauge.Inc()
+	if !moved {
+		w.gauge.Inc()
+		w.labelGauge.Inc()
+	}
 	w.mu.Unlock()
 	w.poke()
-	return t
 }
 
 // insert buckets t by its distance from the cursor. Lock held.
@@ -270,7 +291,6 @@ func (w *Wheel) run() {
 
 		for _, t := range due {
 			t.fn()
-			t.fn = nil
 		}
 
 		if wait < 0 {

@@ -200,6 +200,116 @@ func TestCancelVsFire(t *testing.T) {
 	}
 }
 
+// TestReset: one timer re-armed in place — after a Stop, after it has
+// fired, and while pending (which moves it) — fires once per arm, never
+// early, and is counted as one pending timer throughout.
+func TestReset(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	telemetry.SetDefault(reg)
+	defer telemetry.SetDefault(nil)
+	w := New(time.Millisecond)
+	defer w.Close()
+	g := reg.Gauge(MetricPending)
+
+	fired := make(chan time.Time, 4)
+	tm := w.Schedule(time.Hour, func() { fired <- time.Now() })
+	if !tm.Stop() {
+		t.Fatal("Stop on a pending timer must report true")
+	}
+	awaitFire := func(what string, armed time.Time, d time.Duration) {
+		t.Helper()
+		select {
+		case at := <-fired:
+			if at.Sub(armed) < d {
+				t.Fatalf("%s: fired %v after the arm, before its %v", what, at.Sub(armed), d)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: never fired", what)
+		}
+	}
+
+	armed := time.Now()
+	tm.Reset(20 * time.Millisecond)
+	if p, v := w.Pending(), g.Value(); p != 1 || v != 1 {
+		t.Fatalf("after Reset of a stopped timer: pending %d, gauge %d, want 1 and 1", p, v)
+	}
+	awaitFire("Reset after Stop", armed, 20*time.Millisecond)
+
+	armed = time.Now()
+	tm.Reset(10 * time.Millisecond)
+	awaitFire("Reset after firing", armed, 10*time.Millisecond)
+
+	tm.Reset(10 * time.Millisecond)
+	tm.Reset(time.Hour) // pending: moved, not doubled
+	if p, v := w.Pending(), g.Value(); p != 1 || v != 1 {
+		t.Fatalf("after Reset of a pending timer: pending %d, gauge %d, want 1 and 1", p, v)
+	}
+	select {
+	case <-fired:
+		t.Fatal("a timer moved to an hour out fired at its old deadline")
+	case <-time.After(60 * time.Millisecond):
+	}
+	armed = time.Now()
+	tm.Reset(5 * time.Millisecond)
+	awaitFire("Reset moving a pending timer closer", armed, 5*time.Millisecond)
+	if p, v := w.Pending(), g.Value(); p != 0 || v != 0 {
+		t.Fatalf("after the last fire: pending %d, gauge %d, want 0 and 0", p, v)
+	}
+}
+
+// TestResetVsFire races Reset against the firing path. A Reset that
+// beats the fire moves the timer (one fire in all); one that loses
+// re-arms a fired timer (two). Either way the timer fires for its last
+// arm, no earlier than that arm allows, and nothing is left pending.
+func TestResetVsFire(t *testing.T) {
+	w := New(time.Millisecond)
+	defer w.Close()
+	const n = 400
+	const again = 3 * time.Millisecond
+	type probe struct {
+		tm      *Timer
+		fires   atomic.Int32
+		lastNS  atomic.Int64 // time of the latest fire
+		resetNS atomic.Int64 // time just before the Reset call
+	}
+	probes := make([]*probe, n)
+	var wg sync.WaitGroup
+	rng := rand.New(rand.NewSource(1))
+	for i := range probes {
+		p := &probe{}
+		probes[i] = p
+		p.tm = w.Schedule(time.Duration(rng.Intn(4))*time.Millisecond, func() {
+			p.lastNS.Store(time.Now().UnixNano())
+			p.fires.Add(1)
+		})
+		wg.Add(1)
+		go func(spin time.Duration) {
+			defer wg.Done()
+			time.Sleep(spin)
+			p.resetNS.Store(time.Now().UnixNano())
+			p.tm.Reset(again)
+		}(time.Duration(rng.Intn(4)) * time.Millisecond)
+	}
+	wg.Wait()
+	// Every timer's last arm must fire; wait for that fire, not a delay.
+	settled := func(p *probe) bool { return p.lastNS.Load() >= p.resetNS.Load()+int64(again) }
+	deadline := time.Now().Add(5 * time.Second)
+	for i, p := range probes {
+		for !settled(p) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timer %d never fired for its Reset (fires %d)", i, p.fires.Load())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if f := p.fires.Load(); f != 1 && f != 2 {
+			t.Errorf("timer %d fired %d times, want 1 or 2", i, f)
+		}
+	}
+	if p := w.Pending(); p != 0 {
+		t.Fatalf("pending = %d after every timer fired", p)
+	}
+}
+
 // TestManyTimersSharedWheel: the load-harness shape — tens of
 // thousands of concurrent arms and cancels against one wheel.
 func TestManyTimersSharedWheel(t *testing.T) {

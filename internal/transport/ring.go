@@ -79,10 +79,11 @@ type spscRing struct {
 	tail  atomic.Uint64 // next index to push; producer-owned
 	slots [ringCap]sig.Envelope
 
-	mu     sync.Mutex
-	spill  []sig.Envelope // FIFO overflow, always younger than ring content
-	spillN atomic.Int64   // len(spill), readable without the lock
-	closed atomic.Bool
+	mu        sync.Mutex
+	spill     []sig.Envelope // FIFO overflow, always younger than ring content
+	spillHead int            // spill[:spillHead] is drained; compacted away once it outweighs the rest
+	spillN    atomic.Int64   // undrained spill length, readable without the lock
+	closed    atomic.Bool
 
 	notified atomic.Bool  // an edge notification is outstanding
 	ready    atomic.Value // func(): the consumer's readiness callback
@@ -117,7 +118,7 @@ func (r *spscRing) push(e sig.Envelope) error {
 		return ErrClosed
 	}
 	r.spill = append(r.spill, e)
-	r.spillN.Store(int64(len(r.spill)))
+	r.spillN.Store(int64(len(r.spill) - r.spillHead))
 	r.mu.Unlock()
 	r.m.spills.Inc()
 	r.notify()
@@ -174,12 +175,23 @@ func (r *spscRing) tryRecvBatch(buf []sig.Envelope) (int, bool) {
 			r.m.occupancy[avail-1].Inc()
 		}
 		if spilled && n == avail && n < len(buf) {
+			// Drain from the head index: a consumer far behind a fast
+			// producer takes its batches out of a long spill without
+			// shifting the rest down each time. The drained prefix is
+			// reclaimed once it outweighs the backlog (always, when the
+			// spill empties): the copy moves fewer envelopes than were
+			// drained since the last one, so the drain stays O(n), and a
+			// backlog that never reaches zero cannot grow the slice with
+			// total traffic.
 			r.mu.Lock()
-			k := copy(buf[n:], r.spill)
-			rest := copy(r.spill, r.spill[k:])
-			clear(r.spill[rest:])
-			r.spill = r.spill[:rest]
-			r.spillN.Store(int64(rest))
+			k := copy(buf[n:], r.spill[r.spillHead:])
+			clear(r.spill[r.spillHead : r.spillHead+k]) // drop Meta references promptly
+			if r.spillHead += k; r.spillHead > len(r.spill)/2 {
+				live := copy(r.spill, r.spill[r.spillHead:])
+				clear(r.spill[live:]) // the moved tail's old slots
+				r.spill, r.spillHead = r.spill[:live], 0
+			}
+			r.spillN.Store(int64(len(r.spill) - r.spillHead))
 			r.mu.Unlock()
 			n += k
 		}

@@ -394,3 +394,87 @@ func TestRingSpillCountedAndReused(t *testing.T) {
 		t.Fatalf("a repeat burst through the spill allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestRingSpillDrainsInPlace: a consumer far behind its producer takes
+// a 10 000-envelope spill out in small batches, in FIFO order, in O(n)
+// copies: a batch leaves the waiting envelopes where they are, and the
+// occasional compaction (drained prefix outweighs the backlog) moves
+// fewer envelopes than were drained since the last one — not a shift
+// of the whole list per batch.
+func TestRingSpillDrainsInPlace(t *testing.T) {
+	const total = 10000
+	a, _ := newRingPipe("a", "b", newRingMetrics())
+	r := a.send // b's receive side: a is its producer, this test its consumer
+	for i := 0; i < total; i++ {
+		if err := r.push(sig.Envelope{Seq: uint32(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(r.spill) != total-ringCap {
+		t.Fatalf("spill holds %d envelopes, want %d", len(r.spill), total-ringCap)
+	}
+	var buf [7]sig.Envelope
+	moved, prevHead := 0, 0
+	for next := 0; next < total; {
+		n, ok := r.tryRecvBatch(buf[:])
+		if n == 0 || !ok {
+			t.Fatalf("drain stopped at %d of %d (n=%d ok=%v)", next, total, n, ok)
+		}
+		for _, e := range buf[:n] {
+			if e.Seq != uint32(next) {
+				t.Fatalf("envelope %d arrived in position %d", e.Seq, next)
+			}
+			next++
+		}
+		if r.spillHead < prevHead {
+			moved += len(r.spill) // compacted: the backlog was copied down
+		}
+		prevHead = r.spillHead
+		if w := r.spill[r.spillHead:]; len(w) > 0 {
+			if first, last := w[0].Seq, w[len(w)-1].Seq; first != uint32(next) || last != total-1 {
+				t.Fatalf("after %d envelopes the waiting spill runs %d..%d, want %d..%d", next, first, last, next, total-1)
+			}
+		}
+	}
+	if moved > total {
+		t.Fatalf("draining %d envelopes moved %d within the spill, want at most %d", total, moved, total)
+	}
+	if len(r.spill) != 0 || r.spillHead != 0 || r.spillN.Load() != 0 {
+		t.Fatalf("drained spill left len=%d head=%d n=%d", len(r.spill), r.spillHead, r.spillN.Load())
+	}
+	if n, ok := r.tryRecvBatch(buf[:]); n != 0 || !ok {
+		t.Fatalf("empty open ring reported n=%d ok=%v", n, ok)
+	}
+}
+
+// TestRingSpillTracksBacklog: a consumer that stays a little behind —
+// a backlog that never reaches zero — keeps the spill slice the size of
+// the backlog, not of the traffic that has passed through it.
+func TestRingSpillTracksBacklog(t *testing.T) {
+	const backlog, total = 100, 200000
+	a, _ := newRingPipe("a", "b", newRingMetrics())
+	r := a.send
+	var buf [5]sig.Envelope
+	sent, next := 0, 0
+	for ; sent < backlog; sent++ {
+		r.push(sig.Envelope{Seq: uint32(sent)})
+	}
+	for next < total {
+		n, _ := r.tryRecvBatch(buf[:])
+		for _, e := range buf[:n] {
+			if e.Seq != uint32(next) {
+				t.Fatalf("envelope %d arrived in position %d", e.Seq, next)
+			}
+			next++
+		}
+		for ; sent < total && sent < next+backlog; sent++ {
+			r.push(sig.Envelope{Seq: uint32(sent)})
+		}
+		if r.spillN.Load() == 0 && sent < total {
+			t.Fatalf("backlog reached zero at %d: the test no longer holds the spill open", next)
+		}
+		if c := cap(r.spill); c > 8*backlog {
+			t.Fatalf("after %d envelopes the spill's capacity is %d for a backlog of %d", next, c, backlog)
+		}
+	}
+}
