@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test fuzz bench agree bench-smoke bench-mc bench-runtime bench-media storm-smoke media-smoke ts-smoke chaos-smoke bench-chaos alloc-gate store-smoke bench-store bench-diff profile-runtime cluster-smoke bench-cluster
+.PHONY: ci vet build test fuzz bench agree bench-smoke bench-check bench-mc bench-media storm-smoke media-smoke ts-smoke chaos-smoke bench-chaos alloc-gate store-smoke bench-store profile-runtime cluster-smoke bench-cluster
 
 # ci is the gate: static checks, build, the full test suite under the
 # race detector, the parallel-vs-sequential checker agreement test,
@@ -8,11 +8,11 @@ GO ?= go
 # executed, a one-iteration benchmark smoke so the perf harness keeps
 # compiling, the zero-alloc gates (non-race: the race detector defeats
 # the accounting), a short call-storm so the live runtime survives
-# load, a short in-memory media-storm so the media pipeline does, and
-# a seeded chaos-storm so the fault-recovery story is re-proved on
-# every run.
-ci: vet build test agree fuzz bench-smoke alloc-gate storm-smoke media-smoke ts-smoke chaos-smoke store-smoke cluster-smoke
-	-$(MAKE) bench-diff
+# load, a short in-memory media-storm so the media pipeline does, a
+# seeded chaos-storm so the fault-recovery story is re-proved on every
+# run, and the benchmark's own checks so a change that stops bench/
+# compiling or running against the tree fails here.
+ci: vet build test agree fuzz bench-smoke bench-check alloc-gate storm-smoke media-smoke ts-smoke chaos-smoke store-smoke cluster-smoke
 
 vet:
 	$(GO) vet ./...
@@ -44,6 +44,14 @@ bench-smoke:
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# bench-check keeps bench/ — the repo's one measuring instrument, a
+# module of its own that ./... does not reach — building and passing
+# against the tree: its vet and tests, then its self-test of every
+# workload.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh -smoke
 
 # alloc-gate asserts the zero-alloc claims: the signaling decode path
 # (interned strings, pooled Meta frames) and the end-to-end
@@ -126,8 +134,8 @@ cluster-smoke:
 	$(GO) run ./cmd/clusterstorm -shards 2 -paths 8 -servers 4 -duration 6s -hold 200ms -giveup 6s -min-cps 1 -seed 1
 
 # bench-cluster records the multi-process numbers — aggregate calls/s
-# across the fleet vs the single-process baseline, restart recovery
-# time, cross-shard setup latency — written to BENCH_cluster.json.
+# across the fleet, restart recovery time, cross-shard setup latency —
+# written to BENCH_cluster.json.
 bench-cluster:
 	$(GO) run ./cmd/clusterstorm -shards 3 -paths 24 -servers 6 -duration 12s -seed 1 -out BENCH_cluster.json
 
@@ -146,44 +154,18 @@ bench-store:
 	$(GO) run ./cmd/storestorm -keys 5000 -lookups 200000 -cdrs 50000 -out BENCH_store.json
 
 # bench-media records the media-plane numbers: the in-memory carrier,
-# the seed dial-per-packet UDP loop, the persistent-socket batched
-# pipeline, and the framed legs — the same pipeline carrying 1316-byte
-# opaque payloads vs. full MPEG-TS bursts — at equal agent count,
-# written to BENCH_media.json. udp_speedup_vs_legacy is the pipeline
-# ratio; ts_pps_ratio_vs_opaque is the container's cost (acceptance:
-# ≥0.85, i.e. at most a 15% pps penalty).
+# the persistent-socket batched pipeline, and the framed legs — the
+# same pipeline carrying 1316-byte opaque payloads vs. full MPEG-TS
+# bursts — at equal agent count, written to BENCH_media.json.
+# ts_pps_ratio_vs_opaque is the container's cost (acceptance: ≥0.85,
+# i.e. at most a 15% pps penalty).
 bench-media:
 	$(GO) run ./cmd/mediastorm -agents 8 -duration 3s -out BENCH_media.json
 
-# bench-runtime records the live-runtime scaling curve: concurrent
-# open/hold/flowLink/close lifecycles over in-process ring channels,
-# swept at GOMAXPROCS (and shard count) 1, 2, 4, 8, written to
-# BENCH_runtime.json. The calls_per_sec_speedup_vs_1 map is the
-# tentpole ratio. The offered load (1200 paths at 1 s hold) is sized to
-# sit just under one core's saturated capacity (~2100 calls/s) so every
-# leg completes on a single-CPU host; when every leg sustains the
-# offered rate, read the curve from ns_per_event and the setup latency
-# quantiles instead of raw calls/s. On a host with >= 4 real cores,
-# raise -paths to 10000 to measure the saturated speedup directly.
-bench-runtime:
-	$(GO) run ./cmd/callstorm -paths 1200 -servers 8 -mode link -net ring -hold 1s -stagger 15s -ramp 60s -duration 15s -sweep 1,2,4,8 -out BENCH_runtime.json
-
-# bench-diff guards the committed runtime numbers: it re-reads the
-# BENCH_runtime.json in the working tree against the one committed at
-# HEAD and fails on a >10% per-event regression (ns_per_event or
-# allocs_per_event, any GOMAXPROCS leg). Run it after bench-runtime to
-# check a fresh measurement before committing it. In ci it is
-# informational (leading '-'): a dirtied benchmark file fails loudly
-# here but does not block unrelated work.
-bench-diff:
-	@git show HEAD:BENCH_runtime.json > .bench_runtime_head.json
-	$(GO) run ./cmd/benchdiff -old .bench_runtime_head.json -new BENCH_runtime.json -max-regress 10
-	@rm -f .bench_runtime_head.json
-
 # profile-runtime captures CPU and allocation profiles of two callstorm
-# legs for `go tool pprof` spelunking. The first is sized like the
-# bench-runtime single-shard leg (1 s holds: mostly idle, so it shows
-# where the event loop and the timers spend their time); the second is
+# legs for `go tool pprof` spelunking. The first holds 1200 paths on
+# 1 s holds (mostly idle, so it shows where the event loop and the
+# timers spend their time); the second is
 # one saturated shard at GOMAXPROCS=1 redialing on 3 ms holds, so the
 # channel churn path — dial, ring pipe, teardown — is what gets
 # profiled.

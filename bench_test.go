@@ -366,13 +366,14 @@ func BenchmarkFlowLinkForwarding(b *testing.B) {
 func BenchmarkTransportRoundTrip(b *testing.B) {
 	pa, pb := transport.Pipe("a", "b")
 	e := sig.Envelope{Tunnel: 0, Sig: sig.Close()}
+	in, buf := pb.(transport.BatchPort), make([]sig.Envelope, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := pa.Send(e); err != nil {
 			b.Fatal(err)
 		}
-		<-pb.Recv()
+		in.RecvBatch(buf)
 	}
 }
 

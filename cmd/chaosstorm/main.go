@@ -38,36 +38,23 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"runtime"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"ipmedia/internal/box"
-	"ipmedia/internal/core"
 	"ipmedia/internal/pathmon"
 	"ipmedia/internal/prof"
-	"ipmedia/internal/sig"
 	"ipmedia/internal/slot"
 	"ipmedia/internal/store"
+	"ipmedia/internal/storm"
 	"ipmedia/internal/telemetry"
 	"ipmedia/internal/transport"
 )
-
-type stormStats struct {
-	setups    atomic.Int64 // calls that reached flowing
-	completed atomic.Int64 // full lifecycles (flowing + held + torn down)
-	giveups   atomic.Int64 // calls abandoned by the client's give-up timer
-	refused   atomic.Int64 // dials refused outright (partition window)
-	idle      atomic.Int64 // clients parked after the stop flag
-	stop      atomic.Bool
-}
 
 type result struct {
 	Date string `json:"date"`
@@ -234,55 +221,27 @@ func main() {
 	// drain, goroutine leaks) then certify the sharded runtime, not just
 	// the one-goroutine-per-box layout.
 	var cluster *box.Cluster
-	newRunner := box.NewRunner
+	newRunner := func(b *box.Box) *box.Runner { return box.NewRunner(b, network) }
 	if *shards > 0 {
 		cluster = box.NewCluster(network, *shards)
-		newRunner = func(b *box.Box, _ transport.Network) *box.Runner {
-			return cluster.Runner(b)
-		}
+		newRunner = cluster.Runner
 	}
 
 	mon := pathmon.New()
-	stats := &stormStats{}
+	stats := &storm.Stats{}
 
 	// Holding devices first, so every client dial lands on a listener.
-	// Each device's hook maps every arriving setup to a monitor tunnel,
-	// keyed on the stable client end so redials retarget rather than
-	// accumulate.
-	devAddrs := make([]string, *servers)
-	devs := make([]*box.Runner, *servers)
-	for i := 0; i < *servers; i++ {
-		name := fmt.Sprintf("dev%d", i)
-		addr := name
-		if *netKind == "tcp" {
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "chaosstorm:", err)
-				os.Exit(1)
-			}
-			addr = l.Addr().String()
-			l.Close()
-		}
-		b := box.New(name, devProfile(name, 20000+i))
-		devName := name
-		b.Hook = func(ctx *box.Ctx, ev *box.Event) {
-			if ev.Kind != box.EvEnvelope || !ev.Env.IsMeta() || ev.Env.Meta.Kind != sig.MetaSetup {
-				return
-			}
-			from, ch := ev.Env.Meta.Get("from"), ev.Env.Meta.Get("chan")
-			if from == "" || ch == "" {
-				return
-			}
-			mon.RetargetTunnel(from, box.TunnelSlot(ch, 0), devName, box.TunnelSlot(ev.Channel, 0))
-		}
-		r := newRunner(b, network)
-		if err := r.Listen(addr, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "chaosstorm:", err)
-			os.Exit(1)
-		}
+	devs, devAddrs, err := storm.ListenAll(newRunner, *netKind == "tcp", "dev", *servers, func(name string, i int) *box.Box {
+		b := box.New(name, storm.DevProfile(name, 20000+i))
+		b.Hook = storm.DeviceHook(mon, name, nil)
+		return b
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "chaosstorm:", err)
+		os.Exit(1)
+	}
+	for _, r := range devs {
 		mon.AddBox(r)
-		devAddrs[i] = addr
-		devs[i] = r
 	}
 
 	fmt.Fprintf(os.Stderr, "chaosstorm: %d paths vs %d devices over %s: drop=%.0f%% dup=%.0f%% delay=%.0f%% reorder=%.0f%% partition=%v seed=%d\n",
@@ -292,37 +251,23 @@ func main() {
 	clients := make([]*box.Runner, *paths)
 	for i := range clients {
 		name := fmt.Sprintf("cli%d", i)
-		b := box.New(name, devProfile(name, 30000+i))
-		r := newRunner(b, network)
+		b := box.New(name, storm.DevProfile(name, 30000+i))
+		r := newRunner(b)
 		if binder != nil {
 			// Bind before the program starts dialing, so every channel's
 			// setup and teardown is accounted.
 			r.SetLifecycle(binder)
 		}
-		r.SetProgram(clientProgram(stats, devAddrs[i%len(devAddrs)], *hold, *duration/4, *giveup, rng.Int63()))
+		r.SetProgram(storm.ClientProgram(stats, devAddrs[i%len(devAddrs)], *hold, *duration/4, *giveup, rng.Int63(), nil))
 		mon.AddBox(r)
 		clients[i] = r
 	}
 
 	// Live formula checking for the length of the storm and the drain.
 	tk := pathmon.NewTracker(mon, *bound)
-	trackDone := make(chan struct{})
-	trackStop := make(chan struct{})
-	go func() {
-		defer close(trackDone)
-		tick := time.NewTicker(*poll)
-		defer tick.Stop()
-		for {
-			select {
-			case <-trackStop:
-				return
-			case <-tick.C:
-				if _, err := tk.Poll(); err != nil {
-					fmt.Fprintln(os.Stderr, "chaosstorm: tracker:", err)
-				}
-			}
-		}
-	}()
+	stopPolling := storm.Poll(tk, *poll, func(err error) {
+		fmt.Fprintln(os.Stderr, "chaosstorm: tracker:", err)
+	})
 
 	// The storm window, with one partition dropped in the middle — and,
 	// in crash mode, the store's power cut at the same moment: faults
@@ -357,17 +302,9 @@ func main() {
 
 	// Drain: clients finish their current lifecycle and park; every
 	// path must quiesce with its formula satisfied.
-	stats.stop.Store(true)
-	drainDeadline := time.Now().Add(*giveup + *bound + 5*time.Second)
-	for stats.idle.Load() < int64(*paths) && time.Now().Before(drainDeadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	close(trackStop)
-	<-trackDone
-	wedged, err := tk.Drain()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaosstorm: drain:", err)
-	}
+	stats.Drain(int64(*paths), *giveup+*bound+5*time.Second)
+	stopPolling()
+	verdict := tk.FinalReport()
 
 	// Shut everything down and check nothing leaked: no pump, redial,
 	// shard loop, or delayed-send goroutine may outlive the storm.
@@ -396,16 +333,7 @@ func main() {
 		cdrReopen = st.CDRCount()
 		st.Close()
 	}
-	leaked := true
-	var finalG int
-	for end := time.Now().Add(3 * time.Second); time.Now().Before(end); {
-		finalG = runtime.NumGoroutine()
-		if finalG <= baseline+2 { // the shared timer wheel, a little GC slack
-			leaked = false
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	finalG, leaked := storm.SettledGoroutines(baseline)
 	if leaked {
 		buf := make([]byte, 1<<20)
 		fmt.Fprintf(os.Stderr, "chaosstorm: leaked goroutines:\n%s\n", buf[:runtime.Stack(buf, true)])
@@ -415,10 +343,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "chaosstorm:", err)
 	}
 
-	stTrack := tk.Stats()
 	snap := reg.Snapshot()
 	counter := func(name string) int64 { return int64(snap.Counters[name]) }
-	recoveries := append([]time.Duration(nil), stTrack.Recoveries...)
+	recoveries := tk.Stats().Recoveries
 	sort.Slice(recoveries, func(i, j int) bool { return recoveries[i] < recoveries[j] })
 	pctMS := func(q float64) float64 {
 		if len(recoveries) == 0 {
@@ -428,10 +355,10 @@ func main() {
 		return float64(recoveries[idx]) / float64(time.Millisecond)
 	}
 
-	attempts := stats.setups.Load() + stats.giveups.Load()
+	attempts := stats.Setups.Load() + stats.Giveups.Load()
 	giveupRate := 0.0
 	if attempts > 0 {
-		giveupRate = float64(stats.giveups.Load()) / float64(attempts)
+		giveupRate = float64(stats.Giveups.Load()) / float64(attempts)
 	}
 	res := result{
 		Date:        time.Now().Format("2006-01-02"),
@@ -448,12 +375,12 @@ func main() {
 		Seed:        *seed,
 		BoundMS:     bound.Milliseconds(),
 
-		Setups:      stats.setups.Load(),
-		Completed:   stats.completed.Load(),
-		CallGiveups: stats.giveups.Load(),
-		DialRefused: stats.refused.Load(),
+		Setups:      stats.Setups.Load(),
+		Completed:   stats.Completed.Load(),
+		CallGiveups: stats.Giveups.Load(),
+		DialRefused: stats.Refused.Load(),
 		GiveupRate:  giveupRate,
-		Drained:     stats.idle.Load(),
+		Drained:     stats.Idle.Load(),
 
 		FaultsInjected:   counter(transport.MetricFaultsInjected),
 		Reconnects:       counter(transport.MetricReconnects),
@@ -462,9 +389,9 @@ func main() {
 		TransportGiveups: counter(transport.MetricGiveups),
 		BacklogDropped:   counter(transport.MetricBacklogDropped),
 
-		LTLPolls:      stTrack.Polls,
-		LTLViolations: nonNull(stTrack.Violations),
-		Wedged:        nonNull(wedged),
+		LTLPolls:      verdict.Polls,
+		LTLViolations: verdict.Violations,
+		Wedged:        verdict.Wedged,
 
 		RecoveryCount: int64(len(recoveries)),
 		RecoveryP50MS: pctMS(0.50),
@@ -489,22 +416,16 @@ func main() {
 		res.StoreRecoveryMS = storeRecoveryMS
 	}
 
-	blob, _ := json.MarshalIndent(res, "", "  ")
-	fmt.Println(string(blob))
-	if *out != "" {
-		if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "chaosstorm:", err)
-			os.Exit(1)
-		}
+	blob, err := storm.WriteReport(res, *out)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "chaosstorm:", err)
+		os.Exit(1)
 	}
 
 	if !*check {
 		return
 	}
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "chaosstorm: GATE FAILED: "+format+"\n", args...)
-		os.Exit(1)
-	}
+	fail := func(format string, args ...any) { storm.FailGate("chaosstorm", format, args...) }
 	// A verdict field serialized as null means the harness never produced
 	// a verdict at all — downstream tooling must not read that as "zero
 	// violations". The gate treats null as a failure in its own right.
@@ -512,14 +433,14 @@ func main() {
 		bytes.Contains(blob, []byte(`"wedged_paths": null`)) {
 		fail("result serialized null for a formula-verdict field")
 	}
-	if n := len(stTrack.Violations); n > 0 {
-		fail("%d bounded-time formula violations, first: %s", n, stTrack.Violations[0])
+	if n := len(verdict.Violations); n > 0 {
+		fail("%d bounded-time formula violations, first: %s", n, verdict.Violations[0])
 	}
-	if len(wedged) > 0 {
-		fail("%d wedged paths after drain, first: %s", len(wedged), wedged[0])
+	if n := len(verdict.Wedged); n > 0 {
+		fail("%d wedged paths after drain, first: %s", n, verdict.Wedged[0])
 	}
-	if stats.idle.Load() < int64(*paths) {
-		fail("only %d/%d clients drained", stats.idle.Load(), *paths)
+	if res.Drained < int64(*paths) {
+		fail("only %d/%d clients drained", res.Drained, *paths)
 	}
 	if giveupRate >= *giveupBudget {
 		fail("give-up rate %.2f%% >= budget %.2f%%", giveupRate*100, *giveupBudget*100)
@@ -550,138 +471,4 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "chaosstorm: all gates passed: %d lifecycles, %d reconnects, %d retransmits, %d recoveries, 0 violations\n",
 		res.Completed, res.Reconnects, res.Retransmits, res.RecoveryCount)
-}
-
-func devProfile(name string, port int) *core.EndpointProfile {
-	return core.NewEndpointProfile(name, "10.2.0.1", port,
-		[]sig.Codec{sig.G711, sig.G726}, []sig.Codec{sig.G711, sig.G726})
-}
-
-// cyclesPerChannel is how many open/close goal cycles a client runs on
-// one dialed channel before tearing it down and redialing. Goal cycles
-// on a persistent channel keep the signaling path's identity stable, so
-// the tracker observes real down→flowing transitions and measures
-// their recovery latency; the periodic teardown/redial keeps the
-// dial/greet/hello machinery in the storm too.
-const cyclesPerChannel = 8
-
-// clientProgram is one path's lifecycle under chaos: dial a channel
-// toward addr, then cycle its slot goal — open until flowing, hold,
-// close until quiesced — redialing the channel every few cycles, until
-// the stop flag parks the client idle at the end of a cycle. First
-// dials are staggered so the storm does not open every path in the
-// same instant.
-func clientProgram(stats *stormStats, addr string, hold, stagger, giveup time.Duration, seed int64) *box.Program {
-	const ch = "c"
-	s0 := box.TunnelSlot(ch, 0)
-	rng := rand.New(rand.NewSource(seed))
-	jitter := func() time.Duration {
-		return hold/2 + time.Duration(rng.Int63n(int64(hold)))
-	}
-	delay := time.Duration(rng.Int63n(int64(stagger) + 1))
-	cycles := 0
-	closed := func(ctx *box.Ctx) bool {
-		s := ctx.Box().Slot(s0)
-		return s == nil || s.State() == slot.Closed
-	}
-	lost := func(ctx *box.Ctx) bool {
-		// The transport gave the channel up (portLost synthesized a
-		// teardown) or the dial itself was refused.
-		return ctx.OnMeta(ch, sig.MetaUnavailable) || !ctx.Box().HasChannel(ch)
-	}
-	states := []*box.State{
-		{
-			Name:    "stagger",
-			OnEnter: func(ctx *box.Ctx) { ctx.SetTimer("start", delay) },
-			Trans: []box.Trans{
-				{When: func(ctx *box.Ctx) bool { return ctx.OnTimer("start") }, To: "dial"},
-			},
-		},
-		{
-			Name:    "dial",
-			OnEnter: func(ctx *box.Ctx) { cycles = 0; ctx.Dial(ch, addr) },
-			Trans: []box.Trans{
-				// A refused dial (partition window) is not an abandoned
-				// call: back off and retry instead of spinning.
-				{When: func(ctx *box.Ctx) bool { return ctx.OnMeta(ch, sig.MetaUnavailable) }, To: "backoff",
-					Do: func(ctx *box.Ctx) { stats.refused.Add(1) }},
-				{When: func(ctx *box.Ctx) bool { return ctx.Box().HasChannel(ch) }, To: "open"},
-			},
-		},
-		{
-			Name: "backoff",
-			OnEnter: func(ctx *box.Ctx) {
-				ctx.Teardown(ch)
-				ctx.SetTimer("retry", 50*time.Millisecond+time.Duration(rng.Int63n(int64(100*time.Millisecond))))
-			},
-			Trans: []box.Trans{
-				{When: func(ctx *box.Ctx) bool { return ctx.OnTimer("retry") && stats.stop.Load() }, To: "idle",
-					Do: func(*box.Ctx) { stats.idle.Add(1) }},
-				{When: func(ctx *box.Ctx) bool { return ctx.OnTimer("retry") }, To: "dial"},
-			},
-		},
-		{
-			Name:    "open",
-			Annots:  []box.Annot{box.OpenSlotAnn(s0, sig.Audio)},
-			OnEnter: func(ctx *box.Ctx) { ctx.SetTimer("giveup", giveup) },
-			Trans: []box.Trans{
-				{When: func(ctx *box.Ctx) bool { return ctx.IsFlowing(s0) }, To: "hold",
-					Do: func(ctx *box.Ctx) {
-						ctx.CancelTimer("giveup")
-						stats.setups.Add(1)
-					}},
-				{When: lost, To: "backoff",
-					Do: func(ctx *box.Ctx) { ctx.CancelTimer("giveup") }},
-				{When: func(ctx *box.Ctx) bool { return ctx.OnTimer("giveup") }, To: "redial",
-					Do: func(ctx *box.Ctx) { stats.giveups.Add(1) }},
-			},
-		},
-		{
-			Name:    "hold",
-			Annots:  []box.Annot{box.OpenSlotAnn(s0, sig.Audio)},
-			OnEnter: func(ctx *box.Ctx) { ctx.SetTimer("hold", jitter()) },
-			Trans: []box.Trans{
-				{When: lost, To: "backoff"},
-				{When: func(ctx *box.Ctx) bool { return ctx.OnTimer("hold") }, To: "close",
-					Do: func(ctx *box.Ctx) { stats.completed.Add(1) }},
-			},
-		},
-		{
-			Name:    "close",
-			Annots:  []box.Annot{box.CloseSlotAnn(s0)},
-			OnEnter: func(ctx *box.Ctx) { cycles++; ctx.SetTimer("giveup", giveup) },
-			Trans: []box.Trans{
-				{When: func(ctx *box.Ctx) bool { return closed(ctx) && stats.stop.Load() }, To: "redial",
-					Do: func(ctx *box.Ctx) { ctx.CancelTimer("giveup") }},
-				{When: func(ctx *box.Ctx) bool { return closed(ctx) && cycles >= cyclesPerChannel }, To: "redial",
-					Do: func(ctx *box.Ctx) { ctx.CancelTimer("giveup") }},
-				{When: closed, To: "open",
-					Do: func(ctx *box.Ctx) { ctx.CancelTimer("giveup") }},
-				{When: lost, To: "backoff",
-					Do: func(ctx *box.Ctx) { ctx.CancelTimer("giveup") }},
-				{When: func(ctx *box.Ctx) bool { return ctx.OnTimer("giveup") }, To: "redial",
-					Do: func(ctx *box.Ctx) { stats.giveups.Add(1) }},
-			},
-		},
-		{
-			Name:    "redial",
-			OnEnter: func(ctx *box.Ctx) { ctx.Teardown(ch) },
-			Trans: []box.Trans{
-				{When: func(*box.Ctx) bool { return stats.stop.Load() }, To: "idle",
-					Do: func(*box.Ctx) { stats.idle.Add(1) }},
-				{When: func(*box.Ctx) bool { return true }, To: "dial"},
-			},
-		},
-		{Name: "idle"},
-	}
-	return &box.Program{Initial: "stagger", States: states}
-}
-
-// nonNull guards the verdict fields: a nil slice JSON-encodes as null,
-// and null must never be mistaken for "none found".
-func nonNull(s []string) []string {
-	if s == nil {
-		return []string{}
-	}
-	return s
 }

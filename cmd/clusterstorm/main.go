@@ -20,9 +20,6 @@
 // reopens every shard's store), no child process survived shutdown,
 // and no goroutine leaked in the parent.
 //
-// Results land in BENCH_cluster.json beside the single-process
-// baseline from BENCH_runtime.json.
-//
 // Usage:
 //
 //	clusterstorm [-shards 3] [-paths 24] [-servers 6] [-duration 12s]
@@ -45,15 +42,13 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ipmedia/internal/box"
-	"ipmedia/internal/core"
 	"ipmedia/internal/pathmon"
 	"ipmedia/internal/sig"
-	"ipmedia/internal/slot"
 	"ipmedia/internal/store"
+	"ipmedia/internal/storm"
 	"ipmedia/internal/telemetry"
 	"ipmedia/internal/transport"
 )
@@ -124,11 +119,6 @@ func main() {
 func devName(i int) string { return fmt.Sprintf("dev%d", i) }
 func cliName(i int) string { return fmt.Sprintf("cli%d", i) }
 
-func devProfile(name string, port int) *core.EndpointProfile {
-	return core.NewEndpointProfile(name, "10.3.0.1", port,
-		[]sig.Codec{sig.G711, sig.G726}, []sig.Codec{sig.G711, sig.G726})
-}
-
 // ---------------------------------------------------------------------
 // Shard report: what a child ships back over ctl/report.
 
@@ -158,15 +148,6 @@ type shardReport struct {
 
 // ---------------------------------------------------------------------
 // Child: one shard process.
-
-type stormStats struct {
-	setups    atomic.Int64
-	completed atomic.Int64
-	giveups   atomic.Int64
-	refused   atomic.Int64
-	idle      atomic.Int64
-	stop      atomic.Bool
-}
 
 func childMain(o *options) {
 	logf := func(format string, args ...any) {
@@ -209,7 +190,7 @@ func childMain(o *options) {
 	router := box.NewRouter(o.shard, o.shards, transport.NewMemNetwork(), mux)
 
 	mon := pathmon.New()
-	stats := &stormStats{}
+	stats := &storm.Stats{}
 	hLocal, hCross := telemetry.H(metricSetupLocal), telemetry.H(metricSetupCross)
 
 	// This process creates exactly the boxes the placement function
@@ -222,25 +203,14 @@ func childMain(o *options) {
 		if box.ShardOfName(name, o.shards) != o.shard {
 			continue
 		}
-		b := box.New(name, devProfile(name, 20000+i))
-		dn := name
-		b.Hook = func(ctx *box.Ctx, ev *box.Event) {
-			if ev.Kind != box.EvEnvelope || !ev.Env.IsMeta() || ev.Env.Meta.Kind != sig.MetaSetup {
-				return
-			}
-			from, ch := ev.Env.Meta.Get("from"), ev.Env.Meta.Get("chan")
-			if from == "" || ch == "" {
-				return
-			}
-			// Only same-shard pairs are trackable here: a remote client's
-			// slot state lives in another process, and a path with an
-			// unobservable end cannot be held to its formula by this
-			// tracker. Cross-shard behavior is gated at the call level.
-			if box.ShardOfName(from, o.shards) != o.shard {
-				return
-			}
-			mon.RetargetTunnel(from, box.TunnelSlot(ch, 0), dn, box.TunnelSlot(ev.Channel, 0))
-		}
+		b := box.New(name, storm.DevProfile(name, 20000+i))
+		// Only same-shard pairs are trackable here: a remote client's
+		// slot state lives in another process, and a path with an
+		// unobservable end cannot be held to its formula by this
+		// tracker. Cross-shard behavior is gated at the call level.
+		b.Hook = storm.DeviceHook(mon, name, func(from string) bool {
+			return box.ShardOfName(from, o.shards) == o.shard
+		})
 		r := box.NewRunner(b, router)
 		if err := r.Listen(name, nil); err != nil {
 			logf("listen %s: %v", name, err)
@@ -266,10 +236,12 @@ func childMain(o *options) {
 		if box.ShardOfName(dev, o.shards) != o.shard {
 			hist = hCross
 		}
-		b := box.New(name, devProfile(name, 30000+i))
+		b := box.New(name, storm.DevProfile(name, 30000+i))
 		r := box.NewRunner(b, router)
 		r.SetLifecycle(binder)
-		r.SetProgram(clientProgram(stats, dev, hist, o.hold, o.duration/4, o.giveup, rng.Int63()))
+		// Every set-up lands in hist; the cross-shard histogram is the
+		// number the capstone gates against the bound.
+		r.SetProgram(storm.ClientProgram(stats, dev, o.hold, o.duration/4, o.giveup, rng.Int63(), hist.Observe))
 		mon.AddBox(r)
 		runners = append(runners, r)
 		boxes++
@@ -278,35 +250,15 @@ func childMain(o *options) {
 	logf("hosting %d boxes (%d clients), carrier %s", boxes, clientCount, carrierAddr)
 
 	tk := pathmon.NewTracker(mon, o.bound)
-	trackStop, trackDone := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(trackDone)
-		tick := time.NewTicker(o.poll)
-		defer tick.Stop()
-		for {
-			select {
-			case <-trackStop:
-				return
-			case <-tick.C:
-				if _, err := tk.Poll(); err != nil {
-					logf("tracker: %v", err)
-				}
-			}
-		}
-	}()
+	stopPolling := storm.Poll(tk, o.poll, func(err error) { logf("tracker: %v", err) })
 
 	stopCh := make(chan struct{})
 	var stopOnce sync.Once
 	var drainOnce sync.Once
 	drain := func() {
 		drainOnce.Do(func() {
-			stats.stop.Store(true)
-			deadline := time.Now().Add(o.giveup + o.bound + 5*time.Second)
-			for stats.idle.Load() < clientCount && time.Now().Before(deadline) {
-				time.Sleep(20 * time.Millisecond)
-			}
-			close(trackStop)
-			<-trackDone
+			stats.Drain(clientCount, o.giveup+o.bound+5*time.Second)
+			stopPolling()
 			if err := st.Sync(); err != nil {
 				logf("store sync: %v", err)
 			}
@@ -317,10 +269,10 @@ func childMain(o *options) {
 		Vitals: func(m *sig.Meta) {
 			stt := tk.Stats()
 			m.Attrs = sig.NewAttrs(
-				"completed", strconv.FormatInt(stats.completed.Load(), 10),
+				"completed", strconv.FormatInt(stats.Completed.Load(), 10),
 				"durable", strconv.FormatUint(st.DurableCDRs(), 10),
-				"giveups", strconv.FormatInt(stats.giveups.Load(), 10),
-				"setups", strconv.FormatInt(stats.setups.Load(), 10),
+				"giveups", strconv.FormatInt(stats.Giveups.Load(), 10),
+				"setups", strconv.FormatInt(stats.Setups.Load(), 10),
 				"viol", strconv.Itoa(len(stt.Violations)),
 			)
 		},
@@ -340,12 +292,12 @@ func childMain(o *options) {
 			rep := shardReport{
 				Shard:     o.shard,
 				Boxes:     boxes,
-				Setups:    stats.setups.Load(),
-				Completed: stats.completed.Load(),
-				Giveups:   stats.giveups.Load(),
-				Refused:   stats.refused.Load(),
+				Setups:    stats.Setups.Load(),
+				Completed: stats.Completed.Load(),
+				Giveups:   stats.Giveups.Load(),
+				Refused:   stats.Refused.Load(),
 				Clients:   clientCount,
-				Idle:      stats.idle.Load(),
+				Idle:      stats.Idle.Load(),
 				Pathmon:   tk.FinalReport(),
 
 				CDRIssued:  binder.Issued(),
@@ -383,125 +335,8 @@ func childMain(o *options) {
 	mux.Close()
 	ctl.Close()
 	st.Close()
-	logf("clean exit: %d completed, %d CDRs durable", stats.completed.Load(), st.DurableCDRs())
+	logf("clean exit: %d completed, %d CDRs durable", stats.Completed.Load(), st.DurableCDRs())
 	os.Exit(0)
-}
-
-// cyclesPerChannel matches the chaos storm: several goal cycles per
-// dialed channel keep path identities stable for the tracker, periodic
-// redials keep the dial path hot.
-const cyclesPerChannel = 8
-
-// clientProgram is one path's lifecycle (see chaosstorm): dial, cycle
-// open/hold/close goals, redial every few cycles, park on stop. Every
-// transition to flowing observes the time since the open goal was set
-// into hist — the cross-shard variant of that histogram is the number
-// the capstone gates against the bound.
-func clientProgram(stats *stormStats, addr string, hist *telemetry.Histogram, hold, stagger, giveup time.Duration, seed int64) *box.Program {
-	const ch = "c"
-	s0 := box.TunnelSlot(ch, 0)
-	rng := rand.New(rand.NewSource(seed))
-	jitter := func() time.Duration {
-		return hold/2 + time.Duration(rng.Int63n(int64(hold)))
-	}
-	delay := time.Duration(rng.Int63n(int64(stagger) + 1))
-	cycles := 0
-	var openedAt time.Time
-	closed := func(ctx *box.Ctx) bool {
-		s := ctx.Box().Slot(s0)
-		return s == nil || s.State() == slot.Closed
-	}
-	lost := func(ctx *box.Ctx) bool {
-		return ctx.OnMeta(ch, sig.MetaUnavailable) || !ctx.Box().HasChannel(ch)
-	}
-	states := []*box.State{
-		{
-			Name:    "stagger",
-			OnEnter: func(ctx *box.Ctx) { ctx.SetTimer("start", delay) },
-			Trans: []box.Trans{
-				{When: func(ctx *box.Ctx) bool { return ctx.OnTimer("start") }, To: "dial"},
-			},
-		},
-		{
-			Name:    "dial",
-			OnEnter: func(ctx *box.Ctx) { cycles = 0; ctx.Dial(ch, addr) },
-			Trans: []box.Trans{
-				{When: func(ctx *box.Ctx) bool { return ctx.OnMeta(ch, sig.MetaUnavailable) }, To: "backoff",
-					Do: func(ctx *box.Ctx) { stats.refused.Add(1) }},
-				{When: func(ctx *box.Ctx) bool { return ctx.Box().HasChannel(ch) }, To: "open"},
-			},
-		},
-		{
-			Name: "backoff",
-			OnEnter: func(ctx *box.Ctx) {
-				ctx.Teardown(ch)
-				ctx.SetTimer("retry", 50*time.Millisecond+time.Duration(rng.Int63n(int64(100*time.Millisecond))))
-			},
-			Trans: []box.Trans{
-				{When: func(ctx *box.Ctx) bool { return ctx.OnTimer("retry") && stats.stop.Load() }, To: "idle",
-					Do: func(*box.Ctx) { stats.idle.Add(1) }},
-				{When: func(ctx *box.Ctx) bool { return ctx.OnTimer("retry") }, To: "dial"},
-			},
-		},
-		{
-			Name:   "open",
-			Annots: []box.Annot{box.OpenSlotAnn(s0, sig.Audio)},
-			OnEnter: func(ctx *box.Ctx) {
-				openedAt = time.Now()
-				ctx.SetTimer("giveup", giveup)
-			},
-			Trans: []box.Trans{
-				{When: func(ctx *box.Ctx) bool { return ctx.IsFlowing(s0) }, To: "hold",
-					Do: func(ctx *box.Ctx) {
-						ctx.CancelTimer("giveup")
-						hist.Observe(time.Since(openedAt))
-						stats.setups.Add(1)
-					}},
-				{When: lost, To: "backoff",
-					Do: func(ctx *box.Ctx) { ctx.CancelTimer("giveup") }},
-				{When: func(ctx *box.Ctx) bool { return ctx.OnTimer("giveup") }, To: "redial",
-					Do: func(ctx *box.Ctx) { stats.giveups.Add(1) }},
-			},
-		},
-		{
-			Name:    "hold",
-			Annots:  []box.Annot{box.OpenSlotAnn(s0, sig.Audio)},
-			OnEnter: func(ctx *box.Ctx) { ctx.SetTimer("hold", jitter()) },
-			Trans: []box.Trans{
-				{When: lost, To: "backoff"},
-				{When: func(ctx *box.Ctx) bool { return ctx.OnTimer("hold") }, To: "close",
-					Do: func(ctx *box.Ctx) { stats.completed.Add(1) }},
-			},
-		},
-		{
-			Name:    "close",
-			Annots:  []box.Annot{box.CloseSlotAnn(s0)},
-			OnEnter: func(ctx *box.Ctx) { cycles++; ctx.SetTimer("giveup", giveup) },
-			Trans: []box.Trans{
-				{When: func(ctx *box.Ctx) bool { return closed(ctx) && stats.stop.Load() }, To: "redial",
-					Do: func(ctx *box.Ctx) { ctx.CancelTimer("giveup") }},
-				{When: func(ctx *box.Ctx) bool { return closed(ctx) && cycles >= cyclesPerChannel }, To: "redial",
-					Do: func(ctx *box.Ctx) { ctx.CancelTimer("giveup") }},
-				{When: closed, To: "open",
-					Do: func(ctx *box.Ctx) { ctx.CancelTimer("giveup") }},
-				{When: lost, To: "backoff",
-					Do: func(ctx *box.Ctx) { ctx.CancelTimer("giveup") }},
-				{When: func(ctx *box.Ctx) bool { return ctx.OnTimer("giveup") }, To: "redial",
-					Do: func(ctx *box.Ctx) { stats.giveups.Add(1) }},
-			},
-		},
-		{
-			Name:    "redial",
-			OnEnter: func(ctx *box.Ctx) { ctx.Teardown(ch) },
-			Trans: []box.Trans{
-				{When: func(*box.Ctx) bool { return stats.stop.Load() }, To: "idle",
-					Do: func(*box.Ctx) { stats.idle.Add(1) }},
-				{When: func(*box.Ctx) bool { return true }, To: "dial"},
-			},
-		},
-		{Name: "idle"},
-	}
-	return &box.Program{Initial: "stagger", States: states}
 }
 
 // ---------------------------------------------------------------------
@@ -534,7 +369,6 @@ type result struct {
 	Drained         int64   `json:"clients_drained"`
 	Clients         int64   `json:"clients"`
 	CallsPerSec     float64 `json:"calls_per_sec"`
-	BaselineCPS     float64 `json:"baseline_calls_per_sec"`
 
 	LocalSetups     uint64  `json:"local_setups"`
 	LocalSetupP95MS float64 `json:"local_setup_p95_ms"`
@@ -764,7 +598,6 @@ func parentMain(o *options) {
 		res.GiveupRate = float64(res.CallGiveups) / float64(attempts)
 	}
 	res.CallsPerSec = float64(res.Completed) / o.duration.Seconds()
-	res.BaselineCPS = baselineCPS("BENCH_runtime.json")
 	res.LTLPolls = fleetPM.Polls
 	res.LTLViolations = fleetPM.Violations
 	res.Wedged = fleetPM.Wedged
@@ -775,33 +608,16 @@ func parentMain(o *options) {
 		res.HeartbeatMisses += int64(snap.Counters[box.MetricHeartbeatMiss+".s"+strconv.Itoa(i)])
 	}
 
-	var finalG int
-	res.Leaked = true
-	for end := time.Now().Add(3 * time.Second); time.Now().Before(end); {
-		finalG = runtime.NumGoroutine()
-		if finalG <= baselineG+2 {
-			res.Leaked = false
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	res.GoroutinesFinal = finalG
+	res.GoroutinesFinal, res.Leaked = storm.SettledGoroutines(baselineG)
 
-	blob, _ := json.MarshalIndent(res, "", "  ")
-	fmt.Println(string(blob))
-	if o.out != "" {
-		if err := os.WriteFile(o.out, append(blob, '\n'), 0o644); err != nil {
-			fatal("%v", err)
-		}
+	if _, err := storm.WriteReport(res, o.out); err != nil {
+		fatal("%v", err)
 	}
 
 	if !o.check {
 		return
 	}
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "clusterstorm: GATE FAILED: "+format+"\n", args...)
-		os.Exit(1)
-	}
+	fail := func(format string, args ...any) { storm.FailGate("clusterstorm", format, args...) }
 	for i, err := range repErrs {
 		if err != nil {
 			fail("shard %d report: %v", i, err)
@@ -853,7 +669,7 @@ func parentMain(o *options) {
 		fail("child process leak: a shard survived Stop")
 	}
 	if res.Leaked {
-		fail("goroutines leaked in parent: baseline %d, final %d", baselineG, finalG)
+		fail("goroutines leaked in parent: baseline %d, final %d", baselineG, res.GoroutinesFinal)
 	}
 	fmt.Fprintf(os.Stderr, "clusterstorm: all gates passed: %d lifecycles across %d processes (%.1f calls/s), %d restart(s), recovery %.0f ms, %d CDRs reconciled, 0 violations\n",
 		res.Completed, o.shards, res.CallsPerSec, restarts, recoverMS, recon.TotalCDRs)
@@ -878,28 +694,4 @@ func pickVictim(o *options) int {
 func vital(v map[string]string, key string) uint64 {
 	n, _ := strconv.ParseUint(v[key], 10, 64)
 	return n
-}
-
-// baselineCPS pulls the single-process GOMAXPROCS=1 calls/s out of
-// BENCH_runtime.json for side-by-side comparison (0 if absent).
-func baselineCPS(path string) float64 {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return 0
-	}
-	var doc struct {
-		Curve []struct {
-			Procs int     `json:"gomaxprocs"`
-			CPS   float64 `json:"calls_per_sec"`
-		} `json:"gomaxprocs_curve"`
-	}
-	if err := json.Unmarshal(blob, &doc); err != nil {
-		return 0
-	}
-	for _, leg := range doc.Curve {
-		if leg.Procs == 1 {
-			return leg.CPS
-		}
-	}
-	return 0
 }

@@ -5,11 +5,9 @@
 // allocation cost, clipping, and delivery jitter, optionally as a JSON
 // artifact (BENCH_media.json via make bench-media).
 //
-// Three carriers are measured so the fast-path speedup stays on
-// record: the in-memory Plane (mem), the seed's dial-per-packet UDP
-// transmit loop (udp_legacy, via UDPPlane.LegacyTick), and the
-// persistent-socket batched pipeline (udp, driven by per-agent
-// pacers). The udp/udp_legacy ratio is the tentpole number.
+// Two carriers are measured: the in-memory Plane (mem) and the
+// persistent-socket batched UDP pipeline (udp, driven by per-agent
+// pacers).
 //
 // The framed legs measure what the MPEG-TS container costs on the
 // same pipeline: udp_ts muxes and demux-validates a 7×188-byte TS
@@ -20,7 +18,7 @@
 //
 // Usage:
 //
-//	mediastorm [-agents N] [-plane all|mem|udp|legacy] [-rate PPS]
+//	mediastorm [-agents N] [-plane all|mem|udp] [-rate PPS]
 //	           [-framing none|ts|opaque] [-duration 3s]
 //	           [-batch auto|on|off] [-out BENCH_media.json]
 //
@@ -29,7 +27,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -40,11 +37,12 @@ import (
 
 	"ipmedia/internal/media"
 	"ipmedia/internal/sig"
+	"ipmedia/internal/storm"
 	"ipmedia/internal/telemetry"
 )
 
 type runResult struct {
-	Plane   string `json:"plane"` // mem | udp_legacy | udp | udp_opaque | udp_ts
+	Plane   string `json:"plane"` // mem | udp | udp_opaque | udp_ts
 	BatchIO bool   `json:"batch_io"`
 	Agents  int    `json:"agents"`  // flowing pairs
 	Framing string `json:"framing"` // none | opaque | ts
@@ -87,8 +85,6 @@ type report struct {
 
 	Runs []runResult `json:"runs"`
 
-	UDPSpeedupVsLegacy float64 `json:"udp_speedup_vs_legacy"`
-	MemSpeedupVsLegacy float64 `json:"mem_speedup_vs_legacy"`
 	// udp_ts pps over udp_opaque pps at the same payload size: the
 	// container's cost. Acceptance is ≥0.85 (≤15% penalty).
 	TSPPSRatioVsOpaque float64 `json:"ts_pps_ratio_vs_opaque,omitempty"`
@@ -96,7 +92,7 @@ type report struct {
 
 func main() {
 	agents := flag.Int("agents", 32, "flowing media paths (transmitter/receiver pairs)")
-	plane := flag.String("plane", "all", "carriers to measure: all, mem, udp, legacy")
+	plane := flag.String("plane", "all", "carriers to measure: all, mem, udp")
 	rate := flag.Int("rate", 0, "per-flow target pps on the paced UDP run (0: saturate)")
 	framing := flag.String("framing", "none", "payload framing for the -plane udp run: none, ts, opaque")
 	duration := flag.Duration("duration", 3*time.Second, "measurement window per carrier")
@@ -121,48 +117,31 @@ func main() {
 	if want("mem") {
 		rep.Runs = append(rep.Runs, runMem(*agents, *duration))
 	}
-	if want("legacy") || (*plane == "all") {
-		rep.Runs = append(rep.Runs, runUDP(*agents, *duration, *rate, *batch, true, "none"))
-	}
 	if want("udp") {
-		rep.Runs = append(rep.Runs, runUDP(*agents, *duration, *rate, *batch, false, *framing))
+		rep.Runs = append(rep.Runs, runUDP(*agents, *duration, *rate, *batch, *framing))
 	}
 	if *plane == "all" {
 		// The framed-vs-opaque pair: equal payload sizes, so the ratio
 		// isolates the container's mux+demux cost.
-		rep.Runs = append(rep.Runs, runUDP(*agents, *duration, *rate, *batch, false, "opaque"))
-		rep.Runs = append(rep.Runs, runUDP(*agents, *duration, *rate, *batch, false, "ts"))
+		rep.Runs = append(rep.Runs, runUDP(*agents, *duration, *rate, *batch, "opaque"))
+		rep.Runs = append(rep.Runs, runUDP(*agents, *duration, *rate, *batch, "ts"))
 	}
 
-	var legacy, udp, mem, udpTS, udpOpaque float64
+	var udpTS, udpOpaque float64
 	for _, r := range rep.Runs {
 		switch r.Plane {
-		case "udp_legacy":
-			legacy = r.PPSOut
-		case "udp":
-			udp = r.PPSOut
-		case "mem":
-			mem = r.PPSOut
 		case "udp_ts":
 			udpTS = r.PPSOut
 		case "udp_opaque":
 			udpOpaque = r.PPSOut
 		}
 	}
-	if legacy > 0 {
-		rep.UDPSpeedupVsLegacy = udp / legacy
-		rep.MemSpeedupVsLegacy = mem / legacy
-	}
 	if udpOpaque > 0 {
 		rep.TSPPSRatioVsOpaque = udpTS / udpOpaque
 	}
 
-	blob, _ := json.MarshalIndent(rep, "", "  ")
-	fmt.Println(string(blob))
-	if *out != "" {
-		if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-			fatalf("%v", err)
-		}
+	if _, err := storm.WriteReport(rep, *out); err != nil {
+		fatalf("%v", err)
 	}
 	for _, r := range rep.Runs {
 		if r.Sent == 0 {
@@ -213,11 +192,10 @@ func runMem(n int, dur time.Duration) runResult {
 	return res
 }
 
-// runUDP streams media through n loopback pairs: the seed
-// dial-per-packet loop when legacy, otherwise per-agent pacers over
+// runUDP streams media through n loopback pairs: per-agent pacers over
 // the persistent-socket batched pipeline. framing selects the payload
-// each packet carries ("none" for the header-only legs).
-func runUDP(n int, dur time.Duration, rate int, batch string, legacy bool, framing string) runResult {
+// each packet carries ("none" for the header-only leg).
+func runUDP(n int, dur time.Duration, rate int, batch string, framing string) runResult {
 	reg := freshTelemetry()
 	p := media.NewUDPPlane()
 	defer p.Close()
@@ -228,9 +206,6 @@ func runUDP(n int, dur time.Duration, rate int, batch string, legacy bool, frami
 		p.SetBatchIO(false)
 	}
 	name := "udp"
-	if legacy {
-		name = "udp_legacy"
-	}
 	factory, _ := media.NewFramingFactory(framing)
 	if factory != nil {
 		name += "_" + framing
@@ -253,36 +228,30 @@ func runUDP(n int, dur time.Duration, rate int, batch string, legacy bool, frami
 	}
 
 	fmt.Fprintf(os.Stderr, "mediastorm: %s: %d pairs, batch_io=%v, %v window...\n",
-		name, n, p.BatchIO() && !legacy, dur)
+		name, n, p.BatchIO(), dur)
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	t0 := time.Now()
-	if legacy {
-		for time.Since(t0) < dur {
-			p.LegacyTick(1)
+	// One pacer per transmitting agent. rate 0 saturates: a short
+	// interval with a full staging batch per tick.
+	interval, perTick := 100*time.Microsecond, 128
+	if rate > 0 {
+		interval = 5 * time.Millisecond
+		perTick = rate / 200 // packets per 5ms tick
+		if perTick < 1 {
+			perTick = 1
+			interval = time.Second / time.Duration(rate)
 		}
-	} else {
-		// One pacer per transmitting agent. rate 0 saturates: a short
-		// interval with a full staging batch per tick.
-		interval, perTick := 100*time.Microsecond, 128
-		if rate > 0 {
-			interval = 5 * time.Millisecond
-			perTick = rate / 200 // packets per 5ms tick
-			if perTick < 1 {
-				perTick = 1
-				interval = time.Second / time.Duration(rate)
-			}
-		}
-		for _, tx := range txs {
-			p.StartPacer(tx, interval, perTick)
-		}
-		time.Sleep(dur)
 	}
+	for _, tx := range txs {
+		p.StartPacer(tx, interval, perTick)
+	}
+	time.Sleep(dur)
 	elapsed := time.Since(t0)
 	runtime.ReadMemStats(&ms1)
 	// Let in-flight datagrams drain before the final receive counts.
 	time.Sleep(200 * time.Millisecond)
-	res := collect(name, p.BatchIO() && !legacy, n, elapsed, txs, rxs, reg)
+	res := collect(name, p.BatchIO(), n, elapsed, txs, rxs, reg)
 	res.Framing = framing
 	if factory != nil {
 		res.Payload = factory().PayloadSize()

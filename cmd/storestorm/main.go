@@ -23,7 +23,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -33,6 +32,7 @@ import (
 	"time"
 
 	"ipmedia/internal/store"
+	"ipmedia/internal/storm"
 	"ipmedia/internal/telemetry"
 )
 
@@ -92,10 +92,7 @@ func main() {
 		defer os.RemoveAll(root)
 	}
 
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "storestorm: GATE FAILED: "+format+"\n", args...)
-		os.Exit(1)
-	}
+	fail := func(format string, args ...any) { storm.FailGate("storestorm", format, args...) }
 
 	res := result{
 		Date:    time.Now().Format("2006-01-02"),
@@ -228,12 +225,8 @@ func main() {
 		res.Backends = append(res.Backends, br)
 	}
 
-	blob, _ := json.MarshalIndent(res, "", "  ")
-	fmt.Println(string(blob))
-	if *out != "" {
-		if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "storestorm:", err)
-			os.Exit(1)
-		}
+	if _, err := storm.WriteReport(res, *out); err != nil {
+		fmt.Fprintln(os.Stderr, "storestorm:", err)
+		os.Exit(1)
 	}
 }

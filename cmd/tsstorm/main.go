@@ -13,7 +13,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -23,6 +22,7 @@ import (
 
 	"ipmedia/internal/media"
 	"ipmedia/internal/sig"
+	"ipmedia/internal/storm"
 	"ipmedia/internal/telemetry"
 )
 
@@ -119,12 +119,8 @@ func main() {
 		res.AllocsPerPacket = float64(ms1.Mallocs-ms0.Mallocs) / float64(res.Sent)
 	}
 
-	blob, _ := json.MarshalIndent(res, "", "  ")
-	fmt.Println(string(blob))
-	if *out != "" {
-		if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-			fatalf("%v", err)
-		}
+	if _, err := storm.WriteReport(res, *out); err != nil {
+		fatalf("%v", err)
 	}
 
 	if res.Sent == 0 || res.Accepted == 0 {

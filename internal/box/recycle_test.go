@@ -411,10 +411,19 @@ func TestGoalActionsSurviveReentry(t *testing.T) {
 // feeds its receive side by hand and ends it when it chooses.
 type lingerPort struct{ recv chan sig.Envelope }
 
-func (p *lingerPort) Send(sig.Envelope) error   { return nil }
-func (p *lingerPort) Recv() <-chan sig.Envelope { return p.recv }
-func (p *lingerPort) Close() error              { return nil }
-func (p *lingerPort) Peer() string              { return "linger" }
+func (p *lingerPort) Send(sig.Envelope) error { return nil }
+func (p *lingerPort) Close() error            { return nil }
+func (p *lingerPort) Peer() string            { return "linger" }
+
+// RecvBatch implements transport.BatchPort, one envelope at a time.
+func (p *lingerPort) RecvBatch(buf []sig.Envelope) (int, bool) {
+	e, ok := <-p.recv
+	if !ok {
+		return 0, false
+	}
+	buf[0] = e
+	return 1, true
+}
 
 // TestPumpStragglersMissTheNextChannel: a pump's envelopes are
 // dispatched only while its port is the channel name's registered one.

@@ -20,6 +20,27 @@ func nameOnShard(want, n int) string {
 	}
 }
 
+// recvWithin returns the next envelope from a batch port; ok is false
+// once it is closed and drained. Neither happening within d fails the
+// test. (transport's tests have the same helper for both port kinds;
+// in-package tests cannot share one across packages.)
+func recvWithin(t *testing.T, p transport.Port, d time.Duration) (sig.Envelope, bool) {
+	t.Helper()
+	var buf [1]sig.Envelope
+	got := make(chan bool, 1)
+	go func() {
+		n, _ := p.(transport.BatchPort).RecvBatch(buf[:])
+		got <- n == 1
+	}()
+	select {
+	case ok := <-got:
+		return buf[0], ok
+	case <-time.After(d):
+		t.Fatalf("nothing received from %s within %v", p.Peer(), d)
+		return sig.Envelope{}, false
+	}
+}
+
 // twoRouters builds a two-shard fleet in one process: each shard has
 // its own local network and mux, carriers ride a shared mem network.
 func twoRouters(t *testing.T) (*Router, *Router) {
@@ -68,7 +89,7 @@ func TestRouterPlacementRouting(t *testing.T) {
 	if err := p.Send(sig.Envelope{Tunnel: 1, Sig: sig.Close()}); err != nil {
 		t.Fatalf("local send: %v", err)
 	}
-	if e := <-acc.Recv(); e.Tunnel != 1 {
+	if e, _ := recvWithin(t, acc, 5*time.Second); e.Tunnel != 1 {
 		t.Fatalf("local delivery: %v", e)
 	}
 
@@ -84,7 +105,7 @@ func TestRouterPlacementRouting(t *testing.T) {
 	if err := p2.Send(sig.Envelope{Tunnel: 2, Sig: sig.Close()}); err != nil {
 		t.Fatalf("cross send: %v", err)
 	}
-	if e := <-acc2.Recv(); e.Tunnel != 2 {
+	if e, _ := recvWithin(t, acc2, 5*time.Second); e.Tunnel != 2 {
 		t.Fatalf("cross delivery: %v", e)
 	}
 	// And the reverse direction reaches shard 0's listener remotely.
@@ -99,7 +120,7 @@ func TestRouterPlacementRouting(t *testing.T) {
 	if err := p3.Send(sig.Envelope{Tunnel: 3, Sig: sig.Close()}); err != nil {
 		t.Fatalf("reverse send: %v", err)
 	}
-	if e := <-acc3.Recv(); e.Tunnel != 3 {
+	if e, _ := recvWithin(t, acc3, 5*time.Second); e.Tunnel != 3 {
 		t.Fatalf("reverse delivery: %v", e)
 	}
 }

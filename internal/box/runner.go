@@ -92,7 +92,7 @@ type inboxItem struct {
 	ev      Event              // itemEvent payload; ev.Channel also labels itemBatch/itemRing/itemPortLost
 	batch   []sig.Envelope     // itemBatch payload, owned by the pump
 	ack     chan<- struct{}    // itemBatch: signaled when the batch is processed
-	port    transport.Port     // itemAccept, itemPortLost: the port concerned; pumped itemEvent, itemBatch: the source
+	port    transport.Port     // itemAccept, itemPortLost: the port concerned; itemBatch: the source
 	nameFor func(n int) string // itemAccept: names the n-th accepted channel (nil: in<k>, reused)
 	done    chan struct{}      // itemEvent: signaled after dispatch (Do)
 }
@@ -350,11 +350,7 @@ func (r *Runner) execute(it *inboxItem) int {
 	switch it.kind {
 	case itemEvent:
 		n = 1
-		if it.port == nil || r.port(it.ev.Channel) == it.port {
-			r.handle(it.ev)
-		} else {
-			it.ev.Env.Release() // a pump's straggler: see pump
-		}
+		r.handle(it.ev)
 		if it.done != nil {
 			it.done <- struct{}{}
 		}
@@ -655,6 +651,9 @@ func (r *Runner) process(outs []Output) {
 			}
 		case OutDial:
 			p, err := r.net.Dial(o.Addr)
+			if err == nil {
+				err = r.receivable(p)
+			}
 			if err != nil {
 				// The intended far endpoint is unreachable: synthesize
 				// the unavailable meta-signal for the program. Through the
@@ -702,63 +701,70 @@ func (r *Runner) process(outs []Output) {
 	}
 }
 
-// addPort registers a connected port. Inline (SPSC ring) ports are
-// drained by the shard loop on readiness notifications — no goroutine;
-// everything else gets a pump. Loop goroutine only.
-func (r *Runner) addPort(ci *chanInfo, p transport.Port) {
-	ci.port = p
-	if ip, ok := p.(transport.InlinePort); ok {
-		ip.SetReady(r.readyFnFor(ci))
-		return
+// receivable refuses a port the runtime cannot receive from — one that
+// is neither an InlinePort nor a BatchPort: the port is closed and the
+// error recorded with the box's.
+func (r *Runner) receivable(p transport.Port) error {
+	switch p.(type) {
+	case transport.InlinePort, transport.BatchPort:
+		return nil
 	}
-	r.wg.Add(1)
-	go r.pump(ci.name, p)
+	p.Close()
+	err := fmt.Errorf("box %s: port %T to %s is neither an InlinePort nor a BatchPort", r.box.Name(), p, p.Peer())
+	r.fail(err)
+	return err
 }
 
-// pump moves envelopes from a port into the inbox until the transport
-// goes away, then posts the port-loss cleanup. Batch-capable ports
-// deliver bursts as single inbox items from ping-ponged buffers; the
-// loop acks each batch so a buffer is refilled only after its
-// envelopes were dispatched. Every item carries the port as well as the
-// channel name: the loop dispatches a pump's envelopes only while its
-// port is the name's registered one, so what a pump still carries after
-// its channel was torn down locally cannot land in the channel that
-// dialed or accepted the name next.
-func (r *Runner) pump(channel string, p transport.Port) {
+// addPort registers a connected port that passed receivable. Inline
+// (SPSC ring) ports are drained by the shard loop on readiness
+// notifications — no goroutine; batch ports get a pump. Loop goroutine
+// only.
+func (r *Runner) addPort(ci *chanInfo, p transport.Port) {
+	ci.port = p
+	switch rp := p.(type) {
+	case transport.InlinePort:
+		rp.SetReady(r.readyFnFor(ci))
+	case transport.BatchPort:
+		r.wg.Add(1)
+		go r.pump(ci.name, p, rp)
+	}
+}
+
+// pump moves envelopes from a batch port into the inbox until the
+// transport goes away, then posts the port-loss cleanup. Bursts cross
+// as single inbox items from ping-ponged buffers; the loop acks each
+// batch so a buffer is refilled only after its envelopes were
+// dispatched. Every item carries the port as well as the channel name:
+// the loop dispatches a pump's envelopes only while its port is the
+// name's registered one, so what a pump still carries after its channel
+// was torn down locally cannot land in the channel that dialed or
+// accepted the name next.
+func (r *Runner) pump(channel string, p transport.Port, bp transport.BatchPort) {
 	defer r.wg.Done()
-	if bp, ok := p.(transport.BatchPort); ok {
-		var bufs [2][]sig.Envelope
-		ack := make(chan struct{}, 2)
-		outstanding, cur, want := 0, 0, pumpBatchMin
-		for {
-			if outstanding == 2 {
-				<-ack
-				outstanding--
-			}
-			if len(bufs[cur]) < want {
-				bufs[cur] = make([]sig.Envelope, want)
-			}
-			n, ok := bp.RecvBatch(bufs[cur])
-			if !ok {
-				break
-			}
-			if n == len(bufs[cur]) && want < pumpBatchMax {
-				want *= 2 // saturated drain: the port is bursty, scale up
-			}
-			if !r.sh.inbox.push(inboxItem{kind: itemBatch, r: r, port: p,
-				ev: Event{Kind: EvEnvelope, Channel: channel}, batch: bufs[cur][:n], ack: ack}) {
-				return
-			}
-			outstanding++
-			cur ^= 1
+	var bufs [2][]sig.Envelope
+	ack := make(chan struct{}, 2)
+	outstanding, cur, want := 0, 0, pumpBatchMin
+	for {
+		if outstanding == 2 {
+			<-ack
+			outstanding--
 		}
-	} else {
-		for e := range p.Recv() {
-			if !r.sh.inbox.push(inboxItem{kind: itemEvent, r: r, port: p,
-				ev: Event{Kind: EvEnvelope, Channel: channel, Env: e}}) {
-				return
-			}
+		if len(bufs[cur]) < want {
+			bufs[cur] = make([]sig.Envelope, want)
 		}
+		n, ok := bp.RecvBatch(bufs[cur])
+		if !ok {
+			break
+		}
+		if n == len(bufs[cur]) && want < pumpBatchMax {
+			want *= 2 // saturated drain: the port is bursty, scale up
+		}
+		if !r.sh.inbox.push(inboxItem{kind: itemBatch, r: r, port: p,
+			ev: Event{Kind: EvEnvelope, Channel: channel}, batch: bufs[cur][:n], ack: ack}) {
+			return
+		}
+		outstanding++
+		cur ^= 1
 	}
 	// Transport gone without a teardown: synthesize one so the box
 	// cleans up. The item executes outside the box core because
@@ -835,6 +841,9 @@ func (r *Runner) Listen(addr string, nameFor func(n int) string) error {
 // name, or by default under a parked in<k> if the box has one and a
 // newly minted one otherwise. Loop goroutine only.
 func (r *Runner) accept(p transport.Port, nameFor func(n int) string) {
+	if r.receivable(p) != nil {
+		return
+	}
 	var ci *chanInfo
 	if nameFor == nil {
 		ci = r.box.reopenMinted()
@@ -965,6 +974,9 @@ func (r *Runner) Connect(channel, addr string) error {
 		}
 		var p transport.Port
 		p, err = r.net.Dial(addr)
+		if err == nil {
+			err = r.receivable(p)
+		}
 		if err != nil {
 			return
 		}

@@ -305,20 +305,20 @@ func (s *Supervisor) acceptLoop() {
 // the shard, then heartbeats and report replies stream in until the
 // channel dies with the shard.
 func (s *Supervisor) serveCtl(p transport.Port) {
+	in, err := ctlReader(p)
+	if err != nil {
+		s.cfg.Log("sup: %v", err)
+		return
+	}
 	var sh *supShard
-	for e := range p.Recv() {
-		m := e.Meta
-		if m == nil || m.Kind != sig.MetaApp {
-			e.Release()
-			continue
-		}
+	eachCtl(in, func(e sig.Envelope, m *sig.Meta) bool {
 		switch m.App {
 		case CtlReadyApp:
 			idx, err := strconv.Atoi(m.Get("s"))
 			if err != nil || idx < 0 || idx >= len(s.shards) {
 				e.Release()
 				p.Close()
-				return
+				return false
 			}
 			sh = s.shards[idx]
 			sh.mu.Lock()
@@ -357,6 +357,39 @@ func (s *Supervisor) serveCtl(p transport.Port) {
 			e.Release()
 		default:
 			e.Release()
+		}
+		return true
+	})
+}
+
+// ctlReader returns the receive side of a control port. Each end reads
+// its control channel on a goroutine of its own, so the port must be a
+// BatchPort; any other is closed and refused.
+func ctlReader(p transport.Port) (transport.BatchPort, error) {
+	in, ok := p.(transport.BatchPort)
+	if !ok {
+		p.Close()
+		return nil, fmt.Errorf("box: control port %T is not a BatchPort", p)
+	}
+	return in, nil
+}
+
+// eachCtl feeds fn every control envelope (an app meta-signal) arriving
+// on in, releasing anything else, until the port closes or fn returns
+// false.
+func eachCtl(in transport.BatchPort, fn func(e sig.Envelope, m *sig.Meta) bool) {
+	var buf [8]sig.Envelope
+	for {
+		n, ok := in.RecvBatch(buf[:])
+		if !ok {
+			return
+		}
+		for _, e := range buf[:n] {
+			if m := e.Meta; m == nil || m.Kind != sig.MetaApp {
+				e.Release()
+			} else if !fn(e, m) {
+				return
+			}
 		}
 	}
 }
@@ -647,6 +680,10 @@ func RunControl(net transport.Network, ctlAddr string, shard int, carrierAddr, h
 	if err != nil {
 		return nil, err
 	}
+	in, err := ctlReader(p)
+	if err != nil {
+		return nil, err
+	}
 	err = p.Send(sig.Envelope{Meta: &sig.Meta{
 		Kind: sig.MetaApp,
 		App:  CtlReadyApp,
@@ -662,17 +699,12 @@ func RunControl(net transport.Network, ctlAddr string, shard int, carrierAddr, h
 	}
 	c := &ControlClient{port: p}
 	c.hb = transport.StartHeartbeat(p, every, hooks.Vitals)
-	go c.serve(hooks)
+	go c.serve(in, hooks)
 	return c, nil
 }
 
-func (c *ControlClient) serve(hooks ControlHooks) {
-	for e := range c.port.Recv() {
-		m := e.Meta
-		if m == nil || m.Kind != sig.MetaApp {
-			e.Release()
-			continue
-		}
+func (c *ControlClient) serve(in transport.BatchPort, hooks ControlHooks) {
+	eachCtl(in, func(e sig.Envelope, m *sig.Meta) bool {
 		switch m.App {
 		case CtlAddrApp:
 			table := make(map[int]string, len(m.Attrs))
@@ -705,7 +737,8 @@ func (c *ControlClient) serve(hooks ControlHooks) {
 		default:
 			e.Release()
 		}
-	}
+		return true
+	})
 	// The control channel is gone: the supervisor died or disowned us.
 	// An unsupervised shard must not linger — treat it as a stop.
 	// OnStop implementations must be idempotent.

@@ -381,38 +381,11 @@ func (pc *Pacer) Stop() {
 
 // Tick is a compatibility shim over the persistent-socket pipeline:
 // every transmitting agent sends n packets, batched through its
-// persistent connected socket (the seed implementation dialed and
-// closed a fresh socket per packet; see LegacyTick). Delivery is
-// asynchronous; use AwaitStats-style polling in tests.
+// persistent connected socket. Delivery is asynchronous; use
+// AwaitStats-style polling in tests.
 func (p *UDPPlane) Tick(n int) {
 	for _, a := range p.sortedAgents() {
 		p.senderFor(a).send(n)
-	}
-}
-
-// LegacyTick transmits exactly as the seed dial-per-packet plane did —
-// a fresh socket dialed and closed around every single datagram. It
-// exists as the mediastorm baseline that BENCH_media.json's speedup
-// ratios are measured against; production paths use Tick or a Pacer.
-func (p *UDPPlane) LegacyTick(n int) {
-	agents := p.sortedAgents()
-	for i := 0; i < n; i++ {
-		for _, a := range agents {
-			pkt, ok := a.emit()
-			if !ok {
-				continue
-			}
-			dst := &net.UDPAddr{IP: net.ParseIP(pkt.To.Addr), Port: pkt.To.Port}
-			conn, err := net.DialUDP("udp", nil, dst)
-			if err != nil {
-				p.fail(err)
-				continue
-			}
-			if _, err := conn.Write(marshalPacket(pkt)); err != nil {
-				p.fail(err)
-			}
-			conn.Close()
-		}
 	}
 }
 

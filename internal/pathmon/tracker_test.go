@@ -1,6 +1,7 @@
 package pathmon
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -12,12 +13,65 @@ import (
 	"ipmedia/internal/transport"
 )
 
-// threeBoxPath builds the L -- M -- R topology of the monitor tests:
-// a flowlink at M joining one tunnel to each device, and a monitor
-// wired with both tunnels. lCodecs/rCodecs control media agreement.
-func threeBoxPath(t *testing.T, lCodecs, rCodecs []sig.Codec) (*Monitor, *box.Runner) {
+// holdNet is a mem network whose dialed ports can be told to hold what
+// is sent on them: envelopes queue up, and go out in order on release.
+// In threeBoxPath M dials both devices, so holding stalls every signal
+// M originates or forwards, in both directions.
+type holdNet struct {
+	transport.Network
+	mu      sync.Mutex
+	holding bool
+	held    []func()
+}
+
+func newHoldNet() *holdNet { return &holdNet{Network: transport.NewMemNetwork()} }
+
+func (n *holdNet) Dial(addr string) (transport.Port, error) {
+	p, err := n.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &holdPort{Port: p, BatchPort: p.(transport.BatchPort), net: n}, nil
+}
+
+func (n *holdNet) hold() {
+	n.mu.Lock()
+	n.holding = true
+	n.mu.Unlock()
+}
+
+func (n *holdNet) release() {
+	n.mu.Lock()
+	for _, send := range n.held {
+		send()
+	}
+	n.held, n.holding = nil, false
+	n.mu.Unlock()
+}
+
+type holdPort struct {
+	transport.Port
+	transport.BatchPort
+	net *holdNet
+}
+
+func (p *holdPort) Send(e sig.Envelope) error {
+	n := p.net
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.holding {
+		n.held = append(n.held, func() { p.Port.Send(e) })
+		return nil
+	}
+	return p.Port.Send(e)
+}
+
+// threeBoxPath builds the L -- M -- R topology of the monitor tests
+// over net: a flowlink at M joining one tunnel to each device, and a
+// monitor wired with both tunnels. lCodecs/rCodecs control media
+// agreement.
+func threeBoxPath(t *testing.T, net transport.Network, lCodecs, rCodecs []sig.Codec) (*Monitor, *box.Runner) {
 	t.Helper()
-	net := transport.NewMemNetwork()
 	l := box.NewRunner(box.New("L", core.NewEndpointProfile("L", "hL", 1, lCodecs, lCodecs)), net)
 	r := box.NewRunner(box.New("R", core.NewEndpointProfile("R", "hR", 2, rCodecs, rCodecs)), net)
 	mid := box.NewRunner(box.New("M", core.ServerProfile{Name: "M"}), net)
@@ -57,7 +111,8 @@ func TestTrackerRecoveryAndQuiescence(t *testing.T) {
 	telemetry.SetDefault(reg)
 	defer telemetry.SetDefault(nil)
 	g711 := []sig.Codec{sig.G711}
-	m, l := threeBoxPath(t, g711, g711)
+	net := newHoldNet()
+	m, l := threeBoxPath(t, net, g711, g711)
 	tk := NewTracker(m, 5*time.Second)
 
 	open := func() {
@@ -85,12 +140,25 @@ func TestTrackerRecoveryAndQuiescence(t *testing.T) {
 		return ok && rep.Obs.BothFlowing
 	}
 
+	closed := func(reports []PathReport) bool {
+		rep, ok := Find(reports, "L", "R")
+		return ok && rep.Obs.BothClosed
+	}
+
 	open()
 	pollUntil("path flowing", flowing)
-	// Perturb and repair: close, watch it go down, reopen.
+	// Perturb and repair: close, then reopen over a wire that holds the
+	// open back until a poll has seen the path down under its recurrence
+	// formula — an outage no poll observes is no outage to the tracker.
 	closeGoal()
-	pollUntil("path down", func(r []PathReport) bool { return !flowing(r) })
+	pollUntil("path closed", closed)
+	net.hold()
 	open()
+	pollUntil("the outage, held to the recurrence formula", func(reports []PathReport) bool {
+		rep, ok := Find(reports, "L", "R")
+		return ok && rep.Spec == ltl.RecFlowing && !rep.Obs.BothFlowing
+	})
+	net.release()
 	pollUntil("path flowing again", flowing)
 
 	st := tk.Stats()
@@ -106,10 +174,7 @@ func TestTrackerRecoveryAndQuiescence(t *testing.T) {
 
 	// Quiesce and drain: nothing may be wedged.
 	closeGoal()
-	pollUntil("path closed", func(reports []PathReport) bool {
-		rep, ok := Find(reports, "L", "R")
-		return ok && rep.Obs.BothClosed
-	})
+	pollUntil("path closed", closed)
 	wedged, err := tk.Drain()
 	if err != nil {
 		t.Fatal(err)

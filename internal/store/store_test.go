@@ -149,6 +149,28 @@ func TestStoreDebitIdempotence(t *testing.T) {
 	}
 }
 
+// TestSyncSeesDurableCount: once Sync returns, DurableCDRs counts every
+// CDR appended before it — the per-record durability callbacks have
+// run by the time the watermark that releases Sync moves.
+func TestSyncSeesDurableCount(t *testing.T) {
+	st := openTest(t, t.TempDir(), Options{FsyncInterval: 50 * time.Microsecond})
+	defer st.Close()
+	const perRound = 25
+	for round := 1; round <= 200; round++ {
+		for i := 0; i < perRound; i++ {
+			if _, ok := st.AppendCDR(CDR{Local: "a", Peer: "b", Channel: "c"}); !ok {
+				t.Fatalf("round %d: AppendCDR %d failed", round, i)
+			}
+		}
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := st.DurableCDRs(), uint64(round*perRound); got != want {
+			t.Fatalf("round %d: Sync returned with %d of %d CDRs counted durable", round, got, want)
+		}
+	}
+}
+
 func TestStoreCDRAcknowledgedSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
 	st := openTest(t, dir, Options{})

@@ -54,7 +54,7 @@ func (b *walBatch) reset() {
 type wal struct {
 	f         *os.File
 	interval  time.Duration
-	onDurable func(typ byte) // called per record, in order, after its batch fsyncs
+	onDurable func(typ byte) // called per record, in order, after its batch fsyncs and before sync sees it
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -169,6 +169,14 @@ func (w *wal) flusher() {
 			err = w.f.Sync()
 		}
 
+		if err == nil && w.onDurable != nil {
+			// Before the watermark moves: a sync that returns has seen
+			// every callback of the records it waited for.
+			for _, t := range batch.typs {
+				w.onDurable(t)
+			}
+		}
+
 		w.mu.Lock()
 		if err != nil {
 			w.err = fmt.Errorf("store: wal write: %w", err)
@@ -181,16 +189,7 @@ func (w *wal) flusher() {
 		w.mRecords.Add(uint64(len(batch.typs)))
 		w.mBytes.Add(uint64(len(batch.buf)))
 		w.cond.Broadcast() // wake Sync waiters
-		w.mu.Unlock()
-
-		if w.onDurable != nil {
-			for _, t := range batch.typs {
-				w.onDurable(t)
-			}
-		}
-
 		batch.reset()
-		w.mu.Lock()
 		w.spare = batch
 		w.mu.Unlock()
 	}

@@ -125,20 +125,25 @@ func (n *FaultNetwork) Stop() {
 	n.mu.Unlock()
 }
 
-func (n *FaultNetwork) wrap(p Port) Port {
+func (n *FaultNetwork) wrap(p Port) (Port, error) {
+	in, err := batchOf(p, "fault injection")
+	if err != nil {
+		return nil, err
+	}
 	n.mu.Lock()
 	seed := n.prof.Seed + n.nextSeed
 	n.nextSeed++
 	fp := &faultPort{
-		Port:  p,
-		net:   n,
-		rng:   rand.New(rand.NewSource(seed)),
-		prof:  n.prof,
-		wheel: n.wheel,
+		Port:      p,
+		BatchPort: in,
+		net:       n,
+		rng:       rand.New(rand.NewSource(seed)),
+		prof:      n.prof,
+		wheel:     n.wheel,
 	}
 	n.ports[fp] = struct{}{}
 	n.mu.Unlock()
-	return fp
+	return fp, nil
 }
 
 func (n *FaultNetwork) drop(fp *faultPort) {
@@ -160,7 +165,7 @@ func (n *FaultNetwork) Dial(addr string) (Port, error) {
 	if err != nil {
 		return nil, err
 	}
-	return n.wrap(p), nil
+	return n.wrap(p)
 }
 
 // Listen implements Network.
@@ -182,33 +187,21 @@ func (l *faultListener) Accept() (Port, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.net.wrap(p), nil
+	return l.net.wrap(p)
 }
 
-// faultPort injects send-side faults, delegating everything else to
-// the wrapped port.
+// faultPort injects send-side faults, delegating everything else —
+// receiving included — to the wrapped port.
 type faultPort struct {
 	Port
-	net   *FaultNetwork
-	prof  FaultProfile
-	wheel *timerwheel.Wheel
+	BatchPort // the wrapped port's receive side
+	net       *FaultNetwork
+	prof      FaultProfile
+	wheel     *timerwheel.Wheel
 
 	mu   sync.Mutex
 	rng  *rand.Rand
 	held *sig.Envelope // reorder hold: sent after the next envelope
-}
-
-// RecvBatch forwards batch draining when the wrapped port supports it.
-func (p *faultPort) RecvBatch(buf []sig.Envelope) (int, bool) {
-	if bp, ok := p.Port.(BatchPort); ok {
-		return bp.RecvBatch(buf)
-	}
-	e, ok := <-p.Port.Recv()
-	if !ok {
-		return 0, false
-	}
-	buf[0] = e
-	return 1, true
 }
 
 func (p *faultPort) Close() error {

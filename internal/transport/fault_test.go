@@ -8,6 +8,16 @@ import (
 	"ipmedia/internal/telemetry"
 )
 
+// wrapped puts p behind n's fault injection, as Dial and Accept do.
+func wrapped(t *testing.T, n *FaultNetwork, p Port) Port {
+	t.Helper()
+	fp, err := n.wrap(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp
+}
+
 // TestFaultNetworkPassthrough: the zero profile is a transparent
 // wrapper — everything sent arrives, in order.
 func TestFaultNetworkPassthrough(t *testing.T) {
@@ -37,8 +47,7 @@ func TestFaultNetworkPassthrough(t *testing.T) {
 		}
 	}
 	for i := 0; i < 50; i++ {
-		e := <-accepted.Recv()
-		if e.Tunnel != i {
+		if e := recvOne(t, accepted); e.Tunnel != i {
 			t.Fatalf("envelope %d arrived as tunnel %d", i, e.Tunnel)
 		}
 	}
@@ -56,23 +65,12 @@ func TestFaultNetworkDropsDeterministically(t *testing.T) {
 		defer telemetry.SetDefault(nil)
 		n := NewFaultNetwork(NewMemNetwork(), FaultProfile{Seed: 7, DropRate: 0.3})
 		defer n.Stop()
-		l, _ := n.Listen("a")
-		go func() {
-			p, err := l.Accept()
-			if err != nil {
-				return
-			}
-			p.Close()
-		}()
-		dialer, err := n.Dial("a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Talk to ourselves through the wrapper internals: wrap a pipe
-		// directly so the receive side is deterministic too.
-		_ = dialer
+		// Wrap a pipe directly, and nothing else: each wrapped port draws
+		// its PRNG seed from a per-network counter, so this must be the
+		// network's first port on every run, and the receive side is
+		// deterministic too.
 		near, far := Pipe("a", "b")
-		fp := n.wrap(near)
+		fp := wrapped(t, n, near)
 		const total = 200
 		for i := 0; i < total; i++ {
 			fp.Send(sig.Envelope{Tunnel: i, Sig: sig.Close()})
@@ -117,7 +115,7 @@ func TestFaultNetworkDupAndReorder(t *testing.T) {
 	n := NewFaultNetwork(NewMemNetwork(), FaultProfile{Seed: 3, DupRate: 0.2, ReorderRate: 0.2})
 	defer n.Stop()
 	near, far := Pipe("a", "b")
-	fp := n.wrap(near)
+	fp := wrapped(t, n, near)
 	const total = 300
 	for i := 0; i < total; i++ {
 		fp.Send(sig.Envelope{Tunnel: i, Sig: sig.Close()})
@@ -155,18 +153,13 @@ func TestFaultNetworkDelay(t *testing.T) {
 	})
 	defer n.Stop()
 	near, far := Pipe("a", "b")
-	fp := n.wrap(near)
+	fp := wrapped(t, n, near)
 	const total = 20
 	for i := 0; i < total; i++ {
 		fp.Send(sig.Envelope{Tunnel: i, Sig: sig.Close()})
 	}
-	got := 0
-	timeout := time.After(2 * time.Second)
-	for got < total {
-		select {
-		case <-far.Recv():
-			got++
-		case <-timeout:
+	for got := 0; got < total; got++ {
+		if _, ok := recvWithin(t, far, 2*time.Second); !ok {
 			t.Fatalf("only %d of %d delayed envelopes arrived", got, total)
 		}
 	}
@@ -197,13 +190,8 @@ func TestFaultNetworkSeverAndPartition(t *testing.T) {
 	}
 	n.Sever()
 	// The severed port's receive stream must close: the link is dead.
-	select {
-	case _, ok := <-dialer.Recv():
-		if ok {
-			t.Fatal("severed port delivered an envelope")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("severed port still open")
+	if _, ok := recvWithin(t, dialer, time.Second); ok {
+		t.Fatal("severed port delivered an envelope")
 	}
 	if _, err := n.Dial("a"); err == nil {
 		t.Fatal("dial succeeded during partition window")

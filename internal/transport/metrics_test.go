@@ -40,8 +40,8 @@ func TestQueueDepthGauge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// No receiver yet: every envelope is still queued (or parked in the
-	// pump awaiting a receiver), so the gauge holds the full backlog.
+	// No receiver yet: every envelope is still queued, so the gauge holds
+	// the full backlog.
 	if got := depth.Value(); got != n {
 		t.Fatalf("after %d unread sends: depth = %d", n, got)
 	}
@@ -50,7 +50,7 @@ func TestQueueDepthGauge(t *testing.T) {
 	}
 
 	for i := 0; i < n; i++ {
-		<-b.Recv()
+		recvOne(t, b)
 	}
 	awaitGauge(t, depth, 0)
 

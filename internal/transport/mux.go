@@ -107,8 +107,9 @@ func (m *Mux) ListenCarrier(addr string) (string, error) {
 			if err != nil {
 				return
 			}
-			c := newMuxCarrier(m, "", p)
-			go c.serve()
+			if in, err := batchOf(p, "the mux"); err == nil {
+				go newMuxCarrier(m, "", p).serve(in)
+			}
 		}
 	}()
 	return l.Addr(), nil
@@ -181,6 +182,10 @@ func (m *Mux) carrier(addr string) (*muxCarrier, error) {
 	if err != nil {
 		return nil, err
 	}
+	in, err := batchOf(p, "the mux")
+	if err != nil {
+		return nil, err
+	}
 	c := newMuxCarrier(m, addr, p)
 	m.mu.Lock()
 	if m.closed {
@@ -195,7 +200,7 @@ func (m *Mux) carrier(addr string) (*muxCarrier, error) {
 	}
 	m.carriers[addr] = c
 	m.mu.Unlock()
-	go c.serve()
+	go c.serve(in)
 	return c, nil
 }
 
@@ -340,24 +345,18 @@ func (c *muxCarrier) lookup(cid uint64) *muxPort {
 	return c.ports[cid]
 }
 
-// serve drains the carrier, routing control and data to logical
-// channels, until the carrier dies; then every logical channel on it
-// dies too.
-func (c *muxCarrier) serve() {
-	if bp, ok := c.port.(BatchPort); ok {
-		buf := make([]sig.Envelope, 64)
-		for {
-			n, ok := bp.RecvBatch(buf)
-			if !ok {
-				break
-			}
-			for i := 0; i < n; i++ {
-				c.handle(buf[i])
-			}
+// serve drains the carrier (in is its port's receive side), routing
+// control and data to logical channels, until the carrier dies; then
+// every logical channel on it dies too.
+func (c *muxCarrier) serve(in BatchPort) {
+	buf := make([]sig.Envelope, 64)
+	for {
+		n, ok := in.RecvBatch(buf)
+		if !ok {
+			break
 		}
-	} else {
-		for e := range c.port.Recv() {
-			c.handle(e)
+		for i := 0; i < n; i++ {
+			c.handle(buf[i])
 		}
 	}
 	c.close()
@@ -493,8 +492,6 @@ func (p *muxPort) Send(e sig.Envelope) error {
 		),
 	}})
 }
-
-func (p *muxPort) Recv() <-chan sig.Envelope { return p.up.stream() }
 
 // RecvBatch implements BatchPort.
 func (p *muxPort) RecvBatch(buf []sig.Envelope) (int, bool) {

@@ -18,17 +18,6 @@ func muxPair(t *testing.T, under Network) (*Mux, *Mux, string) {
 	return a, b, addr
 }
 
-func muxRecv(t *testing.T, p Port, timeout time.Duration) (sig.Envelope, bool) {
-	t.Helper()
-	select {
-	case e, ok := <-p.Recv():
-		return e, ok
-	case <-time.After(timeout):
-		t.Fatalf("recv timed out")
-		return sig.Envelope{}, false
-	}
-}
-
 func TestMuxRoundTrip(t *testing.T) {
 	a, b, addr := muxPair(t, NewMemNetwork())
 	l, err := b.Listen("svc")
@@ -51,7 +40,7 @@ func TestMuxRoundTrip(t *testing.T) {
 		}
 	}
 	for i := 1; i <= 50; i++ {
-		e, ok := muxRecv(t, far, 2*time.Second)
+		e, ok := recvWithin(t, far, 2*time.Second)
 		if !ok || e.Tunnel != i || e.Sig.Kind != sig.KindClose {
 			t.Fatalf("recv %d: got %v ok=%v", i, e, ok)
 		}
@@ -60,14 +49,14 @@ func TestMuxRoundTrip(t *testing.T) {
 		Attrs: sig.NewAttrs("from", "far")}}); err != nil {
 		t.Fatalf("reply: %v", err)
 	}
-	e, ok := muxRecv(t, near, 2*time.Second)
+	e, ok := recvWithin(t, near, 2*time.Second)
 	if !ok || !e.IsMeta() || e.Meta.Kind != sig.MetaSetup || e.Meta.Get("from") != "far" {
 		t.Fatalf("reply recv: got %v ok=%v", e, ok)
 	}
 
 	// Close on one side hangs up the other.
 	near.Close()
-	if _, ok := muxRecv(t, far, 2*time.Second); ok {
+	if _, ok := recvWithin(t, far, 2*time.Second); ok {
 		t.Fatalf("far port still open after near close")
 	}
 }
@@ -79,7 +68,7 @@ func TestMuxUnknownLogicalHangsUp(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	// The open is optimistic; the refusal arrives as a hangup.
-	if _, ok := muxRecv(t, p, 2*time.Second); ok {
+	if _, ok := recvWithin(t, p, 2*time.Second); ok {
 		t.Fatalf("expected hangup for unknown logical listener")
 	}
 }
@@ -95,7 +84,7 @@ func TestMuxInvalidateFailsChannels(t *testing.T) {
 		t.Fatalf("Accept: %v", err)
 	}
 	a.Invalidate(addr)
-	if _, ok := muxRecv(t, near, 2*time.Second); ok {
+	if _, ok := recvWithin(t, near, 2*time.Second); ok {
 		t.Fatalf("logical channel survived carrier invalidation")
 	}
 	// A fresh dial establishes a fresh carrier.
@@ -110,7 +99,7 @@ func TestMuxInvalidateFailsChannels(t *testing.T) {
 	if err := near2.Send(sig.Envelope{Sig: sig.Close()}); err != nil {
 		t.Fatalf("send on fresh carrier: %v", err)
 	}
-	if _, ok := muxRecv(t, far2, 2*time.Second); !ok {
+	if _, ok := recvWithin(t, far2, 2*time.Second); !ok {
 		t.Fatalf("fresh carrier did not deliver")
 	}
 }
@@ -136,7 +125,7 @@ func TestMuxRidesOutPartition(t *testing.T) {
 	if err := near.Send(sig.Envelope{Tunnel: 1, Sig: sig.Close()}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	if e, ok := muxRecv(t, far, 2*time.Second); !ok || e.Tunnel != 1 {
+	if e, ok := recvWithin(t, far, 2*time.Second); !ok || e.Tunnel != 1 {
 		t.Fatalf("pre-partition delivery failed")
 	}
 
@@ -150,7 +139,7 @@ func TestMuxRidesOutPartition(t *testing.T) {
 		}
 	}
 	for i := 2; i <= 10; i++ {
-		e, ok := muxRecv(t, far, 10*time.Second)
+		e, ok := recvWithin(t, far, 10*time.Second)
 		if !ok || e.Tunnel != i {
 			t.Fatalf("post-heal recv %d: got %v ok=%v", i, e, ok)
 		}

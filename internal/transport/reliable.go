@@ -165,13 +165,24 @@ func (n *RelNetwork) newChannelID(addr string) string {
 // Dial implements Network: it dials the underlying network, announces
 // a fresh channel identity, and returns the reliable port.
 func (n *RelNetwork) Dial(addr string) (Port, error) {
-	under, err := n.under.Dial(addr)
+	under, in, err := n.dialUnder(addr)
 	if err != nil {
 		return nil, err
 	}
 	p := newRelPort(n, n.newChannelID(addr), addr, true)
-	p.adopt(under, 0)
+	p.adopt(under, in, 0)
 	return p, nil
+}
+
+// dialUnder dials the underlying network for a wire the layer's pump
+// can read.
+func (n *RelNetwork) dialUnder(addr string) (Port, BatchPort, error) {
+	under, err := n.under.Dial(addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	in, err := batchOf(under, "the reliable layer")
+	return under, in, err
 }
 
 // Listen implements Network.
@@ -222,31 +233,25 @@ func (l *relListener) run() {
 // the dialer retries its hello, and the skipped data is sequenced, so
 // retransmission replays it once the channel is bound.
 func (l *relListener) greet(under Port) {
+	in, err := batchOf(under, "the reliable layer")
+	if err != nil {
+		return // the dialing side reports it
+	}
 	var buf [1]sig.Envelope
-	var hello sig.Envelope
 	for skipped := 0; ; skipped++ {
 		if skipped > 1024 {
 			under.Close() // not speaking the reliable protocol
 			return
 		}
-		if bp, ok := under.(BatchPort); ok {
-			if c, ok := bp.RecvBatch(buf[:]); !ok || c == 0 {
-				under.Close()
-				return
-			}
-			hello = buf[0]
-		} else {
-			e, ok := <-under.Recv()
-			if !ok {
-				under.Close()
-				return
-			}
-			hello = e
+		if c, ok := in.RecvBatch(buf[:]); !ok || c == 0 {
+			under.Close()
+			return
 		}
-		if m := hello.Meta; m != nil && m.Kind == sig.MetaApp && m.App == relHelloApp {
+		if m := buf[0].Meta; m != nil && m.Kind == sig.MetaApp && m.App == relHelloApp {
 			break
 		}
 	}
+	hello := buf[0]
 	m := hello.Meta
 	id := m.Get("id")
 	resume := m.Get("mode") == "resume"
@@ -276,10 +281,10 @@ func (l *relListener) greet(under Port) {
 	l.mu.Unlock()
 
 	if known {
-		p.rebind(under, peerAck)
+		p.rebind(under, in, peerAck)
 		return
 	}
-	p.adopt(under, peerAck)
+	p.adopt(under, in, peerAck)
 	select {
 	case l.accept <- p:
 	case <-l.done:
@@ -359,7 +364,7 @@ func newRelPort(n *RelNetwork, id, addr string, dialer bool) *RelPort {
 
 // adopt binds the first underlying port: sends our hello, trims from
 // the peer's ack, and starts the pump.
-func (p *RelPort) adopt(under Port, peerAck uint32) {
+func (p *RelPort) adopt(under Port, in BatchPort, peerAck uint32) {
 	p.mu.Lock()
 	p.under = under
 	p.gen++
@@ -369,13 +374,13 @@ func (p *RelPort) adopt(under Port, peerAck uint32) {
 	p.sendHelloLocked(under)
 	p.armHelloRetryLocked(gen, 0)
 	p.mu.Unlock()
-	go p.pump(under, gen)
+	go p.pump(under, in, gen)
 }
 
 // rebind swaps a reconnected underlying port into a live channel:
 // hello back, trim, retransmit the unacked suffix, restart the pump.
 // Boxes above notice nothing.
-func (p *RelPort) rebind(under Port, peerAck uint32) {
+func (p *RelPort) rebind(under Port, in BatchPort, peerAck uint32) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -401,7 +406,7 @@ func (p *RelPort) rebind(under Port, peerAck uint32) {
 	p.resendUnackedLocked(under)
 	p.armRexmitLocked()
 	p.mu.Unlock()
-	go p.pump(under, gen)
+	go p.pump(under, in, gen)
 }
 
 // sendHelloLocked announces identity and receive progress on a fresh
@@ -529,23 +534,17 @@ func (p *RelPort) onRexmit() {
 	p.armRexmitLocked()
 }
 
-// pump drains one underlying port into the channel. One pump runs per
-// binding; gen stales it after a rebind.
-func (p *RelPort) pump(under Port, gen int) {
-	if bp, ok := under.(BatchPort); ok {
-		buf := make([]sig.Envelope, 64)
-		for {
-			n, ok := bp.RecvBatch(buf)
-			if !ok {
-				break
-			}
-			for i := 0; i < n; i++ {
-				p.handleIn(buf[i], gen)
-			}
+// pump drains one underlying port (in is its receive side) into the
+// channel. One pump runs per binding; gen stales it after a rebind.
+func (p *RelPort) pump(under Port, in BatchPort, gen int) {
+	buf := make([]sig.Envelope, 64)
+	for {
+		n, ok := in.RecvBatch(buf)
+		if !ok {
+			break
 		}
-	} else {
-		for e := range under.Recv() {
-			p.handleIn(e, gen)
+		for i := 0; i < n; i++ {
+			p.handleIn(buf[i], gen)
 		}
 	}
 	p.wireLost(under, gen)
@@ -704,10 +703,10 @@ func (p *RelPort) tryRedial(gen int, backoff time.Duration, deadline time.Time) 
 	if stale {
 		return
 	}
-	under, err := p.net.under.Dial(p.addr)
+	under, in, err := p.net.dialUnder(p.addr)
 	if err == nil {
 		p.net.reconnects.Inc()
-		p.rebind(under, p.peerAckUnknown())
+		p.rebind(under, in, p.peerAckUnknown())
 		return
 	}
 	if time.Now().After(deadline) {
@@ -771,9 +770,6 @@ func (p *RelPort) finish() {
 		p.lst.forget(p.id)
 	}
 }
-
-// Recv implements Port.
-func (p *RelPort) Recv() <-chan sig.Envelope { return p.up.stream() }
 
 // RecvBatch implements BatchPort.
 func (p *RelPort) RecvBatch(buf []sig.Envelope) (int, bool) {

@@ -212,13 +212,8 @@ func TestRelPortGivesUp(t *testing.T) {
 	l.Close()
 	fn.Sever()
 	for _, end := range []Port{dialer, accepted} {
-		select {
-		case _, ok := <-end.Recv():
-			if ok {
-				t.Fatal("dead channel delivered an envelope")
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("give-up budget never expired")
+		if _, ok := recvWithin(t, end, 5*time.Second); ok {
+			t.Fatal("dead channel delivered an envelope")
 		}
 	}
 	if g := reg.Counter(MetricGiveups).Value(); g != 2 {

@@ -22,8 +22,7 @@
 // Placement-agnosticism is the point: a runner's channel may be
 // same-shard (the notification lands in the producer's own inbox),
 // cross-shard (it lands in another shard's inbox), or remote TCP (a
-// classic pump port) — the runner cannot tell, and the box above
-// certainly cannot.
+// BatchPort behind a pump) — the box above cannot tell.
 package transport
 
 import (
@@ -230,14 +229,13 @@ func (r *spscRing) close() {
 	}
 }
 
-// InlinePort is a Port whose receive side is drained inline by the
-// consumer's scheduler instead of a pump goroutine. SetReady registers
-// an edge-triggered readiness callback — invoked from the producer's
-// goroutine whenever the receive side goes empty→non-empty (and on
-// close), so it must be cheap and non-blocking (runtime shards post an
-// inbox notification). TryRecvBatch never blocks; ok is false once the
-// port is closed and drained. SetReady and Recv are mutually
-// exclusive ways to consume a port.
+// InlinePort is the receive contract of ring ports: a Port drained
+// inline by the consumer's scheduler instead of a pump goroutine.
+// SetReady registers an edge-triggered readiness callback — invoked
+// from the producer's goroutine whenever the receive side goes
+// empty→non-empty (and on close), so it must be cheap and non-blocking
+// (runtime shards post an inbox notification). TryRecvBatch never
+// blocks; ok is false once the port is closed and drained.
 type InlinePort interface {
 	Port
 	SetReady(fn func())
@@ -249,9 +247,6 @@ type ringPort struct {
 	peerName string
 	recv     *spscRing // our receive side
 	send     *spscRing // peer's receive side
-
-	recvOnce sync.Once
-	out      chan sig.Envelope
 }
 
 // ringPipe is a whole ring channel — both ports and both rings, slots
@@ -301,48 +296,6 @@ func (p *ringPort) TryRecvBatch(buf []sig.Envelope) (int, bool) {
 		p.recv.m.framesIn.Add(uint64(n))
 	}
 	return n, ok
-}
-
-// Recv is the channel-based compatibility path for consumers that do
-// not drain inline; it starts one pump goroutine on first use. A port
-// must be consumed through either Recv or SetReady/TryRecvBatch, not
-// both, and a Recv consumer must keep draining until the channel
-// closes — envelopes already accepted by the ring are delivered, not
-// dropped, so an abandoned reader strands the pump.
-func (p *ringPort) Recv() <-chan sig.Envelope {
-	p.recvOnce.Do(func() {
-		p.out = make(chan sig.Envelope)
-		wake := make(chan struct{}, 1)
-		p.recv.setReady(func() {
-			select {
-			case wake <- struct{}{}:
-			default:
-			}
-		})
-		go p.recvPump(wake)
-	})
-	return p.out
-}
-
-// recvPump needs no close signal of its own: closing the ring raises
-// the same readiness edge a push does.
-func (p *ringPort) recvPump(wake chan struct{}) {
-	defer close(p.out)
-	var buf [16]sig.Envelope
-	for {
-		n, ok := p.recv.tryRecvBatch(buf[:])
-		for i := 0; i < n; i++ {
-			p.out <- buf[i]
-			p.recv.m.framesIn.Inc()
-			buf[i] = sig.Envelope{}
-		}
-		if n == 0 {
-			if !ok {
-				return
-			}
-			<-wake
-		}
-	}
 }
 
 // Close closes both directions; the rings make it idempotent.

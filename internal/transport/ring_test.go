@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"ipmedia/internal/sig"
 	"ipmedia/internal/telemetry"
@@ -80,8 +81,7 @@ func TestRingFIFOThroughSpill(t *testing.T) {
 }
 
 // TestRingBidirectional checks the two directions are independent and
-// both flow, using the Recv compatibility pump on one side and inline
-// draining on the other.
+// both flow.
 func TestRingBidirectional(t *testing.T) {
 	a, b := RingPipe("a", "b")
 	if a.Peer() != "b" || b.Peer() != "a" {
@@ -101,21 +101,19 @@ func TestRingBidirectional(t *testing.T) {
 	}()
 
 	for i := 0; i < n; i++ {
-		e := <-b.Recv()
-		if e.Seq != uint32(i) {
+		if e := recvOne(t, b); e.Seq != uint32(i) {
 			t.Fatalf("a->b out of order at %d: seq %d", i, e.Seq)
 		}
 	}
 	for i := 0; i < n; i++ {
-		e := <-a.Recv()
-		if e.Seq != uint32(1000+i) {
+		if e := recvOne(t, a); e.Seq != uint32(1000+i) {
 			t.Fatalf("b->a out of order at %d: seq %d", i, e.Seq)
 		}
 	}
 }
 
 // TestRingCloseSemantics: Send after close fails with ErrClosed, the
-// peer's Recv channel closes, and envelopes sent before the close are
+// peer's receive side closes, and envelopes sent before the close are
 // still delivered.
 func TestRingCloseSemantics(t *testing.T) {
 	a, b := RingPipe("a", "b")
@@ -132,7 +130,10 @@ func TestRingCloseSemantics(t *testing.T) {
 		t.Fatalf("peer send after close: got %v, want ErrClosed", err)
 	}
 	got := 0
-	for range b.Recv() {
+	for {
+		if _, ok := recvWithin(t, b, 5*time.Second); !ok {
+			break
+		}
 		got++
 	}
 	if got != 3 {
@@ -228,7 +229,7 @@ func TestRingMemNetwork(t *testing.T) {
 	if err := dialed.Send(sig.Envelope{Seq: 42}); err != nil {
 		t.Fatal(err)
 	}
-	if e := <-far.Recv(); e.Seq != 42 {
+	if e := recvOne(t, far); e.Seq != 42 {
 		t.Fatalf("got seq %d, want 42", e.Seq)
 	}
 	dialed.Close()
@@ -477,4 +478,78 @@ func TestRingSpillTracksBacklog(t *testing.T) {
 			t.Fatalf("after %d envelopes the spill's capacity is %d for a backlog of %d", next, c, backlog)
 		}
 	}
+}
+
+// TestLayersRefuseRingPorts: the reliable, mux and fault layers each
+// block a goroutine on the wire underneath, which a ring port has no
+// way to serve. Stacked on a ring network they refuse the wire with an
+// error, on the dialing and on the accepting side, instead of hanging.
+func TestLayersRefuseRingPorts(t *testing.T) {
+	t.Run("fault", func(t *testing.T) {
+		n := NewFaultNetwork(NewRingMemNetwork(), FaultProfile{})
+		defer n.Stop()
+		l, err := n.Listen("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		accepted := make(chan error, 1)
+		go func() {
+			_, err := l.Accept()
+			accepted <- err
+		}()
+		if _, err := n.Dial("a"); err == nil {
+			t.Error("dial: a ring port was taken")
+		}
+		select {
+		case err := <-accepted:
+			if err == nil {
+				t.Error("accept: a ring port was taken")
+			}
+		case <-time.After(5 * time.Second):
+			t.Error("accept: hung")
+		}
+	})
+
+	t.Run("rel", func(t *testing.T) {
+		ring := NewRingMemNetwork()
+		n := NewRelNetwork(ring, RelConfig{})
+		l, err := n.Listen("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		if _, err := n.Dial("a"); err == nil {
+			t.Error("dial: a ring port was taken")
+		}
+		// A dialer that does not run the layer finds its wire hung up by
+		// the accepting side.
+		raw, err := ring.Dial("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := recvWithin(t, raw, 5*time.Second); ok {
+			t.Error("accept: a ring port was taken")
+		}
+	})
+
+	t.Run("mux", func(t *testing.T) {
+		ring := NewRingMemNetwork()
+		m := NewMux(ring)
+		defer m.Close()
+		addr, err := m.ListenCarrier("carrier")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Dial(addr, "svc"); err == nil {
+			t.Error("dial: a ring carrier was taken")
+		}
+		raw, err := ring.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := recvWithin(t, raw, 5*time.Second); ok {
+			t.Error("accept: a ring carrier was taken")
+		}
+	})
 }

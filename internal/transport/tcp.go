@@ -144,8 +144,6 @@ func (p *tcpPort) Send(e sig.Envelope) error {
 	return err
 }
 
-func (p *tcpPort) Recv() <-chan sig.Envelope { return p.in.stream() }
-
 // RecvBatch implements BatchPort.
 func (p *tcpPort) RecvBatch(buf []sig.Envelope) (int, bool) {
 	return p.in.popBatch(buf)

@@ -5,6 +5,17 @@
 // software queues. Both implementations are provided here behind the
 // same Port interface, together with a Network abstraction that lets
 // box runtimes dial and listen uniformly.
+//
+// Sending is the same on every port; receiving comes in two contracts,
+// one per port kind, and every port carries exactly one of them.
+// Queue-backed ports — in-memory pipes, TCP, and the reliable, mux and
+// fault layers stacked on them — are BatchPorts: a goroutine of the
+// consumer's blocks in RecvBatch. Ring ports (RingPipe,
+// NewRingMemNetwork) are InlinePorts: the producer raises a readiness
+// edge and the consumer's own scheduler drains with TryRecvBatch, with
+// no goroutine per port. A consumer that meets a port of neither kind,
+// or a layer that needs a goroutine to block on a port of the inline
+// kind, closes the port and reports an error.
 package transport
 
 import (
@@ -71,27 +82,36 @@ const (
 // Port is one end of a signaling channel. Sends never block: receive
 // queues are unbounded, preserving the FIFO reliable abstraction boxes
 // are written against (TCP send queues are bounded and fail the port
-// rather than block, see ErrBacklog).
+// rather than block, see ErrBacklog). The receive side is the port's
+// BatchPort or InlinePort half, whichever kind it is.
 type Port interface {
 	// Send queues an envelope for the far end.
 	Send(e sig.Envelope) error
-	// Recv returns the stream of envelopes from the far end. The
-	// channel is closed when the port closes.
-	Recv() <-chan sig.Envelope
 	// Close tears the signaling channel down. It is idempotent.
 	Close() error
 	// Peer describes the far end for diagnostics.
 	Peer() string
 }
 
-// BatchPort is implemented by ports that can hand over a burst of
-// queued envelopes in one call, without a per-envelope channel
-// handoff. RecvBatch blocks until at least one envelope is available,
-// fills buf, and returns the count; ok is false once the port is
-// closed and drained. A port must be drained through either Recv or
-// RecvBatch, not both.
+// BatchPort is the receive contract of queue-backed ports (mem, TCP,
+// rel, mux, fault). RecvBatch blocks until at least one envelope is
+// available, fills buf, and returns the count; ok is false once the
+// port is closed and drained.
 type BatchPort interface {
 	RecvBatch(buf []sig.Envelope) (n int, ok bool)
+}
+
+// batchOf returns the blocking receive side a layer's goroutine reads
+// under from. A port without one (a ring port: edge-triggered, and
+// single-producer, which a layer sending from timer callbacks is not)
+// cannot carry the layer: it is closed and refused.
+func batchOf(under Port, layer string) (BatchPort, error) {
+	bp, ok := under.(BatchPort)
+	if !ok {
+		under.Close()
+		return nil, fmt.Errorf("transport: %s needs a BatchPort underneath, %T is not one", layer, under)
+	}
+	return bp, nil
 }
 
 // Listener accepts incoming signaling channels.
@@ -111,9 +131,7 @@ type Network interface {
 	Dial(addr string) (Port, error)
 }
 
-// queue is a FIFO of envelopes with two consumption modes: popBatch
-// (used by box runners and the TCP writer, no goroutine) and a lazily
-// started channel pump (the Recv compatibility path). Every queue
+// queue is a FIFO of envelopes drained with popBatch. Every queue
 // tracks its occupancy in a process-wide depth gauge; deliver, if
 // non-nil, counts envelopes actually handed to the consumer. max, if
 // positive, bounds the queue: push fails with ErrBacklog when full.
@@ -124,21 +142,12 @@ type queue struct {
 	closed bool
 	max    int
 
-	outOnce sync.Once
-	out     chan sig.Envelope
-	done    chan struct{}
-
 	depth   *telemetry.Gauge
 	deliver *telemetry.Counter
 }
 
 func newQueue(depth *telemetry.Gauge, deliver *telemetry.Counter, max int) *queue {
-	q := &queue{
-		done:    make(chan struct{}),
-		max:     max,
-		depth:   depth,
-		deliver: deliver,
-	}
+	q := &queue{max: max, depth: depth, deliver: deliver}
 	q.cond.L = &q.mu
 	return q
 }
@@ -188,44 +197,6 @@ func (q *queue) popBatch(buf []sig.Envelope) (int, bool) {
 	return n, true
 }
 
-// stream returns the queue's receive channel, starting the pump
-// goroutine on first use. Queues drained via popBatch never pay for
-// the pump.
-func (q *queue) stream() <-chan sig.Envelope {
-	q.outOnce.Do(func() {
-		q.out = make(chan sig.Envelope)
-		go q.pump()
-	})
-	return q.out
-}
-
-func (q *queue) pump() {
-	defer close(q.out)
-	var buf [1]sig.Envelope
-	for {
-		q.mu.Lock()
-		for len(q.items) == 0 {
-			if q.closed {
-				q.mu.Unlock()
-				return
-			}
-			q.cond.Wait()
-		}
-		buf[0] = q.items[0]
-		rest := copy(q.items, q.items[1:])
-		q.items[rest] = sig.Envelope{}
-		q.items = q.items[:rest]
-		q.mu.Unlock()
-		select {
-		case q.out <- buf[0]:
-			q.deliver.Inc()
-		case <-q.done:
-			// Receiver gone; drain silently until close.
-		}
-		q.depth.Dec()
-	}
-}
-
 func (q *queue) close() {
 	q.mu.Lock()
 	if q.closed {
@@ -235,7 +206,6 @@ func (q *queue) close() {
 	q.closed = true
 	q.cond.Broadcast()
 	q.mu.Unlock()
-	close(q.done)
 }
 
 // memPort is one end of an in-memory signaling channel.
@@ -266,8 +236,6 @@ func (p *memPort) Send(e sig.Envelope) error {
 	p.framesOut.Inc()
 	return p.sendTo.push(e)
 }
-
-func (p *memPort) Recv() <-chan sig.Envelope { return p.recvFrom.stream() }
 
 // RecvBatch implements BatchPort.
 func (p *memPort) RecvBatch(buf []sig.Envelope) (int, bool) {

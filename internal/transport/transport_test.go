@@ -15,18 +15,57 @@ func env(tunnel int, seq uint32) sig.Envelope {
 	})}
 }
 
+// recvWithin returns the next envelope from p through whichever receive
+// contract p carries; ok is false once p is closed and drained. Neither
+// happening within d fails the test.
+func recvWithin(t testing.TB, p Port, d time.Duration) (sig.Envelope, bool) {
+	t.Helper()
+	var buf [1]sig.Envelope
+	timeout := time.After(d)
+	switch rp := p.(type) {
+	case InlinePort:
+		wake := make(chan struct{}, 1)
+		rp.SetReady(func() {
+			select {
+			case wake <- struct{}{}:
+			default:
+			}
+		})
+		for {
+			if n, ok := rp.TryRecvBatch(buf[:]); n == 1 || !ok {
+				return buf[0], n == 1
+			}
+			select {
+			case <-wake:
+			case <-timeout:
+				t.Fatalf("nothing received from %s within %v", p.Peer(), d)
+			}
+		}
+	case BatchPort:
+		got := make(chan bool, 1)
+		go func() {
+			n, _ := rp.RecvBatch(buf[:])
+			got <- n == 1
+		}()
+		select {
+		case ok := <-got:
+			return buf[0], ok
+		case <-timeout:
+			t.Fatalf("nothing received from %s within %v", p.Peer(), d)
+		}
+	default:
+		t.Fatalf("%T is neither an InlinePort nor a BatchPort", p)
+	}
+	return sig.Envelope{}, false
+}
+
 func recvOne(t *testing.T, p Port) sig.Envelope {
 	t.Helper()
-	select {
-	case e, ok := <-p.Recv():
-		if !ok {
-			t.Fatal("recv channel closed")
-		}
-		return e
-	case <-time.After(5 * time.Second):
-		t.Fatal("timeout waiting for envelope")
-		return sig.Envelope{}
+	e, ok := recvWithin(t, p, 5*time.Second)
+	if !ok {
+		t.Fatal("port closed")
 	}
+	return e
 }
 
 func testPortPair(t *testing.T, a, b Port) {
@@ -65,17 +104,11 @@ func testPortPair(t *testing.T, a, b Port) {
 	}
 	wg.Wait()
 
-	// Close propagates to the peer's Recv.
+	// Close propagates to the peer's receive side.
 	a.Close()
-	deadline := time.After(5 * time.Second)
 	for {
-		select {
-		case _, ok := <-b.Recv():
-			if !ok {
-				return
-			}
-		case <-deadline:
-			t.Fatal("b.Recv not closed after a.Close")
+		if _, ok := recvWithin(t, b, 5*time.Second); !ok {
+			return
 		}
 	}
 }
@@ -217,8 +250,15 @@ func TestTCPRoundTripAllSignalKinds(t *testing.T) {
 		if err != nil {
 			return
 		}
-		for e := range p.Recv() {
-			p.Send(e) // echo
+		in, buf := p.(BatchPort), make([]sig.Envelope, 8)
+		for {
+			n, ok := in.RecvBatch(buf)
+			if !ok {
+				return
+			}
+			for _, e := range buf[:n] {
+				p.Send(e) // echo
+			}
 		}
 	}()
 	a, err := tn.Dial(l.Addr())
