@@ -60,19 +60,25 @@ bench-check:
 # media fast path — packet marshal, transmit staging, and wire delivery
 # — the MPEG-TS container layer (PES mux, PSI generation, demux
 # validation) and the framed fast path end to end, the reliable
-# layer's steady-state send (stamp, retain, ack bookkeeping), and the
-# store's disabled path and cached registry lookup allocate nothing;
-# a ring-network dial, accept and close stay within their budget of
-# one allocation of at most 2 KB; and a whole call through a relay
-# already holding 600 others — dial, splice, flow, teardown — stays
-# within its budget of 11 allocations.
+# layer's steady-state send (stamp, retain, ack bookkeeping), a logical
+# channel's envelopes from mux Send to the far RecvBatch over the
+# reliable layer, and the store's disabled path and cached registry
+# lookup allocate nothing; a ring-network dial, accept and close stay
+# within their budget of one allocation of at most 2 KB, an in-memory
+# pipe is one allocation, and a mux channel's dial, accept and close
+# at both ends stay within 8; and a whole call through a relay already
+# holding 600 others — dial, splice, flow, teardown — stays within its
+# budget of 11 allocations. The last line is a race-detector run: the
+# runner's pumps recycle their batch buffers, and may hand one on only
+# after the loop has acked the batch it carried.
 alloc-gate:
 	$(GO) test -run='TestDecodeZeroAlloc|TestEncodeZeroAlloc' ./internal/sig
 	$(GO) test -run='TestRunnerEventZeroAlloc|TestClusterEventZeroAlloc|TestRunnerEventEndToEndAllocs|TestCallCycleAllocBudget' ./internal/box
 	$(GO) test -run='TestMediaZeroAlloc|TestTSFramingZeroAlloc' ./internal/media
 	$(GO) test -run='TestTSZeroAlloc' ./internal/ts
-	$(GO) test -run='TestRelSendSteadyStateZeroAlloc|TestRingDialAllocBudget' ./internal/transport
+	$(GO) test -run='TestRelSendSteadyStateZeroAlloc|TestRingDialAllocBudget|TestMuxCarrierZeroAlloc|TestMuxChannelAllocBudget|TestPipeAllocBudget' ./internal/transport
 	$(GO) test -run='TestStoreZeroAlloc' ./internal/store
+	$(GO) test -race -run='TestPumpStateReusedOnlyAfterAck' ./internal/box
 
 # storm-smoke drives 500 concurrent call lifecycles for 5 seconds over
 # the in-memory network: a shutdown-under-load and liveness check, not

@@ -741,26 +741,33 @@ func (r *Runner) addPort(ci *chanInfo, p transport.Port) {
 // accepted the name next.
 func (r *Runner) pump(channel string, p transport.Port, bp transport.BatchPort) {
 	defer r.wg.Done()
-	var bufs [2][]sig.Envelope
-	ack := make(chan struct{}, 2)
+	st := pumpPool.Get().(*pumpState)
 	outstanding, cur, want := 0, 0, pumpBatchMin
+	// A pump hands its state on only once the loop has acked every batch
+	// it posted: until then the loop may still be reading the buffers.
+	defer func() {
+		for ; outstanding > 0; outstanding-- {
+			<-st.ack
+		}
+		st.release()
+	}()
 	for {
 		if outstanding == 2 {
-			<-ack
+			<-st.ack
 			outstanding--
 		}
-		if len(bufs[cur]) < want {
-			bufs[cur] = make([]sig.Envelope, want)
+		if len(st.bufs[cur]) < want {
+			st.bufs[cur] = make([]sig.Envelope, want)
 		}
-		n, ok := bp.RecvBatch(bufs[cur])
+		n, ok := bp.RecvBatch(st.bufs[cur])
 		if !ok {
 			break
 		}
-		if n == len(bufs[cur]) && want < pumpBatchMax {
+		if n == len(st.bufs[cur]) && want < pumpBatchMax {
 			want *= 2 // saturated drain: the port is bursty, scale up
 		}
 		if !r.sh.inbox.push(inboxItem{kind: itemBatch, r: r, port: p,
-			ev: Event{Kind: EvEnvelope, Channel: channel}, batch: bufs[cur][:n], ack: ack}) {
+			ev: Event{Kind: EvEnvelope, Channel: channel}, batch: st.bufs[cur][:n], ack: st.ack}) {
 			return
 		}
 		outstanding++
@@ -770,6 +777,32 @@ func (r *Runner) pump(channel string, p transport.Port, bp transport.BatchPort) 
 	// cleans up. The item executes outside the box core because
 	// portLost re-enters handle.
 	r.sh.inbox.push(inboxItem{kind: itemPortLost, r: r, ev: Event{Channel: channel}, port: p})
+}
+
+// pumpState is what a pump keeps besides its goroutine: the channel the
+// loop acks its batches on and the two buffers it ping-pongs. It is
+// recycled across pumps, so a channel's pump costs no allocation of its
+// own in steady state.
+type pumpState struct {
+	ack  chan struct{}
+	bufs [2][]sig.Envelope
+}
+
+var pumpPool = sync.Pool{New: func() any { return &pumpState{ack: make(chan struct{}, 2)} }}
+
+// release returns a pump's state to the pool. Every batch the pump
+// posted must have been acked. Buffers a bursty port grew are dropped
+// rather than handed to the next port, which would hold them however
+// idle it is.
+func (st *pumpState) release() {
+	for i, b := range st.bufs {
+		if len(b) > pumpBatchMin {
+			st.bufs[i] = nil
+		} else {
+			clear(b) // drop envelope references
+		}
+	}
+	pumpPool.Put(st)
 }
 
 // portLost is the loop-side cleanup when a transport disappears. Loop

@@ -146,6 +146,9 @@ func FuzzEnvelopeAliasing(f *testing.F) {
 		App:   "fuzz-app",
 		Attrs: NewAttrs("a", "1", "b", "2", "novel-key-xyz", "novel-val-xyz"),
 	}, Seq: 3}.Marshal())
+	for _, tc := range chanCases() {
+		f.Add(tc.e.Marshal())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := append([]byte(nil), data...)

@@ -22,6 +22,9 @@ func FuzzUnmarshalEnvelope(f *testing.F) {
 	for _, e := range seeds {
 		f.Add(e.Marshal())
 	}
+	for _, tc := range chanCases() {
+		f.Add(tc.e.Marshal())
+	}
 	f.Add([]byte{})
 	f.Add([]byte{tagSignal})
 	f.Add([]byte{tagMeta, 0xFF})
@@ -46,6 +49,11 @@ func FuzzUnmarshalEnvelope(f *testing.F) {
 func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
 	WriteFrame(&buf, Envelope{Tunnel: 1, Sig: Close()})
+	f.Add(buf.Bytes())
+	buf.Reset()
+	for _, tc := range chanCases() {
+		WriteFrame(&buf, tc.e)
+	}
 	f.Add(buf.Bytes())
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})

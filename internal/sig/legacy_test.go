@@ -128,11 +128,12 @@ func FuzzEncoderEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded envelope failed to re-encode: %v", err)
 		}
-		if e.Seq != 0 {
-			// Sequenced envelopes postdate the legacy encoder; check that
-			// stripping the sequence recovers the legacy encoding instead.
+		if e.Seq != 0 || e.Chan != 0 {
+			// Sequenced and channel-tagged envelopes postdate the legacy
+			// encoder; check that stripping both header words recovers the
+			// legacy encoding instead.
 			stripped := e
-			stripped.Seq = 0
+			stripped.Seq, stripped.Chan = 0, 0
 			sg, err := stripped.AppendBinary(nil)
 			if err != nil {
 				t.Fatalf("stripped envelope failed to re-encode: %v", err)

@@ -421,13 +421,18 @@ func (m Meta) String() string {
 // channel as a whole (Meta non-nil).
 //
 // Seq is the channel-scope sequence number stamped by the reliable
-// transport layer; zero means unsequenced. Sequenced envelopes use a
-// distinct wire tag, so the encoding of unsequenced envelopes — the
-// only kind the box core and the model checker ever produce — is
-// byte-for-byte the legacy format.
+// transport layer; zero means unsequenced. Chan is the logical channel
+// id stamped by the transport multiplexer when the envelope rides a
+// shared carrier; zero means the envelope belongs to the channel it is
+// sent on. Both use distinct wire tags, so the encoding of envelopes
+// with neither — the only kind the box core and the model checker ever
+// produce — is byte-for-byte the legacy format. Chan sits in the
+// padding after Seq, so it adds no bytes to an envelope copied by
+// value (TestEnvelopeSize).
 type Envelope struct {
 	Tunnel int    // tunnel index within the channel; ignored for meta-signals
 	Seq    uint32 // retransmission sequence number; 0 = unsequenced
+	Chan   uint32 // multiplexed channel id; 0 = not multiplexed
 	Sig    Signal
 	Meta   *Meta
 }
@@ -436,14 +441,19 @@ type Envelope struct {
 func (e Envelope) IsMeta() bool { return e.Meta != nil }
 
 func (e Envelope) String() string {
-	if e.IsMeta() {
-		if e.Seq != 0 {
-			return fmt.Sprintf("#%d:%s", e.Seq, e.Meta)
-		}
-		return e.Meta.String()
+	var s string
+	switch {
+	case e.IsMeta() && e.Seq != 0:
+		s = fmt.Sprintf("#%d:%s", e.Seq, e.Meta)
+	case e.IsMeta():
+		s = e.Meta.String()
+	case e.Seq != 0:
+		s = fmt.Sprintf("#%d:t%d:%s", e.Seq, e.Tunnel, e.Sig)
+	default:
+		s = fmt.Sprintf("t%d:%s", e.Tunnel, e.Sig)
 	}
-	if e.Seq != 0 {
-		return fmt.Sprintf("#%d:t%d:%s", e.Seq, e.Tunnel, e.Sig)
+	if e.Chan != 0 {
+		return fmt.Sprintf("c%d/%s", e.Chan, s)
 	}
-	return fmt.Sprintf("t%d:%s", e.Tunnel, e.Sig)
+	return s
 }

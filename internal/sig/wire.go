@@ -25,8 +25,19 @@ import (
 //
 //	uint32 length | payload
 //
-// and the payload is a tag-structured binary encoding with
-// length-prefixed strings. All integers are big-endian.
+// and the payload is
+//
+//	tag | [uint32 seq] | [uint32 chan] | body
+//
+// where body is the signal (uint32 tunnel, kind byte, fields) or the
+// meta-signal (kind byte, app, attrs), strings are uint16-length
+// prefixed, and all integers are big-endian. The tag says which of the
+// optional header words follow: tag-1 is a bit set of meta (1), seq (2)
+// and chan (4), so tags 1 and 2 are the legacy unsequenced signal and
+// meta, 3 and 4 add the reliable layer's sequence number, and 5 to 8
+// add the multiplexer's channel id to each of those. A header word is
+// present exactly when its field is non-zero, so every envelope has one
+// encoding and a tag carrying a zero seq or chan is rejected.
 
 const (
 	// MaxFrame bounds the size of a single envelope on the wire. Media
@@ -57,6 +68,18 @@ const (
 	// unchanged.
 	tagSignalSeq byte = 3
 	tagMetaSeq   byte = 4
+	// Channel-tagged variants of the four above: the header also carries
+	// the envelope's uint32 multiplexer channel id, after the sequence
+	// number if there is one.
+	tagSignalChan    byte = 5
+	tagMetaChan      byte = 6
+	tagSignalSeqChan byte = 7
+	tagMetaSeqChan   byte = 8
+
+	// Bits of tag-1.
+	tagBitMeta = 1
+	tagBitSeq  = 2
+	tagBitChan = 4
 )
 
 var (
@@ -136,13 +159,24 @@ func AppendSignal(dst []byte, g Signal) []byte {
 // appendEnvelope appends the envelope payload encoding to dst. The
 // envelope must already be validated.
 func appendEnvelope(dst []byte, e Envelope) []byte {
+	bits := byte(0)
 	if e.IsMeta() {
-		if e.Seq != 0 {
-			dst = append(dst, tagMetaSeq)
-			dst = appendU32(dst, e.Seq)
-		} else {
-			dst = append(dst, tagMeta)
-		}
+		bits |= tagBitMeta
+	}
+	if e.Seq != 0 {
+		bits |= tagBitSeq
+	}
+	if e.Chan != 0 {
+		bits |= tagBitChan
+	}
+	dst = append(dst, 1+bits)
+	if e.Seq != 0 {
+		dst = appendU32(dst, e.Seq)
+	}
+	if e.Chan != 0 {
+		dst = appendU32(dst, e.Chan)
+	}
+	if e.IsMeta() {
 		dst = append(dst, byte(e.Meta.Kind))
 		dst = appendString(dst, e.Meta.App)
 		// Attrs are kept in canonical sorted order (Validate enforces
@@ -155,12 +189,6 @@ func appendEnvelope(dst []byte, e Envelope) []byte {
 			dst = appendString(dst, a.Val)
 		}
 		return dst
-	}
-	if e.Seq != 0 {
-		dst = append(dst, tagSignalSeq)
-		dst = appendU32(dst, e.Seq)
-	} else {
-		dst = append(dst, tagSignal)
 	}
 	dst = appendU32(dst, uint32(e.Tunnel))
 	return AppendSignal(dst, e.Sig)
@@ -472,8 +500,12 @@ func UnmarshalEnvelope(p []byte) (Envelope, error) {
 	if err != nil {
 		return Envelope{}, ErrCorrupt
 	}
-	var seq uint32
-	if tag == tagSignalSeq || tag == tagMetaSeq {
+	if tag < tagSignal || tag > tagMetaSeqChan {
+		return Envelope{}, fmt.Errorf("%w: unknown envelope tag %d", ErrCorrupt, tag)
+	}
+	bits := tag - 1
+	var seq, ch uint32
+	if bits&tagBitSeq != 0 {
 		if seq, err = r.u32(); err != nil {
 			return Envelope{}, err
 		}
@@ -483,9 +515,16 @@ func UnmarshalEnvelope(p []byte) (Envelope, error) {
 			return Envelope{}, ErrCorrupt
 		}
 	}
-	switch tag {
-	case tagSignal, tagSignalSeq:
-		e := Envelope{Seq: seq}
+	if bits&tagBitChan != 0 {
+		if ch, err = r.u32(); err != nil {
+			return Envelope{}, err
+		}
+		if ch == 0 {
+			return Envelope{}, ErrCorrupt // non-canonical, as for seq
+		}
+	}
+	if bits&tagBitMeta == 0 {
+		e := Envelope{Seq: seq, Chan: ch}
 		t, err := r.u32()
 		if err != nil {
 			return e, err
@@ -495,53 +534,60 @@ func UnmarshalEnvelope(p []byte) (Envelope, error) {
 			return e, err
 		}
 		return e, nil
-	case tagMeta, tagMetaSeq:
-		m := borrowMeta()
-		k, err := r.u8()
+	}
+	m, err := decodeMeta(&r)
+	if err != nil {
+		return Envelope{}, err
+	}
+	return Envelope{Seq: seq, Chan: ch, Meta: m}, nil
+}
+
+// decodeMeta decodes a meta-signal body into a frame borrowed from the
+// decode pool, returning the frame to the pool on error.
+func decodeMeta(r *wreader) (*Meta, error) {
+	m := borrowMeta()
+	k, err := r.u8()
+	if err != nil {
+		releaseMeta(m)
+		return nil, ErrCorrupt
+	}
+	m.Kind = MetaKind(k)
+	if m.App, err = r.strLearn(); err != nil {
+		releaseMeta(m)
+		return nil, err
+	}
+	n, err := r.u32()
+	if err != nil || n > MaxAttrs {
+		releaseMeta(m)
+		if err == nil {
+			err = ErrCorrupt
+		}
+		return nil, err
+	}
+	for i := uint32(0); i < n; i++ {
+		// Keys are a closed vocabulary: learn them. Values are
+		// open-ended: lookup only, so churning values (sequence
+		// numbers, tokens) cannot squat the table.
+		key, err := r.strLearn()
 		if err != nil {
 			releaseMeta(m)
-			return Envelope{}, ErrCorrupt
+			return nil, err
 		}
-		m.Kind = MetaKind(k)
-		if m.App, err = r.strLearn(); err != nil {
+		val, err := r.str()
+		if err != nil {
 			releaseMeta(m)
-			return Envelope{}, err
+			return nil, err
 		}
-		n, err := r.u32()
-		if err != nil || n > MaxAttrs {
+		// Enforce the canonical order the encoders emit (strictly
+		// ascending keys): accepting any order would make
+		// decode→re-encode non-identical.
+		if i > 0 && m.Attrs[len(m.Attrs)-1].Key >= key {
 			releaseMeta(m)
-			if err == nil {
-				err = ErrCorrupt
-			}
-			return Envelope{}, err
+			return nil, fmt.Errorf("%w: meta attrs out of canonical order", ErrCorrupt)
 		}
-		for i := uint32(0); i < n; i++ {
-			// Keys are a closed vocabulary: learn them. Values are
-			// open-ended: lookup only, so churning values (sequence
-			// numbers, tokens) cannot squat the table.
-			key, err := r.strLearn()
-			if err != nil {
-				releaseMeta(m)
-				return Envelope{}, err
-			}
-			val, err := r.str()
-			if err != nil {
-				releaseMeta(m)
-				return Envelope{}, err
-			}
-			// Enforce the canonical order the encoders emit (strictly
-			// ascending keys): accepting any order would make
-			// decode→re-encode non-identical.
-			if i > 0 && m.Attrs[len(m.Attrs)-1].Key >= key {
-				releaseMeta(m)
-				return Envelope{}, fmt.Errorf("%w: meta attrs out of canonical order", ErrCorrupt)
-			}
-			m.Attrs = append(m.Attrs, Attr{Key: key, Val: val})
-		}
-		return Envelope{Seq: seq, Meta: m}, nil
-	default:
-		return Envelope{}, fmt.Errorf("%w: unknown envelope tag %d", ErrCorrupt, tag)
+		m.Attrs = append(m.Attrs, Attr{Key: key, Val: val})
 	}
+	return m, nil
 }
 
 // ---------------------------------------------------------------------
@@ -631,6 +677,7 @@ func WriteFrame(w io.Writer, e Envelope) error {
 type FrameReader struct {
 	r   io.Reader
 	buf []byte
+	hdr [4]byte // the length header; a local would escape through r.Read
 }
 
 // NewFrameReader wraps r for frame-at-a-time reading.
@@ -641,11 +688,10 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // ReadFrame reads and decodes the next envelope. The internal buffer
 // is reused between calls; the returned envelope does not alias it.
 func (fr *FrameReader) ReadFrame() (Envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return Envelope{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(fr.hdr[:])
 	if n > MaxFrame {
 		return Envelope{}, ErrFrameTooLarge
 	}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -29,6 +30,41 @@ func TestQueueBound(t *testing.T) {
 	}
 	if err := q.push(e); err != nil {
 		t.Fatalf("push after drain: %v", err)
+	}
+}
+
+// TestQueueRingFIFO: the queue's circular buffer keeps FIFO order
+// through wrap-around and through growth at any offset, and keeps no
+// reference to an envelope once it has been popped.
+func TestQueueRingFIFO(t *testing.T) {
+	q := newQueue(nil, nil, 0)
+	rng := rand.New(rand.NewSource(1))
+	m := &sig.Meta{Kind: sig.MetaApp, App: "x"}
+	buf := make([]sig.Envelope, 7)
+	next, want := 0, 0
+	for round := 0; round < 5000; round++ {
+		for i := rng.Intn(5); i > 0; i-- {
+			q.push(sig.Envelope{Tunnel: next, Meta: m})
+			next++
+		}
+		if next > want {
+			n, _ := q.popBatch(buf[:1+rng.Intn(len(buf))])
+			for _, e := range buf[:n] {
+				if e.Tunnel != want {
+					t.Fatalf("round %d: popped envelope %d, want %d", round, e.Tunnel, want)
+				}
+				want++
+			}
+		}
+		held := 0
+		for _, e := range q.ring {
+			if e.Meta != nil {
+				held++
+			}
+		}
+		if held != next-want {
+			t.Fatalf("round %d: buffer references %d envelopes, %d are queued", round, held, next-want)
+		}
 	}
 }
 

@@ -2,8 +2,8 @@
 // signaling channels over one carrier channel per remote peer, so a
 // fleet of shard processes needs O(shards²) TCP connections rather
 // than O(paths): every cross-shard box channel is a lightweight
-// virtual channel (a channel id plus two queues) riding a shared
-// carrier.
+// virtual channel (a channel id and a receive queue, one allocation)
+// riding a shared carrier.
 //
 // The carrier is expected to be a reliable channel — in the cluster
 // runtime it is RelNetwork over TCPNetwork — so the mux inherits FIFO
@@ -16,11 +16,21 @@
 // back on a new address) takes all its logical channels down at once;
 // each surfaces to its box runner as an ordinary port loss.
 //
-// Wire protocol, all MetaApp envelopes on the carrier:
+// Wire protocol. The logical channel id rides in the envelope header
+// (sig.Envelope.Chan, a header word of the channel-tagged wire tags):
 //
-//	mux/open  c=<cid> to=<logical>   open channel cid toward listener
-//	mux/data  c=<cid> b=<bytes>      one envelope, binary-encoded
-//	mux/close c=<cid>                either side hangs up cid
+//	Chan=cid, any envelope          one envelope of channel cid, as sent
+//	Chan=0, t<cid>:open(<logical>)  open channel cid toward listener
+//	Chan=0, t<cid>:close            either side hangs up cid
+//
+// A logical channel's envelope is handed to the carrier as it is, with
+// only Chan set: one encode and one decode per envelope, by the
+// carrier's own wire, and nothing copied in between. The receiving mux
+// clears Chan and queues the envelope for the logical channel. Frames
+// without a channel id are the mux's own: tunnel signals whose tunnel
+// index is the channel id, the open's medium naming the logical
+// listener. Nothing a box sends can be mistaken for them, nor for the
+// reliable layer's control traffic, which also travels without one.
 //
 // Only the side that dialed a carrier opens logical channels on it
 // (each shard dials its own carrier toward every peer), so channel ids
@@ -29,19 +39,10 @@ package transport
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"ipmedia/internal/sig"
 	"ipmedia/internal/telemetry"
-)
-
-// Mux control envelope application names, never delivered to boxes.
-const (
-	muxOpenApp  = "mux/open"
-	muxDataApp  = "mux/data"
-	muxCloseApp = "mux/close"
 )
 
 // Telemetry instrument names exported by the mux.
@@ -67,7 +68,6 @@ type Mux struct {
 	carriers  map[string]*muxCarrier // dialed carriers by remote addr
 	listeners map[string]*muxListener
 	lst       Listener // carrier accept listener, nil until ListenCarrier
-	nextCID   atomic.Uint64
 
 	channels *telemetry.Counter
 	drops    *telemetry.Counter
@@ -128,6 +128,9 @@ func (m *Mux) Listen(logical string) (Listener, error) {
 	}
 	l := &muxListener{m: m, name: logical, accept: make(chan Port, 256), done: make(chan struct{})}
 	m.listeners[logical] = l
+	// Opens name the listener: seed the decoder so a carrier's open
+	// frames decode without allocating.
+	sig.InternSeed(logical)
 	return l, nil
 }
 
@@ -141,21 +144,12 @@ func (m *Mux) Dial(carrierAddr, logical string) (Port, error) {
 	if err != nil {
 		return nil, err
 	}
-	cid := m.nextCID.Add(1)
-	p := newMuxPort(c, cid, carrierAddr+"/"+logical)
-	if !c.register(cid, p) {
+	p := newMuxPort(c, 0, logical)
+	if !c.open(p) {
 		return nil, ErrClosed
 	}
-	err = c.port.Send(sig.Envelope{Meta: &sig.Meta{
-		Kind: sig.MetaApp,
-		App:  muxOpenApp,
-		Attrs: sig.NewAttrs(
-			"c", strconv.FormatUint(cid, 10),
-			"to", logical,
-		),
-	}})
-	if err != nil {
-		c.unregister(cid)
+	if err := c.port.Send(muxOpen(p.cid, logical)); err != nil {
+		c.unregister(p)
 		return nil, err
 	}
 	m.channels.Inc()
@@ -314,32 +308,58 @@ type muxCarrier struct {
 	addr string
 	port Port
 
-	mu     sync.Mutex
-	ports  map[uint64]*muxPort
-	closed bool
+	mu      sync.Mutex
+	ports   map[uint32]*muxPort
+	lastCID uint32 // dialing side: the channel id allocated last
+	closed  bool
 }
 
 func newMuxCarrier(m *Mux, addr string, p Port) *muxCarrier {
-	return &muxCarrier{m: m, addr: addr, port: p, ports: map[uint64]*muxPort{}}
+	return &muxCarrier{m: m, addr: addr, port: p, ports: map[uint32]*muxPort{}}
 }
 
-func (c *muxCarrier) register(cid uint64, p *muxPort) bool {
+// open registers a dialed logical channel under the next free channel
+// id, which it assigns to p. Ids are never 0 (that is the carrier's
+// own traffic) and, after the 32-bit space wraps, skip ids still open.
+func (c *muxCarrier) open(p *muxPort) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return false
 	}
-	c.ports[cid] = p
+	for {
+		c.lastCID++
+		if _, taken := c.ports[c.lastCID]; c.lastCID != 0 && !taken {
+			break
+		}
+	}
+	p.cid = c.lastCID
+	c.ports[p.cid] = p
 	return true
 }
 
-func (c *muxCarrier) unregister(cid uint64) {
+// register records an accepted logical channel under the id the peer
+// chose for it.
+func (c *muxCarrier) register(p *muxPort) bool {
 	c.mu.Lock()
-	delete(c.ports, cid)
+	defer c.mu.Unlock()
+	if c.closed {
+		return false
+	}
+	c.ports[p.cid] = p
+	return true
+}
+
+// unregister forgets p, unless its id already names another channel.
+func (c *muxCarrier) unregister(p *muxPort) {
+	c.mu.Lock()
+	if c.ports[p.cid] == p {
+		delete(c.ports, p.cid)
+	}
 	c.mu.Unlock()
 }
 
-func (c *muxCarrier) lookup(cid uint64) *muxPort {
+func (c *muxCarrier) lookup(cid uint32) *muxPort {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ports[cid]
@@ -362,75 +382,72 @@ func (c *muxCarrier) serve(in BatchPort) {
 	c.close()
 }
 
-// handle routes one carrier envelope.
+// handle routes one carrier envelope: a channel's own envelope to its
+// queue, as received and with the channel id cleared; a frame without
+// a channel id to the open/close protocol.
 func (c *muxCarrier) handle(e sig.Envelope) {
-	m := e.Meta
-	if m == nil || m.Kind != sig.MetaApp {
-		e.Release()
-		c.m.drops.Inc()
-		return
-	}
-	switch m.App {
-	case muxOpenApp:
-		cid, _ := strconv.ParseUint(m.Get("c"), 10, 64)
-		logical := m.Get("to")
-		e.Release()
-		l := c.m.lookupListener(logical)
-		if l == nil || cid == 0 {
-			c.m.drops.Inc()
-			c.sendClose(cid)
-			return
-		}
-		p := newMuxPort(c, cid, "peer/"+logical)
-		if !c.register(cid, p) {
-			return
-		}
-		c.m.channels.Inc()
-		select {
-		case l.accept <- p:
-		default:
-			// Accept backlog full: refuse rather than stall the carrier —
-			// every other logical channel on it would head-of-line block.
-			c.unregister(cid)
-			c.m.drops.Inc()
-			c.sendClose(cid)
-		}
-	case muxDataApp:
-		cid, _ := strconv.ParseUint(m.Get("c"), 10, 64)
-		blob := m.Get("b")
-		p := c.lookup(cid)
+	if e.Chan != 0 {
+		p := c.lookup(e.Chan)
 		if p == nil {
 			e.Release()
 			c.m.drops.Inc()
 			return
 		}
-		inner, err := sig.UnmarshalEnvelope([]byte(blob))
+		e.Chan = 0
+		p.up.push(e)
+		return
+	}
+	cid := uint32(e.Tunnel)
+	switch {
+	case e.IsMeta() || cid == 0:
 		e.Release()
-		if err != nil {
-			c.m.drops.Inc()
-			return
-		}
-		p.up.push(inner)
-	case muxCloseApp:
-		cid, _ := strconv.ParseUint(m.Get("c"), 10, 64)
-		e.Release()
+		c.m.drops.Inc()
+	case e.Sig.Kind == sig.KindOpen:
+		c.accept(cid, string(e.Sig.Medium))
+	case e.Sig.Kind == sig.KindClose:
 		if p := c.lookup(cid); p != nil {
-			c.unregister(cid)
+			c.unregister(p)
 			p.up.close()
 		}
 	default:
-		e.Release()
 		c.m.drops.Inc()
 	}
 }
 
-// sendClose tells the peer cid is dead (best-effort).
-func (c *muxCarrier) sendClose(cid uint64) {
-	c.port.Send(sig.Envelope{Meta: &sig.Meta{
-		Kind:  sig.MetaApp,
-		App:   muxCloseApp,
-		Attrs: sig.NewAttrs("c", strconv.FormatUint(cid, 10)),
-	}})
+// accept opens the peer's channel cid toward the named listener, or
+// hangs it up if there is no such listener or its backlog is full.
+func (c *muxCarrier) accept(cid uint32, logical string) {
+	l := c.m.lookupListener(logical)
+	if l == nil {
+		c.m.drops.Inc()
+		c.port.Send(muxClose(cid))
+		return
+	}
+	p := newMuxPort(c, cid, logical)
+	if !c.register(p) {
+		return
+	}
+	c.m.channels.Inc()
+	select {
+	case l.accept <- p:
+	default:
+		// Accept backlog full: refuse rather than stall the carrier —
+		// every other logical channel on it would head-of-line block.
+		c.unregister(p)
+		c.m.drops.Inc()
+		c.port.Send(muxClose(cid))
+	}
+}
+
+// muxOpen is the carrier frame opening channel cid toward the listener
+// named logical.
+func muxOpen(cid uint32, logical string) sig.Envelope {
+	return sig.Envelope{Tunnel: int(cid), Sig: sig.Signal{Kind: sig.KindOpen, Medium: sig.Medium(logical)}}
+}
+
+// muxClose is the carrier frame hanging channel cid up.
+func muxClose(cid uint32) sig.Envelope {
+	return sig.Envelope{Tunnel: int(cid), Sig: sig.Close()}
 }
 
 // close tears the carrier down and fails every logical channel on it.
@@ -445,7 +462,7 @@ func (c *muxCarrier) close() {
 	for _, p := range c.ports {
 		ports = append(ports, p)
 	}
-	c.ports = map[uint64]*muxPort{}
+	c.ports = map[uint32]*muxPort{}
 	c.mu.Unlock()
 	c.port.Close()
 	for _, p := range ports {
@@ -454,43 +471,36 @@ func (c *muxCarrier) close() {
 	c.m.forgetCarrier(c)
 }
 
-// muxPort is one end of a logical channel: envelopes are binary-framed
-// into mux/data envelopes on the carrier on the way out, and arrive
-// in order on the up queue on the way in.
+// muxPort is one end of a logical channel: envelopes go out on the
+// carrier tagged with the channel id, and arrive in order on the up
+// queue. The port and its queue are one allocation.
 type muxPort struct {
-	c      *muxCarrier
-	cid    uint64
-	cidStr string
-	peer   string
-	up     *queue
-	once   sync.Once
+	c       *muxCarrier
+	cid     uint32
+	logical string // the listener's name, for Peer
+	once    sync.Once
+	up      queue
 }
 
-func newMuxPort(c *muxCarrier, cid uint64, peer string) *muxPort {
-	return &muxPort{
-		c:      c,
-		cid:    cid,
-		cidStr: strconv.FormatUint(cid, 10),
-		peer:   peer,
-		up:     newQueue(telemetry.G(MetricQueueDepth), nil, 0),
-	}
+func newMuxPort(c *muxCarrier, cid uint32, logical string) *muxPort {
+	p := &muxPort{c: c, cid: cid, logical: logical}
+	p.up.init(telemetry.G(MetricQueueDepth), nil, 0)
+	return p
 }
 
-// Send implements Port: the envelope is encoded into a carrier data
-// envelope. The carrier's reliable layer owns retransmission.
+// Send implements Port: the envelope goes to the carrier as it is, with
+// the channel id set — the carrier's wire encodes it once, and the
+// carrier's reliable layer owns retransmission. As on every port, the
+// envelope's Meta goes with it: the sender must not modify it until the
+// transport is done with it. An envelope the wire format cannot carry
+// is refused here, before it can reach the carrier every other logical
+// channel shares.
 func (p *muxPort) Send(e sig.Envelope) error {
-	buf, err := e.AppendBinary(nil)
-	if err != nil {
+	if err := e.Validate(); err != nil {
 		return err
 	}
-	return p.c.port.Send(sig.Envelope{Meta: &sig.Meta{
-		Kind: sig.MetaApp,
-		App:  muxDataApp,
-		Attrs: sig.NewAttrs(
-			"b", string(buf),
-			"c", p.cidStr,
-		),
-	}})
+	e.Chan = p.cid
+	return p.c.port.Send(e)
 }
 
 // RecvBatch implements BatchPort.
@@ -500,11 +510,17 @@ func (p *muxPort) RecvBatch(buf []sig.Envelope) (int, bool) {
 
 func (p *muxPort) Close() error {
 	p.once.Do(func() {
-		p.c.unregister(p.cid)
+		p.c.unregister(p)
 		p.up.close()
-		p.c.sendClose(p.cid)
+		p.c.port.Send(muxClose(p.cid))
 	})
 	return nil
 }
 
-func (p *muxPort) Peer() string { return p.peer }
+// Peer implements Port.
+func (p *muxPort) Peer() string {
+	if p.c.addr == "" {
+		return "peer/" + p.logical
+	}
+	return p.c.addr + "/" + p.logical
+}

@@ -18,9 +18,12 @@
 // oldest retained envelope has gone a full RexmitInterval without ack
 // progress (it restarts on every ack that releases something), counted
 // under slot.retransmits. Control traffic (hello, ack) travels as
-// MetaApp envelopes consumed by this layer; boxes never see it, and
-// delivered envelopes have their sequence stripped, so nothing above
-// this layer changes.
+// MetaApp envelopes with no multiplexer channel id, consumed by this
+// layer; boxes never see it, and delivered envelopes have their
+// sequence stripped, so nothing above this layer changes. Envelopes
+// that carry a channel id belong to a mux riding this channel and
+// pass through whatever they say. Envelopes the wire format cannot
+// carry are refused at Send.
 //
 // Reconnection. The dialing side owns recovery: when the underlying
 // port dies it re-dials with exponential backoff plus jitter on the
@@ -65,6 +68,19 @@ var resetMeta = &sig.Meta{Kind: sig.MetaApp, App: relResetApp}
 // ackMeta is the shared payload of every ack envelope; the cumulative
 // ack rides in the envelope's Seq field, so acking allocates nothing.
 var ackMeta = &sig.Meta{Kind: sig.MetaApp, App: relAckApp}
+
+// ownMeta returns e's meta-signal if it addresses this channel itself,
+// nil otherwise. An envelope with a multiplexer channel id (Chan != 0)
+// belongs to a logical channel riding this one: whatever its meta says,
+// it is neither this layer's control traffic nor a teardown of this
+// channel — a box's teardown crossing a carrier must not mark the
+// carrier as closing.
+func ownMeta(e sig.Envelope) *sig.Meta {
+	if e.Chan != 0 {
+		return nil
+	}
+	return e.Meta
+}
 
 // RelConfig tunes the reliable layer. The zero value gets defaults
 // sized for the shared 5ms timer wheel.
@@ -247,7 +263,7 @@ func (l *relListener) greet(under Port) {
 			under.Close()
 			return
 		}
-		if m := buf[0].Meta; m != nil && m.Kind == sig.MetaApp && m.App == relHelloApp {
+		if m := ownMeta(buf[0]); m != nil && m.Kind == sig.MetaApp && m.App == relHelloApp {
 			break
 		}
 	}
@@ -471,14 +487,20 @@ func (p *RelPort) resendUnackedLocked(under Port) {
 
 // Send implements Port. Every envelope is stamped and retained until
 // acked; while the channel is between wires the envelope is only
-// retained, and the eventual rebind replays it.
+// retained, and the eventual rebind replays it. An envelope the wire
+// format cannot carry is refused before it is stamped, with an error
+// wrapping sig.ErrUnencodable: retained, it would fail every wire it
+// was replayed on, and the channel would redial forever.
 func (p *RelPort) Send(e sig.Envelope) error {
+	if err := e.Validate(); err != nil {
+		return err
+	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return ErrClosed
 	}
-	if e.Meta != nil && e.Meta.Kind == sig.MetaTeardown {
+	if m := ownMeta(e); m != nil && m.Kind == sig.MetaTeardown {
 		// The box is tearing the channel down cleanly; losing the wire
 		// after this is not a fault worth recovering.
 		p.closing = true
@@ -555,7 +577,8 @@ func (p *RelPort) pump(under Port, in BatchPort, gen int) {
 // identifies the binding the envelope arrived on, so stale pumps
 // cannot mark a fresh binding as greeted.
 func (p *RelPort) handleIn(e sig.Envelope, gen int) {
-	if m := e.Meta; m != nil && m.Kind == sig.MetaApp {
+	m := ownMeta(e)
+	if m != nil && m.Kind == sig.MetaApp {
 		switch m.App {
 		case relAckApp:
 			e.Release() // layer control, consumed here
@@ -603,7 +626,7 @@ func (p *RelPort) handleIn(e sig.Envelope, gen int) {
 	if gen == p.gen {
 		p.greeted = true
 	}
-	if e.Meta != nil && e.Meta.Kind == sig.MetaTeardown {
+	if m != nil && m.Kind == sig.MetaTeardown {
 		// The peer is tearing down cleanly: the wire dying next is
 		// expected, not a fault to recover.
 		p.closing = true

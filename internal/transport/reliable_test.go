@@ -11,8 +11,8 @@ import (
 	"ipmedia/internal/telemetry"
 )
 
-// relPair establishes one reliable channel over net and returns the
-// dialer and acceptor ports.
+// relPair establishes one channel over n — a reliable one, in most
+// uses — listening at addr, and returns the dialer and acceptor ports.
 func relPair(t *testing.T, n Network, addr string) (Port, Port) {
 	t.Helper()
 	l, err := n.Listen(addr)
@@ -27,7 +27,7 @@ func relPair(t *testing.T, n Network, addr string) (Port, Port) {
 		}
 		acceptCh <- p
 	}()
-	dialer, err := n.Dial(addr)
+	dialer, err := n.Dial(l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

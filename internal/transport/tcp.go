@@ -132,7 +132,14 @@ func (p *tcpPort) reader() {
 	}
 }
 
+// Send implements Port. An envelope the wire format cannot carry is
+// refused here, with an error wrapping sig.ErrUnencodable, rather than
+// queued: the writer would fail on it after Send had reported success,
+// and take the channel down with it.
 func (p *tcpPort) Send(e sig.Envelope) error {
+	if err := e.Validate(); err != nil {
+		return err
+	}
 	err := p.out.push(e)
 	if err == ErrBacklog {
 		// The peer has stalled past the cap: fail the whole channel. The

@@ -135,10 +135,16 @@ type Network interface {
 // tracks its occupancy in a process-wide depth gauge; deliver, if
 // non-nil, counts envelopes actually handed to the consumer. max, if
 // positive, bounds the queue: push fails with ErrBacklog when full.
+// Ports embed their queues (see init), so a queue costs no allocation
+// of its own until its first push. The envelopes live in a circular
+// buffer, so a push or a pop costs the same however deep the backlog
+// behind it.
 type queue struct {
 	mu     sync.Mutex
 	cond   sync.Cond
-	items  []sig.Envelope
+	ring   []sig.Envelope // circular buffer: n envelopes from ring[head]
+	head   int
+	n      int
 	closed bool
 	max    int
 
@@ -146,10 +152,23 @@ type queue struct {
 	deliver *telemetry.Counter
 }
 
+// queueInitCap is the buffer a queue allocates on its first push. A
+// signaling channel rarely holds more than a couple of envelopes
+// between drains, so one buffer of this size serves most channels for
+// life; a larger one raised calls-mux's live heap with no fewer
+// allocations.
+const queueInitCap = 2
+
 func newQueue(depth *telemetry.Gauge, deliver *telemetry.Counter, max int) *queue {
-	q := &queue{max: max, depth: depth, deliver: deliver}
-	q.cond.L = &q.mu
+	q := &queue{}
+	q.init(depth, deliver, max)
 	return q
+}
+
+// init readies a zero queue in place; the queue must not move after.
+func (q *queue) init(depth *telemetry.Gauge, deliver *telemetry.Counter, max int) {
+	q.max, q.depth, q.deliver = max, depth, deliver
+	q.cond.L = &q.mu
 }
 
 func (q *queue) push(e sig.Envelope) error {
@@ -158,12 +177,20 @@ func (q *queue) push(e sig.Envelope) error {
 		q.mu.Unlock()
 		return ErrClosed
 	}
-	if q.max > 0 && len(q.items) >= q.max {
+	if q.max > 0 && q.n >= q.max {
 		q.mu.Unlock()
 		return ErrBacklog
 	}
-	q.items = append(q.items, e)
-	if len(q.items) == 1 {
+	if q.n == len(q.ring) {
+		q.grow()
+	}
+	tail := q.head + q.n
+	if tail >= len(q.ring) {
+		tail -= len(q.ring)
+	}
+	q.ring[tail] = e
+	q.n++
+	if q.n == 1 {
 		q.cond.Signal()
 	}
 	q.mu.Unlock()
@@ -171,26 +198,41 @@ func (q *queue) push(e sig.Envelope) error {
 	return nil
 }
 
+// grow doubles the full buffer (or allocates the first one), unwrapping
+// the queued envelopes to its front. Caller holds q.mu.
+func (q *queue) grow() {
+	ring := make([]sig.Envelope, max(queueInitCap, 2*len(q.ring)))
+	k := copy(ring, q.ring[q.head:])
+	copy(ring[k:], q.ring[:q.head])
+	q.ring, q.head = ring, 0
+}
+
 // popBatch blocks until the queue is non-empty or closed, then moves
 // up to len(buf) envelopes into buf. ok is false only when the queue
 // is closed and fully drained.
 func (q *queue) popBatch(buf []sig.Envelope) (int, bool) {
 	q.mu.Lock()
-	for len(q.items) == 0 {
+	for q.n == 0 {
 		if q.closed {
 			q.mu.Unlock()
 			return 0, false
 		}
 		q.cond.Wait()
 	}
-	n := copy(buf, q.items)
-	// Slide the tail forward so the backing array is reused instead of
-	// leaking consumed heads.
-	rest := copy(q.items, q.items[n:])
-	for i := rest; i < len(q.items); i++ {
-		q.items[i] = sig.Envelope{}
+	n := min(len(buf), q.n)
+	// At most two runs: to the end of the buffer, then from its start.
+	// Moved-out slots are cleared so the buffer pins no consumed Meta.
+	first := q.ring[q.head:min(q.head+n, len(q.ring))]
+	k := copy(buf, first)
+	clear(first)
+	second := q.ring[:n-k]
+	copy(buf[k:], second)
+	clear(second)
+	q.head += n
+	if q.head >= len(q.ring) {
+		q.head -= len(q.ring)
 	}
-	q.items = q.items[:rest]
+	q.n -= n
 	q.mu.Unlock()
 	q.depth.Add(int64(-n))
 	q.deliver.Add(uint64(n))
@@ -213,9 +255,15 @@ type memPort struct {
 	peerName  string
 	sendTo    *queue // far end's receive queue
 	recvFrom  *queue // our receive queue
-	closeFar  func()
 	once      sync.Once
 	framesOut *telemetry.Counter
+}
+
+// memPipe is a whole in-memory channel — both ends and both queues — in
+// one allocation.
+type memPipe struct {
+	a, b   memPort
+	qa, qb queue // a's and b's receive queues
 }
 
 // Pipe creates an in-memory signaling channel and returns its two
@@ -224,12 +272,12 @@ func Pipe(aName, bName string) (Port, Port) {
 	framesIn := telemetry.C(MetricFramesIn)
 	framesOut := telemetry.C(MetricFramesOut)
 	depth := telemetry.G(MetricQueueDepth)
-	qa, qb := newQueue(depth, framesIn, 0), newQueue(depth, framesIn, 0)
-	a := &memPort{peerName: bName, sendTo: qb, recvFrom: qa, framesOut: framesOut}
-	b := &memPort{peerName: aName, sendTo: qa, recvFrom: qb, framesOut: framesOut}
-	a.closeFar = func() { qb.close() }
-	b.closeFar = func() { qa.close() }
-	return a, b
+	mp := &memPipe{}
+	mp.qa.init(depth, framesIn, 0)
+	mp.qb.init(depth, framesIn, 0)
+	mp.a.peerName, mp.a.sendTo, mp.a.recvFrom, mp.a.framesOut = bName, &mp.qb, &mp.qa, framesOut
+	mp.b.peerName, mp.b.sendTo, mp.b.recvFrom, mp.b.framesOut = aName, &mp.qa, &mp.qb, framesOut
+	return &mp.a, &mp.b
 }
 
 func (p *memPort) Send(e sig.Envelope) error {
@@ -245,7 +293,7 @@ func (p *memPort) RecvBatch(buf []sig.Envelope) (int, bool) {
 func (p *memPort) Close() error {
 	p.once.Do(func() {
 		p.recvFrom.close()
-		p.closeFar()
+		p.sendTo.close()
 	})
 	return nil
 }
