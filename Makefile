@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test fuzz bench agree bench-smoke bench-check bench-mc bench-media storm-smoke media-smoke ts-smoke chaos-smoke bench-chaos alloc-gate store-smoke bench-store profile-runtime cluster-smoke bench-cluster
+.PHONY: ci vet build test fuzz bench agree bench-smoke bench-check bench-pair bench-mc bench-media storm-smoke media-smoke ts-smoke chaos-smoke bench-chaos alloc-gate store-smoke bench-store profile-runtime cluster-smoke bench-cluster
 
 # ci is the gate: static checks, build, the full test suite under the
 # race detector, the parallel-vs-sequential checker agreement test,
@@ -32,6 +32,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalEnvelope -fuzztime=10s ./internal/sig
 	$(GO) test -run='^$$' -fuzz=FuzzEncoderEquivalence -fuzztime=10s ./internal/sig
 	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeAliasing -fuzztime=10s ./internal/sig
+	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/sig
 	$(GO) test -run='^$$' -fuzz=FuzzPacket -fuzztime=10s ./internal/media
 	$(GO) test -run='^$$' -fuzz=FuzzTSPacket -fuzztime=10s ./internal/ts
 	$(GO) test -run='^$$' -fuzz=FuzzPES -fuzztime=10s ./internal/ts
@@ -53,8 +54,22 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -smoke
 
+# bench-pair compares the benchmark at REF (the parent) with the working
+# tree by alternated pairs of untraced runs, seeds 1..PAIRS, each tree
+# built by its own bench/run.sh (REF's is exported with git archive
+# under .bench_build/). It prints each side's median [q1, q3], the pairs
+# the change won and the bound for every workload x end-to-end metric
+# in BENCHMARK.json, and fails on any metric worse than its bound.
+# WORKLOADS narrows the set, e.g. WORKLOADS=calls-mux,calls-sat.
+PAIRS ?= 10
+SECONDS ?= 20
+bench-pair:
+	@test -n "$(REF)" || { echo "usage: make bench-pair REF=<commit> [WORKLOADS=a,b] [PAIRS=10] [SECONDS=20]"; exit 2; }
+	$(GO) run ./cmd/benchpair $(REF) $(PAIRS) $(SECONDS) $(WORKLOADS)
+
 # alloc-gate asserts the zero-alloc claims: the signaling decode path
-# (interned strings, pooled Meta frames) and the end-to-end
+# (interned strings, pooled Meta frames), a frame's encode and decode
+# through a reused FrameReader, and the end-to-end
 # decode->inbox->dispatch->release path, the steady-state event
 # dispatch path (box) both standalone and through a cluster shard, the
 # media fast path — packet marshal, transmit staging, and wire delivery
@@ -66,19 +81,22 @@ bench-check:
 # lookup allocate nothing; a ring-network dial, accept and close stay
 # within their budget of one allocation of at most 2 KB, an in-memory
 # pipe is one allocation, and a mux channel's dial, accept and close
-# at both ends stay within 8; and a whole call through a relay already
+# at both ends stay within 8; a whole call through a relay already
 # holding 600 others — dial, splice, flow, teardown — stays within its
-# budget of 11 allocations. The last line is a race-detector run: the
-# runner's pumps recycle their batch buffers, and may hand one on only
-# after the loop has acked the batch it carried.
+# budget of 11 allocations; and what standing state holds stays within
+# its footprint: an idle standalone runner 3 KB, a pumped in-memory
+# channel with both pumps posted its measured size plus 10 %. The last
+# line is a race-detector run: the runner's pumps recycle their batch
+# buffer, and may hand it on only after the loop has acked the batch it
+# carried; a backlog crosses one pump whole and in order.
 alloc-gate:
-	$(GO) test -run='TestDecodeZeroAlloc|TestEncodeZeroAlloc' ./internal/sig
-	$(GO) test -run='TestRunnerEventZeroAlloc|TestClusterEventZeroAlloc|TestRunnerEventEndToEndAllocs|TestCallCycleAllocBudget' ./internal/box
+	$(GO) test -run='TestDecodeZeroAlloc|TestEncodeZeroAlloc|TestFrameRoundTripZeroAlloc' ./internal/sig
+	$(GO) test -run='TestRunnerEventZeroAlloc|TestClusterEventZeroAlloc|TestRunnerEventEndToEndAllocs|TestCallCycleAllocBudget|TestStandaloneRunnerFootprint|TestPumpedChannelFootprint' ./internal/box
 	$(GO) test -run='TestMediaZeroAlloc|TestTSFramingZeroAlloc' ./internal/media
 	$(GO) test -run='TestTSZeroAlloc' ./internal/ts
 	$(GO) test -run='TestRelSendSteadyStateZeroAlloc|TestRingDialAllocBudget|TestMuxCarrierZeroAlloc|TestMuxChannelAllocBudget|TestPipeAllocBudget' ./internal/transport
 	$(GO) test -run='TestStoreZeroAlloc' ./internal/store
-	$(GO) test -race -run='TestPumpStateReusedOnlyAfterAck' ./internal/box
+	$(GO) test -race -run='TestPumpStateReusedOnlyAfterAck|TestPumpBurstInOrder' ./internal/box
 
 # storm-smoke drives 500 concurrent call lifecycles for 5 seconds over
 # the in-memory network: a shutdown-under-load and liveness check, not

@@ -13,8 +13,8 @@ import (
 )
 
 // TestPumpStateReusedOnlyAfterAck: pumps recycle their ack channel and
-// batch buffers across ports, and a pump hands them on only once the
-// loop has acked every batch it posted. The loop is held inside the
+// batch buffer across ports, and a pump hands them on only once the
+// loop has acked the batch it posted. The loop is held inside the
 // first envelope it dispatches while a first wave of pumps posts its
 // batches and sees its ports close, then a second wave starts — on
 // whatever state the first wave has given up — and posts batches of

@@ -17,6 +17,15 @@
 // consumer's shard (no pump goroutine per port), and the box's output
 // buffer is recycled between events — so steady-state envelope
 // dispatch allocates nothing.
+//
+// An idle or call-holding box pays only for what it uses. A standalone
+// runner holds its runner record, a shard with its inbox and loop
+// goroutine, and the box: about 2 KB of heap besides the goroutine's
+// stack. The shard's ring-drain scratch (64 envelopes, 11.8 KB) is
+// allocated by the first ring drain, so a runner whose ports are all
+// batch ports never holds one. A pumped port holds a goroutine, an ack
+// channel and one batch buffer of 4 envelopes, grown only while the
+// port is bursty.
 package box
 
 import (
@@ -90,7 +99,7 @@ type inboxItem struct {
 	kind    itemKind
 	r       *Runner
 	ev      Event              // itemEvent payload; ev.Channel also labels itemBatch/itemRing/itemPortLost
-	batch   []sig.Envelope     // itemBatch payload, owned by the pump
+	batch   []sig.Envelope     // itemBatch payload, the pump's buffer until acked
 	ack     chan<- struct{}    // itemBatch: signaled when the batch is processed
 	port    transport.Port     // itemAccept, itemPortLost: the port concerned; itemBatch: the source
 	nameFor func(n int) string // itemAccept: names the n-th accepted channel (nil: in<k>, reused)
@@ -184,9 +193,11 @@ type shard struct {
 
 	mLoop *telemetry.Counter
 
-	// ringBuf is the loop-goroutine-only scratch buffer for draining
-	// inline ports.
-	ringBuf [ringDrainBatch]sig.Envelope
+	// drainBuf is the loop-goroutine-only scratch for draining inline
+	// ports, allocated by the shard's first ring drain: a standalone
+	// runner whose ports are all batch ports (a Router's, over
+	// NewMemNetwork) never drains a ring and never pays for it.
+	drainBuf []sig.Envelope
 }
 
 func newShard(id int, wheel *timerwheel.Wheel) *shard {
@@ -401,7 +412,10 @@ func (r *Runner) drainRing(channel string) int {
 	if ip == nil {
 		return 0
 	}
-	buf := r.sh.ringBuf[:]
+	if r.sh.drainBuf == nil {
+		r.sh.drainBuf = make([]sig.Envelope, ringDrainBatch)
+	}
+	buf := r.sh.drainBuf
 	events := 0
 	for events < ringDrainMax {
 		n, ok := ip.TryRecvBatch(buf)
@@ -731,47 +745,38 @@ func (r *Runner) addPort(ci *chanInfo, p transport.Port) {
 }
 
 // pump moves envelopes from a batch port into the inbox until the
-// transport goes away, then posts the port-loss cleanup. Bursts cross
-// as single inbox items from ping-ponged buffers; the loop acks each
-// batch so a buffer is refilled only after its envelopes were
-// dispatched. Every item carries the port as well as the channel name:
-// the loop dispatches a pump's envelopes only while its port is the
-// name's registered one, so what a pump still carries after its channel
-// was torn down locally cannot land in the channel that dialed or
-// accepted the name next.
+// transport goes away, then posts the port-loss cleanup. It posts one
+// batch at a time: receive a burst into its one buffer, post it as a
+// single inbox item, wait for the loop's ack, repeat. Envelopes that
+// arrive meanwhile wait in the port's queue and go out in the next
+// batch, so the buffer is never refilled while the loop reads it and
+// the pump's state is never given up with a batch in flight. Every item
+// carries the port as well as the channel name: the loop dispatches a
+// pump's envelopes only while its port is the name's registered one, so
+// what a pump still carries after its channel was torn down locally
+// cannot land in the channel that dialed or accepted the name next.
 func (r *Runner) pump(channel string, p transport.Port, bp transport.BatchPort) {
 	defer r.wg.Done()
 	st := pumpPool.Get().(*pumpState)
-	outstanding, cur, want := 0, 0, pumpBatchMin
-	// A pump hands its state on only once the loop has acked every batch
-	// it posted: until then the loop may still be reading the buffers.
-	defer func() {
-		for ; outstanding > 0; outstanding-- {
-			<-st.ack
-		}
-		st.release()
-	}()
+	defer st.release()
+	want := pumpBatchMin
 	for {
-		if outstanding == 2 {
-			<-st.ack
-			outstanding--
+		if len(st.buf) < want {
+			st.buf = make([]sig.Envelope, want)
 		}
-		if len(st.bufs[cur]) < want {
-			st.bufs[cur] = make([]sig.Envelope, want)
-		}
-		n, ok := bp.RecvBatch(st.bufs[cur])
+		n, ok := bp.RecvBatch(st.buf)
 		if !ok {
 			break
 		}
-		if n == len(st.bufs[cur]) && want < pumpBatchMax {
+		if n == len(st.buf) && want < pumpBatchMax {
 			want *= 2 // saturated drain: the port is bursty, scale up
 		}
 		if !r.sh.inbox.push(inboxItem{kind: itemBatch, r: r, port: p,
-			ev: Event{Kind: EvEnvelope, Channel: channel}, batch: st.bufs[cur][:n], ack: st.ack}) {
+			ev: Event{Kind: EvEnvelope, Channel: channel}, batch: st.buf[:n], ack: st.ack}) {
 			return
 		}
-		outstanding++
-		cur ^= 1
+		// A pushed item is always executed, and executing a batch acks it.
+		<-st.ack
 	}
 	// Transport gone without a teardown: synthesize one so the box
 	// cleans up. The item executes outside the box core because
@@ -780,27 +785,24 @@ func (r *Runner) pump(channel string, p transport.Port, bp transport.BatchPort) 
 }
 
 // pumpState is what a pump keeps besides its goroutine: the channel the
-// loop acks its batches on and the two buffers it ping-pongs. It is
-// recycled across pumps, so a channel's pump costs no allocation of its
-// own in steady state.
+// loop acks its batch on and the batch buffer. It is recycled across
+// pumps, so a channel's pump costs no allocation of its own in steady
+// state.
 type pumpState struct {
-	ack  chan struct{}
-	bufs [2][]sig.Envelope
+	ack chan struct{}
+	buf []sig.Envelope
 }
 
-var pumpPool = sync.Pool{New: func() any { return &pumpState{ack: make(chan struct{}, 2)} }}
+var pumpPool = sync.Pool{New: func() any { return &pumpState{ack: make(chan struct{}, 1)} }}
 
-// release returns a pump's state to the pool. Every batch the pump
-// posted must have been acked. Buffers a bursty port grew are dropped
-// rather than handed to the next port, which would hold them however
-// idle it is.
+// release returns a pump's state to the pool; the pump has no batch in
+// flight. A buffer a bursty port grew is dropped rather than handed to
+// the next port, which would hold it however idle it is.
 func (st *pumpState) release() {
-	for i, b := range st.bufs {
-		if len(b) > pumpBatchMin {
-			st.bufs[i] = nil
-		} else {
-			clear(b) // drop envelope references
-		}
+	if len(st.buf) > pumpBatchMin {
+		st.buf = nil
+	} else {
+		clear(st.buf) // drop envelope references
 	}
 	pumpPool.Put(st)
 }

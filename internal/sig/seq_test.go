@@ -22,7 +22,7 @@ func TestSeqEnvelopeRoundTrip(t *testing.T) {
 		if err := WriteFrame(&buf, e); err != nil {
 			t.Fatalf("WriteFrame(%v): %v", e, err)
 		}
-		got, err := ReadFrame(&buf)
+		got, err := NewFrameReader(&buf).ReadFrame()
 		if err != nil {
 			t.Fatalf("ReadFrame(%v): %v", e, err)
 		}

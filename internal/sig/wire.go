@@ -624,12 +624,13 @@ func releaseMeta(m *Meta) {
 }
 
 // Release recycles the decode-owned state of an envelope produced by
-// UnmarshalEnvelope (or ReadFrame); it is a no-op for envelopes built
-// by hand, whose Meta the application owns. Call it exactly once, when
-// dispatch of the envelope is complete: afterwards the envelope's Meta
-// pointer and Attrs slice are dead (attr strings previously read from
-// it remain valid). Releasing is an optimization, not an obligation —
-// an unreleased Meta is simply collected by the GC.
+// UnmarshalEnvelope (or FrameReader.ReadFrame, which decodes with it);
+// it is a no-op for envelopes built by hand, whose Meta the application
+// owns. Call it exactly once, when dispatch of the envelope is
+// complete: afterwards the envelope's Meta pointer and Attrs slice are
+// dead (attr strings previously read from it remain valid). Releasing
+// is an optimization, not an obligation — an unreleased Meta is simply
+// collected by the GC.
 func (e *Envelope) Release() {
 	if m := e.Meta; m != nil && m.pooled {
 		e.Meta = nil
@@ -671,54 +672,73 @@ func WriteFrame(w io.Writer, e Envelope) error {
 	return err
 }
 
-// FrameReader reads length-framed envelopes from a stream, reusing one
-// payload buffer across frames. It is not safe for concurrent use; use
-// one per connection (the transport's reader goroutine owns it).
+// FrameReader reads length-framed envelopes from a stream. It reads as
+// many bytes as the stream offers into one reused buffer and decodes
+// frames out of it, so a burst of small frames costs one Read — one
+// read(2) on a socket — rather than two per frame. Because it reads
+// ahead, a stream must have exactly one FrameReader. It is not safe for
+// concurrent use; the transport's reader goroutine owns it.
 type FrameReader struct {
 	r   io.Reader
-	buf []byte
-	hdr [4]byte // the length header; a local would escape through r.Read
+	buf []byte // buf[off:] is read but not yet decoded
+	off int
+	err error // the stream's error, returned once the buffer runs dry
 }
 
-// NewFrameReader wraps r for frame-at-a-time reading.
+// NewFrameReader wraps r for frame-at-a-time reading, with a 512-byte
+// buffer that grows only for a frame larger than it.
 func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: r, buf: make([]byte, 0, 512)}
 }
 
-// ReadFrame reads and decodes the next envelope. The internal buffer
-// is reused between calls; the returned envelope does not alias it.
+// ReadFrame decodes the next envelope, reading from the stream only
+// when the buffer holds no complete frame. The returned envelope does
+// not alias the buffer. At the end of the stream it returns io.EOF
+// between frames and io.ErrUnexpectedEOF inside one; a length prefix
+// over MaxFrame returns ErrFrameTooLarge before any buffer grows.
 func (fr *FrameReader) ReadFrame() (Envelope, error) {
-	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+	if err := fr.fill(4); err != nil {
 		return Envelope{}, err
 	}
-	n := binary.BigEndian.Uint32(fr.hdr[:])
+	n := binary.BigEndian.Uint32(fr.buf[fr.off:])
 	if n > MaxFrame {
 		return Envelope{}, ErrFrameTooLarge
 	}
-	if cap(fr.buf) < int(n) {
-		fr.buf = make([]byte, n)
-	}
-	p := fr.buf[:n]
-	if _, err := io.ReadFull(fr.r, p); err != nil {
+	end := 4 + int(n)
+	if err := fr.fill(end); err != nil {
 		return Envelope{}, err
 	}
+	p := fr.buf[fr.off+4 : fr.off+end]
+	fr.off += end
 	return UnmarshalEnvelope(p)
 }
 
-// ReadFrame reads one length-framed envelope from r. For streams, a
-// FrameReader amortizes the payload buffer across frames.
-func ReadFrame(r io.Reader) (Envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Envelope{}, err
+// fill makes at least need bytes available past off. When they are not
+// yet buffered it moves the partial frame to the front and reads into
+// the rest of the buffer, growing it only if need exceeds its capacity.
+func (fr *FrameReader) fill(need int) error {
+	if len(fr.buf)-fr.off >= need {
+		return nil
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return Envelope{}, ErrFrameTooLarge
+	if fr.off > 0 {
+		fr.buf = fr.buf[:copy(fr.buf, fr.buf[fr.off:])]
+		fr.off = 0
 	}
-	p := make([]byte, n)
-	if _, err := io.ReadFull(r, p); err != nil {
-		return Envelope{}, err
+	if cap(fr.buf) < need {
+		grown := make([]byte, len(fr.buf), max(need, 2*cap(fr.buf)))
+		copy(grown, fr.buf)
+		fr.buf = grown
 	}
-	return UnmarshalEnvelope(p)
+	for len(fr.buf) < need {
+		if fr.err != nil {
+			if fr.err == io.EOF && len(fr.buf) > 0 {
+				return io.ErrUnexpectedEOF
+			}
+			return fr.err
+		}
+		var k int
+		k, fr.err = fr.r.Read(fr.buf[len(fr.buf):cap(fr.buf)])
+		fr.buf = fr.buf[:len(fr.buf)+k]
+	}
+	return nil
 }

@@ -14,7 +14,7 @@ func roundTrip(t *testing.T, e Envelope) Envelope {
 	if err := WriteFrame(&buf, e); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
-	got, err := ReadFrame(&buf)
+	got, err := NewFrameReader(&buf).ReadFrame()
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}
@@ -81,11 +81,17 @@ func TestMetaAttrEncodingDeterministic(t *testing.T) {
 	}
 }
 
+// TestReadFrameRejectsOversized: a length prefix over MaxFrame is
+// refused before the reader's buffer grows to hold it.
 func TestReadFrameRejectsOversized(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); err != ErrFrameTooLarge {
-		t.Errorf("expected ErrFrameTooLarge, got %v", err)
+	for _, hdr := range [][]byte{{0xFF, 0xFF, 0xFF, 0xFF}, {0, 1, 0, 1}} {
+		fr := NewFrameReader(bytes.NewReader(append(hdr, make([]byte, 64)...)))
+		if _, err := fr.ReadFrame(); err != ErrFrameTooLarge {
+			t.Errorf("header %x: expected ErrFrameTooLarge, got %v", hdr, err)
+		}
+		if c := cap(fr.buf); c != 512 {
+			t.Errorf("header %x: buffer grew to %d bytes", hdr, c)
+		}
 	}
 }
 
@@ -161,7 +167,7 @@ func TestQuickWireRoundTrip(t *testing.T) {
 		if err := WriteFrame(&buf, e); err != nil {
 			return false
 		}
-		got, err := ReadFrame(&buf)
+		got, err := NewFrameReader(&buf).ReadFrame()
 		if err != nil {
 			return false
 		}
@@ -234,8 +240,9 @@ func TestWriteFrameSingleWrite(t *testing.T) {
 			t.Fatalf("after %d frames: %d Write calls, want %d", i+1, w.writes, i+1)
 		}
 	}
+	fr := NewFrameReader(&w.buf)
 	for _, want := range envs {
-		got, err := ReadFrame(&w.buf)
+		got, err := fr.ReadFrame()
 		if err != nil {
 			t.Fatal(err)
 		}

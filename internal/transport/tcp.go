@@ -114,10 +114,10 @@ func (p *tcpPort) writer() {
 
 func (p *tcpPort) reader() {
 	defer p.wg.Done()
-	// One FrameReader per connection so every frame decodes out of the
-	// same reused length-prefix-sized buffer instead of allocating one
-	// per frame. The decoded Envelope owns its strings/slices, so
-	// reusing the frame buffer between iterations is safe.
+	// One FrameReader per connection: it reads whatever the socket holds
+	// into one reused buffer and decodes every complete frame from it,
+	// so a burst costs one read(2). The decoded Envelope owns its
+	// strings/slices, so reusing the buffer between frames is safe.
 	fr := sig.NewFrameReader(p.wireIn)
 	for {
 		e, err := fr.ReadFrame()
