@@ -1,18 +1,19 @@
 GO ?= go
 
-.PHONY: ci vet build test fuzz bench agree bench-smoke bench-check bench-pair bench-mc bench-media storm-smoke media-smoke ts-smoke chaos-smoke bench-chaos alloc-gate store-smoke bench-store profile-runtime cluster-smoke bench-cluster
+.PHONY: ci vet build test fuzz bench agree bench-smoke bench-check bench-pair bench-mc chaos-smoke bench-chaos alloc-gate store-smoke bench-store profile-runtime cluster-smoke bench-cluster
 
 # ci is the gate: static checks, build, the full test suite under the
-# race detector, the parallel-vs-sequential checker agreement test,
-# a short fuzz smoke so the sig and media fuzz targets are actually
-# executed, a one-iteration benchmark smoke so the perf harness keeps
-# compiling, the zero-alloc gates (non-race: the race detector defeats
-# the accounting), a short call-storm so the live runtime survives
-# load, a short in-memory media-storm so the media pipeline does, a
-# seeded chaos-storm so the fault-recovery story is re-proved on every
-# run, and the benchmark's own checks so a change that stops bench/
-# compiling or running against the tree fails here.
-ci: vet build test agree fuzz bench-smoke bench-check alloc-gate storm-smoke media-smoke ts-smoke chaos-smoke store-smoke cluster-smoke
+# race detector (it includes the load tests: 500 call lifecycles on a
+# 4-shard ring cluster, the same population stopped under load, and 8
+# paced MPEG-TS flows held to zero integrity errors), the
+# parallel-vs-sequential checker agreement test, a short fuzz smoke so
+# the sig and media fuzz targets are actually executed, a
+# one-iteration benchmark smoke so the perf harness keeps compiling,
+# the zero-alloc gates (non-race: the race detector defeats the
+# accounting), a seeded chaos-storm so the fault-recovery story is
+# re-proved on every run, and the benchmark's own checks so a change
+# that stops bench/ compiling or running against the tree fails here.
+ci: vet build test agree fuzz bench-smoke bench-check alloc-gate chaos-smoke store-smoke cluster-smoke
 
 vet:
 	$(GO) vet ./...
@@ -42,6 +43,7 @@ fuzz:
 bench-smoke:
 	$(GO) test -run='^$$' -bench='Explore|Marshal' -benchtime=1x ./internal/mcmodel ./internal/sig
 	$(GO) test -run='^$$' -bench='PacketMarshal|AgentDeliver|AgentEmitBatch' -benchtime=1x ./internal/media
+	$(GO) test -run='^$$' -bench='BenchmarkCallCycle' -benchtime=1x -cpu=1 ./internal/box
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
@@ -69,7 +71,8 @@ bench-pair:
 
 # alloc-gate asserts the zero-alloc claims: the signaling decode path
 # (interned strings, pooled Meta frames), a frame's encode and decode
-# through a reused FrameReader, and the end-to-end
+# through a reused FrameReader, an application server's noMedia
+# descriptor, and the end-to-end
 # decode->inbox->dispatch->release path, the steady-state event
 # dispatch path (box) both standalone and through a cluster shard, the
 # media fast path — packet marshal, transmit staging, and wire delivery
@@ -91,35 +94,13 @@ bench-pair:
 # carried; a backlog crosses one pump whole and in order.
 alloc-gate:
 	$(GO) test -run='TestDecodeZeroAlloc|TestEncodeZeroAlloc|TestFrameRoundTripZeroAlloc' ./internal/sig
+	$(GO) test -run='TestServerDescribeZeroAlloc' ./internal/core
 	$(GO) test -run='TestRunnerEventZeroAlloc|TestClusterEventZeroAlloc|TestRunnerEventEndToEndAllocs|TestCallCycleAllocBudget|TestStandaloneRunnerFootprint|TestPumpedChannelFootprint' ./internal/box
 	$(GO) test -run='TestMediaZeroAlloc|TestTSFramingZeroAlloc' ./internal/media
 	$(GO) test -run='TestTSZeroAlloc' ./internal/ts
 	$(GO) test -run='TestRelSendSteadyStateZeroAlloc|TestRingDialAllocBudget|TestMuxCarrierZeroAlloc|TestMuxChannelAllocBudget|TestPipeAllocBudget' ./internal/transport
 	$(GO) test -run='TestStoreZeroAlloc' ./internal/store
 	$(GO) test -race -run='TestPumpStateReusedOnlyAfterAck|TestPumpBurstInOrder' ./internal/box
-
-# storm-smoke drives 500 concurrent call lifecycles for 5 seconds over
-# the in-memory network: a shutdown-under-load and liveness check, not
-# a measurement. The second leg reruns it on a 4-shard cluster over
-# ring-port channels at GOMAXPROCS=4 with the gate armed — no give-up,
-# and no envelope past a ring's capacity (transport.ring_spills = 0) —
-# so every CI run re-proves the sharded runtime under load and the ring
-# size against real traffic.
-storm-smoke:
-	$(GO) run ./cmd/callstorm -paths 500 -servers 4 -mode link -net mem -hold 250ms -duration 5s
-	GOMAXPROCS=4 $(GO) run ./cmd/callstorm -paths 500 -servers 4 -mode link -net ring -shards 4 -hold 250ms -duration 5s -gate -alloc-gate 0.71
-
-# media-smoke blasts the in-memory media plane for ~2 seconds: a
-# pipeline liveness check, not a measurement.
-media-smoke:
-	$(GO) run ./cmd/mediastorm -plane mem -agents 16 -duration 2s
-
-# ts-smoke is the MPEG-TS integrity gate: 8 paced TS flows (well under
-# capacity, so the wire is clean) for 2 seconds, exiting nonzero on any
-# CRC error, continuity discontinuity, or framing drop. Saturated runs
-# legitimately lose datagrams; this paced run must not.
-ts-smoke:
-	$(GO) run ./cmd/tsstorm -agents 8 -rate 50 -duration 2s -gate
 
 # chaos-smoke is the seeded resilience gate: ~30 seconds of call
 # lifecycles over a wire that drops 5% and duplicates 2% of envelopes
@@ -177,27 +158,18 @@ bench-chaos:
 bench-store:
 	$(GO) run ./cmd/storestorm -keys 5000 -lookups 200000 -cdrs 50000 -out BENCH_store.json
 
-# bench-media records the media-plane numbers: the in-memory carrier,
-# the persistent-socket batched pipeline, and the framed legs — the
-# same pipeline carrying 1316-byte opaque payloads vs. full MPEG-TS
-# bursts — at equal agent count, written to BENCH_media.json.
-# ts_pps_ratio_vs_opaque is the container's cost (acceptance: ≥0.85,
-# i.e. at most a 15% pps penalty).
-bench-media:
-	$(GO) run ./cmd/mediastorm -agents 8 -duration 3s -out BENCH_media.json
-
-# profile-runtime captures CPU and allocation profiles of two callstorm
-# legs for `go tool pprof` spelunking. The first holds 1200 paths on
-# 1 s holds (mostly idle, so it shows where the event loop and the
-# timers spend their time); the second is
-# one saturated shard at GOMAXPROCS=1 redialing on 3 ms holds, so the
-# channel churn path — dial, ring pipe, teardown — is what gets
-# profiled.
+# profile-runtime captures CPU and allocation profiles of the call
+# cycle for `go tool pprof` spelunking: BenchmarkCallCycle — one ring
+# shard at GOMAXPROCS=1, a client redialing through a relay and a
+# device already holding 600 calls — under the go tool's own profiling
+# flags, so the channel churn path (dial, ring pipes, splice, flow,
+# teardown) is what gets profiled. go test leaves box.test, the binary
+# the profiles symbolize against, beside them.
 profile-runtime:
-	$(GO) run ./cmd/callstorm -paths 1200 -servers 8 -mode link -net ring -hold 1s -duration 10s -cpuprofile callstorm.cpu.pprof -memprofile callstorm.allocs.pprof
-	GOMAXPROCS=1 $(GO) run ./cmd/callstorm -paths 256 -servers 4 -mode link -net ring -shards 1 -hold 3ms -duration 10s -cpuprofile callstorm.sat.cpu.pprof -memprofile callstorm.sat.allocs.pprof
-	@echo "profiles written: callstorm.cpu.pprof callstorm.allocs.pprof callstorm.sat.cpu.pprof callstorm.sat.allocs.pprof"
-	@echo "inspect with: go tool pprof -top -sample_index=alloc_space callstorm.sat.allocs.pprof"
+	$(GO) test -run='^$$' -bench='BenchmarkCallCycle' -benchtime=10s -cpu=1 -cpuprofile=callcycle.cpu.pprof -memprofile=callcycle.allocs.pprof ./internal/box
+	@echo "profiles written: callcycle.cpu.pprof callcycle.allocs.pprof (binary: box.test)"
+	@echo "inspect with: go tool pprof -top box.test callcycle.cpu.pprof"
+	@echo "         and: go tool pprof -top -sample_index=alloc_space box.test callcycle.allocs.pprof"
 
 # bench-mc records the before/after checker numbers: the twelve-model
 # suite at workers 1 vs 4, written to BENCH_mc.json. Forcing 4 (rather

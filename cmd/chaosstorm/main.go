@@ -1,5 +1,5 @@
-// chaosstorm is the fault-tolerance harness: callstorm's lifecycle
-// load run over a deliberately hostile wire, with the Section V
+// chaosstorm is the fault-tolerance harness: internal/storm's client
+// lifecycles run over a deliberately hostile wire, with the Section V
 // temporal formulas checked live while the faults land. The stack is
 // RelNetwork(FaultNetwork(mem|tcp)): the fault layer drops,
 // duplicates, delays, and reorders envelopes and severs links
@@ -48,7 +48,6 @@ import (
 
 	"ipmedia/internal/box"
 	"ipmedia/internal/pathmon"
-	"ipmedia/internal/prof"
 	"ipmedia/internal/slot"
 	"ipmedia/internal/store"
 	"ipmedia/internal/storm"
@@ -57,7 +56,9 @@ import (
 )
 
 type result struct {
-	Date string `json:"date"`
+	Date       string `json:"date"`
+	NumCPU     int    `json:"num_cpu"`
+	GoMaxProcs int    `json:"gomaxprocs"`
 
 	Net         string  `json:"net"`
 	Paths       int     `json:"paths"`
@@ -75,7 +76,6 @@ type result struct {
 	Setups      int64   `json:"setups"`
 	Completed   int64   `json:"completed_calls"`
 	CallGiveups int64   `json:"call_giveups"`
-	DialRefused int64   `json:"dials_refused"`
 	GiveupRate  float64 `json:"giveup_rate"`
 	Drained     int64   `json:"clients_drained"`
 
@@ -136,15 +136,7 @@ func main() {
 	crash := flag.Bool("crash", false, "bind the durable store and crash/recover it mid-storm")
 	storeDir := flag.String("store-dir", "", "durable store directory (empty with -crash: a temp dir)")
 	storeBackend := flag.String("store-backend", "btree", "index backend for the bound store")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the storm here")
-	memprofile := flag.String("memprofile", "", "write an allocation profile of the storm here")
 	flag.Parse()
-
-	sess, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaosstorm:", err)
-		os.Exit(1)
-	}
 
 	reg := telemetry.Enable()
 	baseline := runtime.NumGoroutine()
@@ -339,10 +331,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "chaosstorm: leaked goroutines:\n%s\n", buf[:runtime.Stack(buf, true)])
 	}
 
-	if err := sess.Stop(); err != nil {
-		fmt.Fprintln(os.Stderr, "chaosstorm:", err)
-	}
-
 	snap := reg.Snapshot()
 	counter := func(name string) int64 { return int64(snap.Counters[name]) }
 	recoveries := tk.Stats().Recoveries
@@ -362,6 +350,8 @@ func main() {
 	}
 	res := result{
 		Date:        time.Now().Format("2006-01-02"),
+		NumCPU:      runtime.NumCPU(),
+		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Net:         *netKind,
 		Paths:       *paths,
 		Servers:     *servers,
@@ -378,7 +368,6 @@ func main() {
 		Setups:      stats.Setups.Load(),
 		Completed:   stats.Completed.Load(),
 		CallGiveups: stats.Giveups.Load(),
-		DialRefused: stats.Refused.Load(),
 		GiveupRate:  giveupRate,
 		Drained:     stats.Idle.Load(),
 

@@ -128,7 +128,6 @@ type shardReport struct {
 	Setups    int64 `json:"setups"`
 	Completed int64 `json:"completed_calls"`
 	Giveups   int64 `json:"call_giveups"`
-	Refused   int64 `json:"dials_refused"`
 	Clients   int64 `json:"clients"`
 	Idle      int64 `json:"clients_drained"`
 
@@ -295,7 +294,6 @@ func childMain(o *options) {
 				Setups:    stats.Setups.Load(),
 				Completed: stats.Completed.Load(),
 				Giveups:   stats.Giveups.Load(),
-				Refused:   stats.Refused.Load(),
 				Clients:   clientCount,
 				Idle:      stats.Idle.Load(),
 				Pathmon:   tk.FinalReport(),
@@ -343,7 +341,9 @@ func childMain(o *options) {
 // Parent: supervision, chaos, and the fleet audit.
 
 type result struct {
-	Date string `json:"date"`
+	Date       string `json:"date"`
+	NumCPU     int    `json:"num_cpu"`
+	GoMaxProcs int    `json:"gomaxprocs"`
 
 	Shards     int   `json:"shards"`
 	Paths      int   `json:"paths"`
@@ -364,7 +364,6 @@ type result struct {
 	Completed       int64   `json:"completed_calls"`
 	CompletedAtKill int64   `json:"completed_at_kill"`
 	CallGiveups     int64   `json:"call_giveups"`
-	DialRefused     int64   `json:"dials_refused"`
 	GiveupRate      float64 `json:"giveup_rate"`
 	Drained         int64   `json:"clients_drained"`
 	Clients         int64   `json:"clients"`
@@ -548,6 +547,8 @@ func parentMain(o *options) {
 	fleetPM := pathmon.Report{Violations: []string{}, Wedged: []string{}}
 	res := result{
 		Date:       time.Now().Format("2006-01-02"),
+		NumCPU:     runtime.NumCPU(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Shards:     o.shards,
 		Paths:      o.paths,
 		Servers:    o.servers,
@@ -571,7 +572,6 @@ func parentMain(o *options) {
 		res.Setups += r.Setups
 		res.Completed += r.Completed
 		res.CallGiveups += r.Giveups
-		res.DialRefused += r.Refused
 		res.Drained += r.Idle
 		res.Clients += r.Clients
 		res.LocalSetups += r.LocalSetups

@@ -28,6 +28,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -54,7 +55,9 @@ type backendResult struct {
 }
 
 type result struct {
-	Date string `json:"date"`
+	Date       string `json:"date"`
+	NumCPU     int    `json:"num_cpu"`
+	GoMaxProcs int    `json:"gomaxprocs"`
 
 	Keys    int     `json:"keys"`
 	Lookups int     `json:"lookups"`
@@ -95,12 +98,14 @@ func main() {
 	fail := func(format string, args ...any) { storm.FailGate("storestorm", format, args...) }
 
 	res := result{
-		Date:    time.Now().Format("2006-01-02"),
-		Keys:    *keys,
-		Lookups: *lookups,
-		CDRs:    *cdrs,
-		FsyncMS: float64(*fsync) / float64(time.Millisecond),
-		Seed:    *seed,
+		Date:       time.Now().Format("2006-01-02"),
+		NumCPU:     runtime.NumCPU(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Keys:       *keys,
+		Lookups:    *lookups,
+		CDRs:       *cdrs,
+		FsyncMS:    float64(*fsync) / float64(time.Millisecond),
+		Seed:       *seed,
 	}
 	names := make([]string, *keys)
 	for i := range names {

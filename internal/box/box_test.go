@@ -17,7 +17,7 @@ func deviceProfile(name string, port int) *core.EndpointProfile {
 
 // await polls a box-state predicate until it holds or the deadline
 // passes.
-func await(t *testing.T, r *Runner, what string, pred func(ctx *Ctx) bool) {
+func await(t testing.TB, r *Runner, what string, pred func(ctx *Ctx) bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

@@ -13,7 +13,7 @@ import (
 	"ipmedia/internal/transport"
 )
 
-// spliceHook is the storm harnesses' relay: it splices every accepted
+// spliceHook is the storm load tests' relay: it splices every accepted
 // call onward to dev with a flowLink and propagates the in-leg's
 // teardown to the out-leg, whose names ("o-N") it pools.
 func spliceHook(dev string) func(*Ctx, *Event) {
@@ -93,6 +93,105 @@ func boundedRecords(t *testing.T, r *Runner, atOnce int) {
 	})
 }
 
+// callCycleRig is the set-up the call-cycle gate and benchmark share:
+// on one ring shard, a relay splicing every call to a device with a
+// flowLink, both already carrying 600 standing calls, and a client that
+// dials a call through the relay, tears it down once it flows, and
+// redials at once — until it has completed the last of its marks.
+type callCycleRig struct {
+	dev, relay, parker, cli *Runner
+	done                    chan int // the call count at each mark, -1 on a give-up
+}
+
+const standingCalls = 600
+
+func newCallCycleRig(tb testing.TB, marks ...int) *callCycleRig {
+	tb.Helper()
+	c := NewCluster(transport.NewRingMemNetwork(), 1)
+	tb.Cleanup(c.Stop)
+	rig := &callCycleRig{done: make(chan int, len(marks))}
+	rig.dev = c.Runner(New("dev", deviceProfile("dev", 5004)))
+	rb := New("relay", core.ServerProfile{Name: "relay"})
+	rb.Hook = spliceHook("dev")
+	rig.relay = c.Runner(rb)
+	for _, r := range []*Runner{rig.dev, rig.relay} {
+		if err := r.Listen(r.Box().Name(), nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+
+	// The standing population: one box holding 600 calls through the relay.
+	rig.parker = c.Runner(New("parker", deviceProfile("parker", 5006)))
+	for i := 0; i < standingCalls; i++ {
+		ch := "p" + strconv.Itoa(i)
+		if err := rig.parker.Connect(ch, "relay"); err != nil {
+			tb.Fatal(err)
+		}
+		rig.parker.Do(func(ctx *Ctx) {
+			ctx.SetGoal(core.NewOpenSlot(TunnelSlot(ch, 0), sig.Audio, ctx.Box().Profile()))
+		})
+	}
+	await(tb, rig.parker, "the standing calls flowing", func(ctx *Ctx) bool {
+		for i := 0; i < standingCalls; i++ {
+			if !ctx.IsFlowing(TunnelSlot("p"+strconv.Itoa(i), 0)) {
+				return false
+			}
+		}
+		return true
+	})
+
+	calls := 0
+	s0 := TunnelSlot("c", 0)
+	rig.cli = c.Runner(New("cli", deviceProfile("cli", 5008)))
+	rig.cli.SetProgram(&Program{Initial: "idle", States: []*State{
+		{Name: "idle", Trans: []Trans{
+			{When: func(ctx *Ctx) bool { return ctx.OnApp("gen", "go") }, To: "call"},
+		}},
+		{Name: "call", Annots: []Annot{OpenSlotAnn(s0, sig.Audio)},
+			OnEnter: func(ctx *Ctx) {
+				ctx.Dial("c", "relay")
+				ctx.SetTimer("giveup", 5*time.Second)
+			},
+			Trans: []Trans{
+				{When: func(ctx *Ctx) bool { return ctx.IsFlowing(s0) }, To: "over",
+					Do: func(ctx *Ctx) { ctx.CancelTimer("giveup") }},
+				{When: func(ctx *Ctx) bool { return ctx.OnTimer("giveup") }, To: "idle",
+					Do: func(ctx *Ctx) { rig.done <- -1 }},
+			}},
+		{Name: "over",
+			OnEnter: func(ctx *Ctx) {
+				ctx.Teardown("c")
+				if calls++; calls == marks[0] {
+					marks = marks[1:]
+					rig.done <- calls
+				}
+			},
+			Trans: []Trans{
+				{When: func(*Ctx) bool { return len(marks) > 0 }, To: "call"},
+				{When: func(*Ctx) bool { return true }, To: "idle"},
+			}},
+	}})
+	rig.cli.Inject(Event{Kind: EvEnvelope, Channel: "gen", Env: sig.Envelope{Meta: &sig.Meta{Kind: sig.MetaApp, App: "go"}}})
+	return rig
+}
+
+// mark waits for the client to complete want calls and returns the
+// process's allocation count at that moment.
+func (rig *callCycleRig) mark(tb testing.TB, want int) uint64 {
+	tb.Helper()
+	select {
+	case got := <-rig.done:
+		if got != want {
+			tb.Fatalf("the client stopped at %d calls, want %d", got, want)
+		}
+	case <-time.After(60 * time.Second):
+		tb.Fatalf("the client never reached %d calls", want)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
 // TestCallCycleAllocBudget is the CI gate for call set-up and
 // tear-down: a client dials a relay that splices the call to a device
 // with a flowLink, the call flows, and the client tears it down — on a
@@ -107,108 +206,38 @@ func TestCallCycleAllocBudget(t *testing.T) {
 		t.Skip("the race detector defeats allocation accounting")
 	}
 	const (
-		standing = 600
-		warm     = 2000
-		cycles   = 20000
-		budget   = 11.0
+		warm   = 2000
+		cycles = 20000
+		budget = 11.0
 	)
-	c := NewCluster(transport.NewRingMemNetwork(), 1)
-	defer c.Stop()
-	dev := c.Runner(New("dev", deviceProfile("dev", 5004)))
-	rb := New("relay", core.ServerProfile{Name: "relay"})
-	rb.Hook = spliceHook("dev")
-	relay := c.Runner(rb)
-	for _, r := range []*Runner{dev, relay} {
-		if err := r.Listen(r.Box().Name(), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// The standing population: one box holding 600 calls through the relay.
-	parker := c.Runner(New("parker", deviceProfile("parker", 5006)))
-	for i := 0; i < standing; i++ {
-		ch := "p" + strconv.Itoa(i)
-		if err := parker.Connect(ch, "relay"); err != nil {
-			t.Fatal(err)
-		}
-		parker.Do(func(ctx *Ctx) {
-			ctx.SetGoal(core.NewOpenSlot(TunnelSlot(ch, 0), sig.Audio, ctx.Box().Profile()))
-		})
-	}
-	await(t, parker, "the standing calls flowing", func(ctx *Ctx) bool {
-		for i := 0; i < standing; i++ {
-			if !ctx.IsFlowing(TunnelSlot("p"+strconv.Itoa(i), 0)) {
-				return false
-			}
-		}
-		return true
-	})
-
-	// The cycling client: the storm harnesses' lifecycle program, redialing
-	// the moment a call ends. It counts completed calls and reports at
-	// the marks the test sets.
-	done := make(chan int, 2)
-	calls, marks := 0, []int{warm, warm + cycles}
-	s0 := TunnelSlot("c", 0)
-	cli := c.Runner(New("cli", deviceProfile("cli", 5008)))
-	cli.SetProgram(&Program{Initial: "idle", States: []*State{
-		{Name: "idle", Trans: []Trans{
-			{When: func(ctx *Ctx) bool { return ctx.OnApp("gen", "go") }, To: "call"},
-		}},
-		{Name: "call", Annots: []Annot{OpenSlotAnn(s0, sig.Audio)},
-			OnEnter: func(ctx *Ctx) {
-				ctx.Dial("c", "relay")
-				ctx.SetTimer("giveup", 5*time.Second)
-			},
-			Trans: []Trans{
-				{When: func(ctx *Ctx) bool { return ctx.IsFlowing(s0) }, To: "over",
-					Do: func(ctx *Ctx) { ctx.CancelTimer("giveup") }},
-				{When: func(ctx *Ctx) bool { return ctx.OnTimer("giveup") }, To: "idle",
-					Do: func(ctx *Ctx) { done <- -1 }},
-			}},
-		{Name: "over",
-			OnEnter: func(ctx *Ctx) {
-				ctx.Teardown("c")
-				if calls++; calls == marks[0] {
-					marks = marks[1:]
-					done <- calls
-				}
-			},
-			Trans: []Trans{
-				{When: func(*Ctx) bool { return len(marks) > 0 }, To: "call"},
-				{When: func(*Ctx) bool { return true }, To: "idle"},
-			}},
-	}})
-	mark := func(want int) uint64 {
-		t.Helper()
-		select {
-		case got := <-done:
-			if got != want {
-				t.Fatalf("the client stopped at %d calls, want %d", got, want)
-			}
-		case <-time.After(60 * time.Second):
-			t.Fatalf("the client never reached %d calls", want)
-		}
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.Mallocs
-	}
-	cli.Inject(Event{Kind: EvEnvelope, Channel: "gen", Env: sig.Envelope{Meta: &sig.Meta{Kind: sig.MetaApp, App: "go"}}})
-	m0 := mark(warm)
-	m1 := mark(warm + cycles)
+	rig := newCallCycleRig(t, warm, warm+cycles)
+	m0 := rig.mark(t, warm)
+	m1 := rig.mark(t, warm+cycles)
 	perCycle := float64(m1-m0) / cycles
-	t.Logf("call cycle: %.2f allocs (budget %.0f) with %d standing calls", perCycle, budget, standing)
+	t.Logf("call cycle: %.2f allocs (budget %.0f) with %d standing calls", perCycle, budget, standingCalls)
 	if perCycle > budget {
 		t.Errorf("a dial-flow-teardown cycle allocates %.2f times, budget %.0f", perCycle, budget)
 	}
 
 	// The relay held 600 calls and served 22 000 more: its tables are
 	// sized by the former.
-	await(t, relay, "the last call's legs torn down", func(ctx *Ctx) bool { return ctx.Box().live == 2*standing })
-	boundedRecords(t, relay, 2*(standing+1))
-	boundedRecords(t, dev, standing+1)
-	boundedRecords(t, cli, 1)
-	noErrs(t, dev, relay, parker, cli)
+	await(t, rig.relay, "the last call's legs torn down", func(ctx *Ctx) bool { return ctx.Box().live == 2*standingCalls })
+	boundedRecords(t, rig.relay, 2*(standingCalls+1))
+	boundedRecords(t, rig.dev, standingCalls+1)
+	boundedRecords(t, rig.cli, 1)
+	noErrs(t, rig.dev, rig.relay, rig.parker, rig.cli)
+}
+
+// BenchmarkCallCycle times TestCallCycleAllocBudget's call cycle — the
+// channel churn path: dial, ring pipes, splice, flow, teardown — with
+// b.N counting calls. It is what make profile-runtime profiles.
+func BenchmarkCallCycle(b *testing.B) {
+	const warm = 2000
+	rig := newCallCycleRig(b, warm, warm+b.N)
+	rig.mark(b, warm)
+	b.ReportAllocs()
+	b.ResetTimer()
+	rig.mark(b, warm+b.N)
 }
 
 // TestAcceptNameReuse: with the default naming a listener gives an

@@ -2,7 +2,9 @@ package media
 
 import (
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"ipmedia/internal/sig"
 	"ipmedia/internal/telemetry"
@@ -202,33 +204,83 @@ func TestOpaqueFraming(t *testing.T) {
 
 // TestUDPPlaneTSFraming runs framed media over real UDP sockets: the
 // plane-installed factory gives each agent private framing state, and
-// a paced stream arrives with zero integrity errors.
+// the stream arrives with zero integrity errors — sent as one burst,
+// and paced.
 func TestUDPPlaneTSFraming(t *testing.T) {
-	p := NewUDPPlane()
-	p.SetFraming(func() Framing { return NewTSFraming() })
-	defer p.Close()
+	t.Run("burst", func(t *testing.T) {
+		p := NewUDPPlane()
+		p.SetFraming(func() Framing { return NewTSFraming() })
+		defer p.Close()
 
-	aAddr := AddrPort{Addr: "127.0.0.1", Port: freeUDPPort(t)}
-	bAddr := AddrPort{Addr: "127.0.0.1", Port: freeUDPPort(t)}
-	a := p.Agent("A", aAddr)
-	b := p.Agent("B", bAddr)
-	a.SetSending(bAddr, sig.G711)
-	b.SetExpecting(aAddr, sig.G711, true)
+		aAddr := AddrPort{Addr: "127.0.0.1", Port: freeUDPPort(t)}
+		bAddr := AddrPort{Addr: "127.0.0.1", Port: freeUDPPort(t)}
+		a := p.Agent("A", aAddr)
+		b := p.Agent("B", bAddr)
+		a.SetSending(bAddr, sig.G711)
+		b.SetExpecting(aAddr, sig.G711, true)
 
-	p.Tick(100)
-	await(t, "framed delivery", func() bool { return b.Stats().Accepted >= 100 })
-	bs := b.Stats()
-	if bs.FramingErrors != 0 {
-		t.Fatalf("framing errors on a clean wire: %d", bs.FramingErrors)
-	}
-	ds := b.Framing().(*TSFraming).DemuxStats()
-	if ds.Errors() != 0 {
-		t.Fatalf("demux errors on a clean wire: %+v", ds)
-	}
-	if ds.Packets < 100*TSPacketsPerDatagram {
-		t.Fatalf("demuxed %d TS packets, want at least %d", ds.Packets, 100*TSPacketsPerDatagram)
-	}
-	for _, err := range p.Errs() {
-		t.Errorf("plane error: %v", err)
-	}
+		p.Tick(100)
+		await(t, "framed delivery", func() bool { return b.Stats().Accepted >= 100 })
+		bs := b.Stats()
+		if bs.FramingErrors != 0 {
+			t.Fatalf("framing errors on a clean wire: %d", bs.FramingErrors)
+		}
+		ds := b.Framing().(*TSFraming).DemuxStats()
+		if ds.Errors() != 0 {
+			t.Fatalf("demux errors on a clean wire: %+v", ds)
+		}
+		if ds.Packets < 100*TSPacketsPerDatagram {
+			t.Fatalf("demuxed %d TS packets, want at least %d", ds.Packets, 100*TSPacketsPerDatagram)
+		}
+		for _, err := range p.Errs() {
+			t.Errorf("plane error: %v", err)
+		}
+	})
+
+	// The integrity gate: 8 flows paced at 50 bursts/s for two seconds,
+	// well under capacity, so the wire is clean and any CRC error,
+	// continuity discontinuity or framing drop is the container's fault.
+	// (A saturated sender legitimately loses datagrams; a paced one must
+	// not.)
+	t.Run("paced", func(t *testing.T) {
+		const flows, pps = 8, 50
+		reg := telemetry.NewRegistry()
+		telemetry.SetDefault(reg) // before the agents resolve their instruments
+		defer telemetry.SetDefault(nil)
+		p := NewUDPPlane()
+		p.SetFraming(func() Framing { return NewTSFraming() })
+		defer p.Close()
+
+		rxs := make([]*Agent, flows)
+		pacers := make([]*Pacer, flows)
+		for i := range rxs {
+			// Each port is probed after the last agent bound its own.
+			tx := p.Agent(fmt.Sprintf("tx%d", i), AddrPort{Addr: "127.0.0.1", Port: freeUDPPort(t)})
+			rx := p.Agent(fmt.Sprintf("rx%d", i), AddrPort{Addr: "127.0.0.1", Port: freeUDPPort(t)})
+			tx.SetSending(rx.Origin(), sig.G711)
+			rx.SetExpecting(tx.Origin(), sig.G711, true)
+			rxs[i] = rx
+			pacers[i] = p.StartPacer(tx, time.Second/pps, 1)
+		}
+		time.Sleep(2 * time.Second)
+		for _, pc := range pacers {
+			pc.Stop()
+		}
+		time.Sleep(100 * time.Millisecond) // in-flight datagrams land
+
+		for i, rx := range rxs {
+			if s := rx.Stats(); s.Accepted == 0 || s.FramingErrors != 0 {
+				t.Errorf("flow %d: %d bursts accepted, %d framing drops", i, s.Accepted, s.FramingErrors)
+			}
+		}
+		if n := reg.Counter(MetricTSCRCErrors).Value(); n != 0 {
+			t.Errorf("%d TS CRC errors on a clean wire", n)
+		}
+		if n := reg.Counter(MetricTSCCDiscontinuities).Value(); n != 0 {
+			t.Errorf("%d TS continuity discontinuities on a clean wire", n)
+		}
+		for _, err := range p.Errs() {
+			t.Errorf("plane error: %v", err)
+		}
+	})
 }

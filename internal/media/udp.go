@@ -98,9 +98,6 @@ func (p *UDPPlane) SetBatchIO(on bool) {
 	p.batch.Store(on && batchIOSupported)
 }
 
-// BatchIO reports whether the batched syscall path is active.
-func (p *UDPPlane) BatchIO() bool { return p.batch.Load() }
-
 // SetFraming installs a framing factory: every agent created after
 // this call gets its own Framing instance, installed before the
 // agent's reader starts. Call before endpoints register their agents.

@@ -135,10 +135,14 @@ func (d Descriptor) String() string {
 
 // NoMediaDescriptor builds a descriptor that declines all media, as
 // used by application-server goal objects, which mute media flow in
-// both directions (paper Section IV-A).
+// both directions (paper Section IV-A). Every such descriptor shares
+// one codec list: like the decoder's interned lists, Descriptor.Codecs
+// is read-only.
 func NoMediaDescriptor(id DescID) Descriptor {
-	return Descriptor{ID: id, Codecs: []Codec{NoMedia}}
+	return Descriptor{ID: id, Codecs: noMediaCodecs}
 }
+
+var noMediaCodecs = []Codec{NoMedia}
 
 // Selector is a record in which an endpoint declares its intention to
 // send to the endpoint described by a descriptor (paper Section VI-B).

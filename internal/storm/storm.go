@@ -3,9 +3,9 @@
 // with, the device hook and poll loop that hold those paths to their
 // Section V formulas, the outcome counters, and the report and gate
 // plumbing every harness ends with. cmd/chaosstorm and
-// cmd/clusterstorm run exactly this program — their gates certify it;
-// cmd/callstorm keeps its own redial-while-flowing program and shares
-// the rest.
+// cmd/clusterstorm run exactly this program — their gates certify it —
+// and so do this package's load tests, on a sharded ring cluster and
+// on standalone runners stopped under load.
 package storm
 
 import (
@@ -31,7 +31,6 @@ type Stats struct {
 	Setups    atomic.Int64 // calls that reached flowing
 	Completed atomic.Int64 // full lifecycles (flowing + held + torn down)
 	Giveups   atomic.Int64 // calls abandoned by the client's give-up timer
-	Refused   atomic.Int64 // dials refused outright (partition window, peer down)
 	Idle      atomic.Int64 // clients parked after the stop flag
 
 	stop atomic.Bool
@@ -126,10 +125,6 @@ func ClientProgram(stats *Stats, addr string, hold, stagger, giveup time.Duratio
 			Name:    "dial",
 			OnEnter: func(ctx *box.Ctx) { cycles = 0; ctx.Dial(ch, addr) },
 			Trans: []box.Trans{
-				// A refused dial (partition window) is not an abandoned
-				// call: back off and retry instead of spinning.
-				{When: func(ctx *box.Ctx) bool { return ctx.OnMeta(ch, sig.MetaUnavailable) }, To: "backoff",
-					Do: func(ctx *box.Ctx) { stats.Refused.Add(1) }},
 				{When: func(ctx *box.Ctx) bool { return ctx.Box().HasChannel(ch) }, To: "open"},
 			},
 		},

@@ -97,8 +97,8 @@ func TestClientLifecycles(t *testing.T) {
 	if setups := stats.Setups.Load(); flowed != setups {
 		t.Errorf("on-flow fired %d times for %d set-ups", flowed, setups)
 	}
-	if n := stats.Giveups.Load() + stats.Refused.Load(); n != 0 {
-		t.Errorf("%d give-ups and refusals on a clean network", n)
+	if n := stats.Giveups.Load(); n != 0 {
+		t.Errorf("%d give-ups on a clean network", n)
 	}
 	verdict := tk.FinalReport()
 	if verdict.Polls == 0 || len(verdict.Violations) > 0 || len(verdict.Wedged) > 0 {
@@ -111,8 +111,7 @@ func TestClientLifecycles(t *testing.T) {
 // through backoff to a retry — never to a give-up — and a client caught
 // there by the stop flag still parks idle. (The refusal reaches the
 // program in its open state, the channel record existing from the
-// moment of the dial, so it is the lost transition that takes it and
-// Stats.Refused stays zero, as it always has in the harnesses.)
+// moment of the dial, so it is the lost transition that takes it.)
 func TestRefusedDialBacksOff(t *testing.T) {
 	cluster := box.NewCluster(transport.NewMemNetwork(), 1)
 	defer cluster.Stop()
