@@ -81,19 +81,25 @@ bench-pair:
 # layer's steady-state send (stamp, retain, ack bookkeeping), a logical
 # channel's envelopes from mux Send to the far RecvBatch over the
 # reliable layer, and the store's disabled path and cached registry
-# lookup allocate nothing; a ring-network dial, accept and close stay
-# within their budget of one allocation of at most 2 KB, an in-memory
-# pipe is one allocation, and a mux channel's dial, accept and close
-# at both ends stay within 8; a whole call through a relay already
-# holding 600 others — dial, splice, flow, teardown — stays within its
-# budget of 11 allocations; and what standing state holds stays within
-# its footprint: an idle standalone runner 3 KB, a pumped in-memory
-# channel with both pumps posted its measured size plus 10 %. The last
-# line is a race-detector run: the runner's pumps recycle their batch
-# buffer, and may hand it on only after the loop has acked the batch it
-# carried; a backlog crosses one pump whole and in order.
+# lookup allocate nothing; filling the intern table costs O(n) bytes,
+# not a copy of the table per string; a ring-network dial, accept and
+# close stay within their budget of one allocation of at most 128 B
+# (the pipe's identity: its rings are a store an earlier channel
+# released), an in-memory pipe is one allocation, and a mux channel's
+# dial, accept and close at both ends stay within 8; a whole call
+# through a relay already holding 600 others — dial, splice, flow,
+# teardown — stays within its budget of 11 allocations and 1 KB; and
+# what standing state holds stays within its footprint: an idle
+# standalone runner 3 KB, a pumped in-memory channel with both pumps
+# posted its measured size plus 10 %. The last two lines are
+# race-detector runs of the two recycling rules: the runner's pumps
+# recycle their batch buffer, and may hand it on only after the loop
+# has acked the batch it carried, and a backlog crosses one pump whole
+# and in order; a ring store goes to the next channel only once both
+# ends of its last one have closed, so no envelope reaches a later
+# channel and a stale port touches nothing.
 alloc-gate:
-	$(GO) test -run='TestDecodeZeroAlloc|TestEncodeZeroAlloc|TestFrameRoundTripZeroAlloc' ./internal/sig
+	$(GO) test -run='TestDecodeZeroAlloc|TestEncodeZeroAlloc|TestFrameRoundTripZeroAlloc|TestInternGrowthLinear' ./internal/sig
 	$(GO) test -run='TestServerDescribeZeroAlloc' ./internal/core
 	$(GO) test -run='TestRunnerEventZeroAlloc|TestClusterEventZeroAlloc|TestRunnerEventEndToEndAllocs|TestCallCycleAllocBudget|TestStandaloneRunnerFootprint|TestPumpedChannelFootprint' ./internal/box
 	$(GO) test -run='TestMediaZeroAlloc|TestTSFramingZeroAlloc' ./internal/media
@@ -101,6 +107,7 @@ alloc-gate:
 	$(GO) test -run='TestRelSendSteadyStateZeroAlloc|TestRingDialAllocBudget|TestMuxCarrierZeroAlloc|TestMuxChannelAllocBudget|TestPipeAllocBudget' ./internal/transport
 	$(GO) test -run='TestStoreZeroAlloc' ./internal/store
 	$(GO) test -race -run='TestPumpStateReusedOnlyAfterAck|TestPumpBurstInOrder' ./internal/box
+	$(GO) test -race -run='TestRingStoreIsolation|TestRingStalePort|TestRingCloseVsSend' ./internal/transport
 
 # chaos-smoke is the seeded resilience gate: ~30 seconds of call
 # lifecycles over a wire that drops 5% and duplicates 2% of envelopes

@@ -6,7 +6,10 @@ package sig
 
 import (
 	"bytes"
+	"runtime"
+	"strconv"
 	"testing"
+	"unsafe"
 )
 
 // TestDecodeZeroAlloc pins the steady-state allocation count of
@@ -221,4 +224,53 @@ func FuzzEnvelopeAliasing(f *testing.F) {
 			e2.Release()
 		}
 	})
+}
+
+// TestInternGrowthLinear fills a table to its capacity of 8 192 strings
+// and holds the garbage that costs to O(n): the doublings and one
+// string header per add, under 64 B a string in all. (Copying the whole
+// table on every add, as a copy-on-write map did, is O(n²): 2.3 GB
+// here.) Past capacity adds are refused, and every string
+// resolves to its canonical copy by bytes, or is added again, without
+// allocating.
+func TestInternGrowthLinear(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats allocation accounting")
+	}
+	const n, perString = 8192, 64
+	ss := make([]string, n+1)
+	for i := range ss {
+		ss[i] = "deployment-name-" + strconv.Itoa(i)
+	}
+	tab := NewIntern(n)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for _, s := range ss[:n] {
+		tab.Add(s)
+	}
+	runtime.ReadMemStats(&m1)
+	by := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("interning %d strings: %d B (%.1f B a string)", n, by, float64(by)/n)
+	if by > n*perString {
+		t.Fatalf("interning %d strings allocated %d B, budget %d B", n, by, n*perString)
+	}
+	if tab.Len() != n {
+		t.Fatalf("table holds %d strings, want %d", tab.Len(), n)
+	}
+	if tab.Add(ss[n]); tab.Len() != n {
+		t.Fatalf("an add past capacity was taken: %d strings", tab.Len())
+	}
+	for _, s := range ss[:n] {
+		b := []byte(s)
+		c, ok := tab.Lookup(b)
+		if !ok || c != s || unsafe.StringData(c) != unsafe.StringData(s) {
+			t.Fatalf("%q resolved to %q (ok=%v), not its canonical copy", s, c, ok)
+		}
+		if a := testing.AllocsPerRun(1, func() { tab.Lookup(b); tab.Add(s) }); a != 0 {
+			t.Fatalf("looking %q up or adding it again allocated %.0f times", s, a)
+		}
+	}
+	if _, ok := tab.Lookup([]byte(ss[n])); ok {
+		t.Fatalf("%q was refused but resolves", ss[n])
+	}
 }

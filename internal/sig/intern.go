@@ -7,14 +7,17 @@
 // shared strings, so steady-state decoding allocates nothing for a
 // string it has seen before.
 //
-// The table is copy-on-write behind an atomic pointer: reads (the hot
-// path, every decoded string) are lock-free; writes (one per novel
-// string, bounded by the table capacity) copy the map under a mutex.
+// The table is open addressing over atomic slots, behind an atomic
+// pointer: reads (the hot path, every decoded string) are lock-free and
+// allocate nothing; writes (one per novel string, bounded by the table
+// capacity) fill a slot under a mutex, and double the table once it is
+// half full, so adding n strings costs O(n) time and garbage in all.
 // Capacity bounds adversarial growth: once full, novel strings simply
 // decode as fresh allocations, the pre-interning behavior.
 package sig
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -23,29 +26,66 @@ import (
 // lookups. The zero value is unusable; use NewIntern.
 type Intern struct {
 	capacity int
-	table    atomic.Pointer[map[string]string]
-	mu       sync.Mutex // serializes copy-on-write updates
+	seed     maphash.Seed
+	table    atomic.Pointer[internTable]
+	mu       sync.Mutex // serializes adds
+	n        int        // strings interned; guarded by mu
 }
+
+// internTable is a power-of-two array of slots probed linearly from a
+// string's hash. A slot, once filled, never changes; a table, once
+// replaced by its doubling, is never written again.
+type internTable struct {
+	slots []atomic.Pointer[string]
+}
+
+// internMinSlots is a new table's size: a table starts small, since
+// most processes intern a few dozen strings, not the capacity.
+const internMinSlots = 64
 
 // NewIntern creates a table holding at most capacity strings.
 func NewIntern(capacity int) *Intern {
-	t := &Intern{capacity: capacity}
-	m := make(map[string]string)
-	t.table.Store(&m)
+	t := &Intern{capacity: capacity, seed: maphash.MakeSeed()}
+	t.table.Store(&internTable{slots: make([]atomic.Pointer[string], internMinSlots)})
 	return t
+}
+
+// find returns s's canonical copy if tab holds it. It is generic so
+// that a lookup by bytes compares in place, without making a string.
+func find[S string | []byte](tab *internTable, h uint64, s S) (string, bool) {
+	mask := uint64(len(tab.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		c := tab.slots[i].Load()
+		if c == nil {
+			return "", false
+		}
+		if *c == string(s) {
+			return *c, true
+		}
+	}
+}
+
+// put stores c in the first free slot of its probe sequence. Adds
+// only; c is not in tab.
+func (tab *internTable) put(h uint64, c *string) {
+	mask := uint64(len(tab.slots) - 1)
+	i := h & mask
+	for tab.slots[i].Load() != nil {
+		i = (i + 1) & mask
+	}
+	tab.slots[i].Store(c)
 }
 
 // Lookup resolves b to its canonical string if interned. It never
 // allocates.
 func (t *Intern) Lookup(b []byte) (string, bool) {
-	s, ok := (*t.table.Load())[string(b)] // compiler elides the conversion
-	return s, ok
+	return find(t.table.Load(), maphash.Bytes(t.seed, b), b)
 }
 
 // LookupString is Lookup for an existing string: it returns the
 // canonical copy if interned, else s itself.
 func (t *Intern) LookupString(s string) string {
-	if c, ok := (*t.table.Load())[s]; ok {
+	if c, ok := find(t.table.Load(), maphash.String(t.seed, s), s); ok {
 		return c
 	}
 	return s
@@ -54,24 +94,32 @@ func (t *Intern) LookupString(s string) string {
 // Add interns s (bounded: past capacity it is a no-op) and returns the
 // canonical copy.
 func (t *Intern) Add(s string) string {
-	if c, ok := (*t.table.Load())[s]; ok {
+	h := maphash.String(t.seed, s)
+	if c, ok := find(t.table.Load(), h, s); ok {
 		return c
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old := *t.table.Load()
-	if c, ok := old[s]; ok {
+	tab := t.table.Load()
+	if c, ok := find(tab, h, s); ok {
 		return c
 	}
-	if len(old) >= t.capacity {
+	if t.n >= t.capacity {
 		return s
 	}
-	next := make(map[string]string, len(old)+1)
-	for k, v := range old {
-		next[k] = v
+	if 2*(t.n+1) > len(tab.slots) {
+		next := &internTable{slots: make([]atomic.Pointer[string], 2*len(tab.slots))}
+		for i := range tab.slots {
+			if c := tab.slots[i].Load(); c != nil {
+				next.put(maphash.String(t.seed, *c), c)
+			}
+		}
+		t.table.Store(next)
+		tab = next
 	}
-	next[s] = s
-	t.table.Store(&next)
+	c := s // only an insert moves a string header to the heap
+	tab.put(h, &c)
+	t.n++
 	return s
 }
 
@@ -92,7 +140,11 @@ func (t *Intern) intern(b []byte, learn bool) string {
 }
 
 // Len reports the number of interned strings.
-func (t *Intern) Len() int { return len(*t.table.Load()) }
+func (t *Intern) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.n
+}
 
 // defaultIntern is the process-wide table used by the decoders,
 // pre-seeded with every protocol constant. Runtimes extend it with

@@ -50,6 +50,9 @@ const (
 // shortest protocol timeouts (tens of milliseconds).
 const DefaultTick = 5 * time.Millisecond
 
+// noSleepTick is sleepTick while the goroutine waits for a poke alone.
+const noSleepTick = ^uint64(0)
+
 // Timer is one scheduled callback. The zero value is not usable;
 // Schedule creates timers, and Reset arms one again.
 type Timer struct {
@@ -127,6 +130,10 @@ type Wheel struct {
 	now     uint64 // ticks fully processed
 	slots   [numLevels][numSlots]timerList
 	pending int
+	// sleepTick is the tick the goroutine will next look at the wheel
+	// by itself (noSleepTick: not until poked). An arm that expires
+	// earlier pokes it; a later one waits for that look.
+	sleepTick uint64
 
 	gauge      *telemetry.Gauge // process-wide aggregate (nil-safe)
 	labelGauge *telemetry.Gauge // per-wheel labeled gauge (nil unless NewNamed)
@@ -150,11 +157,12 @@ func NewNamed(tick time.Duration, label string) *Wheel {
 		tick = DefaultTick
 	}
 	w := &Wheel{
-		tick:  tick,
-		start: time.Now(),
-		gauge: telemetry.G(MetricPending),
-		wake:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
+		tick:      tick,
+		start:     time.Now(),
+		sleepTick: noSleepTick,
+		gauge:     telemetry.G(MetricPending),
+		wake:      make(chan struct{}, 1),
+		done:      make(chan struct{}),
 	}
 	if label != "" {
 		w.labelGauge = telemetry.G(MetricPending + "." + label)
@@ -241,8 +249,14 @@ func (w *Wheel) arm(t *Timer, d time.Duration) {
 		w.gauge.Inc()
 		w.labelGauge.Inc()
 	}
+	// The goroutine looks at the wheel at sleepTick anyway (and sets it
+	// under the lock before it sleeps); only an earlier timer needs it
+	// woken.
+	early := t.expire < w.sleepTick
 	w.mu.Unlock()
-	w.poke()
+	if early {
+		w.poke()
+	}
 }
 
 // insert buckets t by its distance from the cursor. Lock held.
@@ -284,8 +298,10 @@ func (w *Wheel) run() {
 		w.mu.Lock()
 		due = w.advance(w.ticksSince(time.Now()), due[:0])
 		var wait time.Duration = -1
+		w.sleepTick = noSleepTick
 		if w.pending > 0 {
-			wait = w.nextWake()
+			w.sleepTick = w.nextWake()
+			wait = w.untilTick(w.sleepTick)
 		}
 		w.mu.Unlock()
 
@@ -356,18 +372,18 @@ func (w *Wheel) cascade(l uint) {
 	}
 }
 
-// nextWake returns how long to sleep until the next tick that can fire
-// or cascade work. Lock held; pending > 0.
-func (w *Wheel) nextWake() time.Duration {
+// nextWake returns the next tick that can fire or cascade work. Lock
+// held; pending > 0.
+func (w *Wheel) nextWake() uint64 {
 	// The earliest level-0 timer fires at its own tick.
 	for i := uint64(1); i <= numSlots; i++ {
 		if w.slots[0][(w.now+i)&slotMask].head != nil {
-			return w.untilTick(w.now + i)
+			return w.now + i
 		}
 	}
 	// Nothing in level 0: the next possible event is the cascade at the
 	// level-0 wrap, at most 256 ticks away.
-	return w.untilTick((w.now &^ uint64(slotMask)) + numSlots)
+	return (w.now &^ uint64(slotMask)) + numSlots
 }
 
 func (w *Wheel) untilTick(tick uint64) time.Duration {

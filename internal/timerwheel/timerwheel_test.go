@@ -35,6 +35,66 @@ func TestFire(t *testing.T) {
 	}
 }
 
+// TestArmPokesOnlyEarlier: arming a timer wakes the wheel goroutine only
+// when the timer is due before the tick the goroutine already sleeps
+// until. A timer armed earlier than the current sleep fires on time,
+// not at the sleep's end; one armed later sends no wake-up.
+func TestArmPokesOnlyEarlier(t *testing.T) {
+	const tick = 5 * time.Millisecond
+	w := New(tick)
+	defer w.Close()
+	w.Schedule(time.Second, func() {}) // inside level 0: the sleep ends at its tick
+	asleep := func() bool {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return w.sleepTick != noSleepTick
+	}
+	for deadline := time.Now().Add(5 * time.Second); !asleep(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the wheel never went to sleep on its pending timer")
+		}
+	}
+	start := time.Now()
+	fired := make(chan time.Duration, 1)
+	w.Schedule(10*time.Millisecond, func() { fired <- time.Since(start) })
+	select {
+	case d := <-fired:
+		if d > 500*time.Millisecond {
+			t.Fatalf("a 10ms timer armed under a 1s sleep fired after %v", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a timer armed under a longer sleep never fired")
+	}
+
+	// The arm rule itself, on a wheel whose goroutine is not running, so
+	// that a poke stays in the wake channel to be seen.
+	w2 := &Wheel{tick: tick, start: time.Now(), sleepTick: noSleepTick,
+		wake: make(chan struct{}, 1), done: make(chan struct{})}
+	poked := func() bool {
+		select {
+		case <-w2.wake:
+			return true
+		default:
+			return false
+		}
+	}
+	w2.Schedule(time.Second, func() {})
+	if !poked() {
+		t.Fatal("the first timer on an idle wheel did not wake it")
+	}
+	w2.mu.Lock()
+	w2.sleepTick = w2.nextWake() // what run records before it sleeps
+	w2.mu.Unlock()
+	w2.Schedule(2*time.Second, func() {})
+	if poked() {
+		t.Fatal("a timer due after the wheel's sleep woke it")
+	}
+	w2.Schedule(10*time.Millisecond, func() {})
+	if !poked() {
+		t.Fatal("a timer due before the wheel's sleep did not wake it")
+	}
+}
+
 // TestStop: a stopped timer never fires and Stop reports the
 // cancellation exactly once.
 func TestStop(t *testing.T) {

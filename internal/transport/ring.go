@@ -35,16 +35,16 @@ import (
 )
 
 // ringCap is the per-direction ring capacity, fixed at compile time so
-// the slots sit inline in the pipe. A parked channel holds its whole
-// pipe — both rings and both ports, one 1.8 KB allocation — for as long
-// as it lives, so this is what a host with a hundred thousand idle
-// channels pays per channel. Four is sized against measurement, not
-// guessed: a call puts fourteen envelopes on its two channels, three or
-// four per direction per channel over the channel's whole life, and
-// transport.ring_occupancy.<n> (what each drain found waiting) has never
-// read past three, with transport.ring_spills at zero, on one shard or
-// across four (EXPERIMENTS.md "Channel churn"). A burst past the ring
-// takes the spill path.
+// the slots sit inline in the channel's store. A parked channel holds
+// its store — both rings, 1.7 KB — for as long as it lives, so this is
+// what a host with a hundred thousand idle channels pays per channel;
+// a closed one hands it to the next Dial. Four is sized against
+// measurement, not guessed: a call puts fourteen envelopes on its two
+// channels, three or four per direction per channel over the channel's
+// whole life, and transport.ring_occupancy.<n> (what each drain found
+// waiting) has never read past three, with transport.ring_spills at
+// zero, on one shard or across four (EXPERIMENTS.md "Channel churn"). A
+// burst past the ring takes the spill path.
 const (
 	ringCap  = 4
 	ringMask = ringCap - 1
@@ -242,43 +242,97 @@ type InlinePort interface {
 	TryRecvBatch(buf []sig.Envelope) (n int, ok bool)
 }
 
-// ringPort is one end of an SPSC ring channel.
+// ringPort is one end of an SPSC ring channel. recv and send point into
+// the pipe's store, and are used only while the port is open: once it
+// has closed, its store may belong to another channel.
 type ringPort struct {
-	peerName string
-	recv     *spscRing // our receive side
-	send     *spscRing // peer's receive side
+	peerName   string
+	recv, send *spscRing // our receive side; the peer's
+	pipe       *ringPipe
 }
 
-// ringPipe is a whole ring channel — both ports and both rings, slots
-// inline — so that a Dial is one allocation. The ports hand out
-// interior pointers; the pipe is collected when the last one is
-// dropped. Closed pipes are not recycled: the peer's shard may still be
-// inside Send on its port when ours closes, and an envelope that lands
-// in a ring already handed to the next call would be a cross-call leak
-// that no cheap generation check on this path excludes.
+// ringPipe is a ring channel's identity: its two ports, which ends have
+// closed, and the storage the ports use while open. Every Dial makes a
+// fresh one — the runner tells a channel's port from its redial's by
+// comparing ports — but the storage is recycled once both ends have
+// closed.
 type ringPipe struct {
-	ports [2]ringPort
+	ports  [2]ringPort
+	closed atomic.Uint32 // bit i set: ports[i] has closed
+	store  *ringStore
+}
+
+// ringStore is a ring channel's storage: both rings, slots inline.
+//
+// A store is reused only after both ends have closed. Under the SPSC
+// contract an end's Close runs on its owner goroutine after that
+// goroutine's last Send and its last drain, and the last Close finds the
+// other end's bit already set, so by the time the store is reset nothing
+// can still be storing into it or reading from it. A port that has
+// closed checks its own bit before touching the store, so a stale handle
+// gets ErrClosed or (0, false) and never reaches a store a later channel
+// now owns. Recycling on the first Close would not be safe: the open end
+// may be inside Send, past its ring's closed flag, and its envelope
+// would land in a stranger's channel.
+type ringStore struct {
 	rings [2]spscRing
+}
+
+// ringStores holds reset stores for the next Dial.
+var ringStores = sync.Pool{New: func() any { return new(ringStore) }}
+
+// reset returns a ring to its freshly made state: slots the consumer
+// never drained cleared, indices zeroed, spill dropped, no close, no
+// outstanding notification, no callback. Both ends are closed, so
+// nothing else touches the ring.
+func (r *spscRing) reset() {
+	for h, t := r.head.Load(), r.tail.Load(); h != t; h++ {
+		r.slots[h&ringMask] = sig.Envelope{}
+	}
+	r.head.Store(0)
+	r.tail.Store(0)
+	r.spill, r.spillHead = nil, 0
+	r.spillN.Store(0)
+	r.closed.Store(false)
+	r.notified.Store(false)
+	r.ready.Store((func())(nil))
 }
 
 // RingPipe creates an in-memory SPSC ring channel and returns its two
 // ports. Each end must be sent on by one goroutine and drained by one
-// goroutine (see the package comment); box runners satisfy this by
-// construction. aName and bName label the ends for diagnostics.
+// goroutine (see the package comment), and closed by the goroutine that
+// sends and drains it once it no longer does either; box runners
+// satisfy this by construction. aName and bName label the ends for
+// diagnostics.
 func RingPipe(aName, bName string) (Port, Port) {
 	return newRingPipe(aName, bName, newRingMetrics())
 }
 
 func newRingPipe(aName, bName string, m *ringMetrics) (*ringPort, *ringPort) {
-	pp := &ringPipe{}
+	pp := &ringPipe{store: ringStores.Get().(*ringStore)}
+	rings := &pp.store.rings
 	a, b := &pp.ports[0], &pp.ports[1]
-	a.peerName, a.recv, a.send = bName, &pp.rings[0], &pp.rings[1]
-	b.peerName, b.recv, b.send = aName, &pp.rings[1], &pp.rings[0]
-	pp.rings[0].m, pp.rings[1].m = m, m
+	a.peerName, a.recv, a.send, a.pipe = bName, &rings[0], &rings[1], pp
+	b.peerName, b.recv, b.send, b.pipe = aName, &rings[1], &rings[0], pp
+	rings[0].m, rings[1].m = m, m
 	return a, b
 }
 
+// end is the port's bit in its pipe's closed mask.
+func (p *ringPort) end() uint32 {
+	if p == &p.pipe.ports[0] {
+		return 1
+	}
+	return 2
+}
+
+// isClosed reports whether this end has closed (not the peer).
+func (p *ringPort) isClosed() bool { return p.pipe.closed.Load()&p.end() != 0 }
+
 func (p *ringPort) Send(e sig.Envelope) error {
+	if p.isClosed() {
+		return ErrClosed
+	}
 	if err := p.send.push(e); err != nil {
 		return err
 	}
@@ -286,11 +340,19 @@ func (p *ringPort) Send(e sig.Envelope) error {
 	return nil
 }
 
-// SetReady implements InlinePort.
-func (p *ringPort) SetReady(fn func()) { p.recv.setReady(fn) }
+// SetReady implements InlinePort. On a closed port it does nothing.
+func (p *ringPort) SetReady(fn func()) {
+	if !p.isClosed() {
+		p.recv.setReady(fn)
+	}
+}
 
-// TryRecvBatch implements InlinePort.
+// TryRecvBatch implements InlinePort. A closed port reports (0, false)
+// at once: what the peer left in the ring is dropped with the channel.
 func (p *ringPort) TryRecvBatch(buf []sig.Envelope) (int, bool) {
+	if p.isClosed() {
+		return 0, false
+	}
 	n, ok := p.recv.tryRecvBatch(buf)
 	if n > 0 {
 		p.recv.m.framesIn.Add(uint64(n))
@@ -298,11 +360,28 @@ func (p *ringPort) TryRecvBatch(buf []sig.Envelope) (int, bool) {
 	return n, ok
 }
 
-// Close closes both directions; the rings make it idempotent.
+// Close closes both directions and marks this end closed; a second
+// Close does nothing. The end that closes last resets the store and
+// hands it to the next Dial.
 func (p *ringPort) Close() error {
+	if p.isClosed() {
+		return nil
+	}
 	p.send.close()
 	p.recv.close()
-	return nil
+	pp, bit := p.pipe, p.end()
+	for {
+		was := pp.closed.Load()
+		if pp.closed.CompareAndSwap(was, was|bit) {
+			if was != 0 { // the peer closed first: nothing uses the store now
+				st := pp.store
+				st.rings[0].reset()
+				st.rings[1].reset()
+				ringStores.Put(st)
+			}
+			return nil
+		}
+	}
 }
 
 func (p *ringPort) Peer() string { return p.peerName }

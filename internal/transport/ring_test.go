@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,10 +278,14 @@ func TestMemNetworkStripes(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRingCloseVsSend races a sender against the consumer closing the
-// one-allocation pipe under it (run with -race): whatever the
-// interleaving, sends after the close fail with ErrClosed, and what the
-// consumer drained is a gap-free prefix of what the sender had accepted.
+// TestRingCloseVsSend races a sender against the consumer closing its
+// end under it (run with -race): whatever the interleaving, what the
+// consumer drained before its close is a gap-free prefix of what the
+// sender had accepted, the closed end reports (0, false) at once — what
+// the sender left in the ring is dropped with the channel — and sends
+// after the close fail with ErrClosed. That an envelope stored after the
+// close never reaches the store's next channel is
+// TestRingStoreIsolation's check.
 func TestRingCloseVsSend(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		a, b := RingPipe("a", "b")
@@ -310,7 +316,8 @@ func TestRingCloseVsSend(t *testing.T) {
 			drain()
 		}
 		b.Close()
-		for drain() {
+		if n, open := ip.TryRecvBatch(buf[:]); n != 0 || open {
+			t.Fatalf("round %d: closed end received (%d, %v), want (0, false)", round, n, open)
 		}
 		if sent := <-accepted; next > sent {
 			t.Fatalf("round %d: drained %d envelopes, sender had only %d accepted", round, next, sent)
@@ -323,14 +330,16 @@ func TestRingCloseVsSend(t *testing.T) {
 
 // TestRingDialAllocBudget is the alloc gate for channel set-up: one
 // ring-network Dial, its accept, and the close of both ends cost one
-// allocation — the pipe, both ports and both rings inline — of at most
-// 2 KB. (Two 32-slot rings, their slot arrays, two ports and two done
-// channels made this 13.7 KB in eight allocations.)
+// allocation — the pipe's identity, both ports inline — of at most
+// 128 B; the rings come from the store the last channel's close
+// released. (A fresh 1.8 KB pipe per Dial made this 1 792 B, and two
+// 32-slot rings, their slot arrays, two ports and two done channels
+// 13.7 KB in eight allocations.)
 func TestRingDialAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const maxAllocs, maxBytes = 1, 2048
+	const maxAllocs, maxBytes = 1, 128
 	net := NewRingMemNetwork()
 	l, err := net.Listen("svc")
 	if err != nil {
@@ -357,6 +366,144 @@ func TestRingDialAllocBudget(t *testing.T) {
 	if a > maxAllocs || by > maxBytes {
 		t.Fatalf("ring dial+accept+close: %d allocs, %d B per channel; budget %d allocs, %d B", a, by, maxAllocs, maxBytes)
 	}
+}
+
+// TestRingStoreIsolation closes pipes from both ends concurrently for
+// thousands of channels, so their stores pass from channel to channel
+// while other channels are mid-Send and mid-drain (run with -race).
+// Every envelope carries the serial of the Dial it was sent on; none may
+// reach another channel, whichever end closed first and whatever it left
+// undrained — in its ring or in the spill.
+func TestRingStoreIsolation(t *testing.T) {
+	const pairs, cycles = 8, 2000
+	var serial atomic.Uint32
+	var wg sync.WaitGroup
+	for w := 0; w < pairs; w++ {
+		peers := make(chan ringEnd)
+		wg.Add(2)
+		go func() { // the accepting side: drains and sends on what it is handed
+			defer wg.Done()
+			for e := range peers {
+				e.run(t)
+			}
+		}()
+		go func() { // the dialing side
+			defer wg.Done()
+			defer close(peers)
+			for i := 0; i < cycles; i++ {
+				a, b := RingPipe("a", "b")
+				id := serial.Add(1)
+				// 1 to 2*ringCap+1 envelopes each way: some cycles spill.
+				n := 1 + (i+w)%(2*ringCap+1)
+				// Every third cycle one end closes without draining.
+				peers <- ringEnd{p: b, id: id, n: n, drain: i%3 != 1}
+				ringEnd{p: a, id: id, n: n, drain: i%3 != 2}.run(t)
+				if t.Failed() {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// ringEnd is one end of a TestRingStoreIsolation channel and what its
+// owner does with it: send n envelopes tagged id, drain what the peer
+// sent (unless drain is off) and close.
+type ringEnd struct {
+	p     Port
+	id    uint32
+	n     int
+	drain bool
+}
+
+func (e ringEnd) run(t *testing.T) {
+	for i := 0; i < e.n; i++ {
+		if err := e.p.Send(sig.Envelope{Seq: e.id, Tunnel: i}); err != nil {
+			break // the peer closed without draining
+		}
+	}
+	ip := e.p.(InlinePort)
+	var buf [ringCap]sig.Envelope
+	deadline := time.Now().Add(10 * time.Second)
+	for got := 0; e.drain && got < e.n; {
+		k, open := ip.TryRecvBatch(buf[:])
+		for _, env := range buf[:k] {
+			if env.Seq != e.id {
+				t.Errorf("channel %d received an envelope of channel %d", e.id, env.Seq)
+			}
+		}
+		if got += k; !open {
+			break
+		}
+		if k == 0 {
+			if time.Now().After(deadline) {
+				t.Errorf("channel %d received %d of %d envelopes, and its peer never closed", e.id, got, e.n)
+				break
+			}
+			runtime.Gosched()
+		}
+	}
+	e.p.Close()
+}
+
+// TestRingStalePort: once both ends have closed and the store serves a
+// new channel, the old ports stay closed — Send fails, TryRecvBatch
+// reports closed, SetReady installs nothing, Close does nothing — and
+// none of it reaches the new channel.
+func TestRingStalePort(t *testing.T) {
+	a1, b1 := RingPipe("a", "b")
+	old := a1.(*ringPort).pipe.store
+	var a2, b2 Port
+	// Redial until a Dial takes the store just released: the pool keeps
+	// a store per P, and under -race it drops one Put in four.
+	for i := 0; a2 == nil; i++ {
+		if i == 100 {
+			t.Fatal("a released store was never handed to a new channel")
+		}
+		a1.Close()
+		b1.Close()
+		a, b := RingPipe("a", "b")
+		if a.(*ringPort).pipe.store == old {
+			a2, b2 = a, b
+		} else {
+			a1, b1 = a, b
+			old = a.(*ringPort).pipe.store
+		}
+	}
+	if a2 == a1 || b2 == b1 {
+		t.Fatal("a new channel was handed an old channel's port")
+	}
+
+	staleFired, liveFired := false, false
+	b1.(InlinePort).SetReady(func() { staleFired = true })
+	b2.(InlinePort).SetReady(func() { liveFired = true })
+	if err := a1.Send(sig.Envelope{Seq: 1}); err != ErrClosed {
+		t.Fatalf("stale Send: %v, want ErrClosed", err)
+	}
+	if err := b1.Send(sig.Envelope{Seq: 1}); err != ErrClosed {
+		t.Fatalf("stale peer Send: %v, want ErrClosed", err)
+	}
+	var buf [ringCap]sig.Envelope
+	if err := a2.Send(sig.Envelope{Seq: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := b1.(InlinePort).TryRecvBatch(buf[:]); n != 0 || ok {
+		t.Fatalf("stale TryRecvBatch: (%d, %v), want (0, false)", n, ok)
+	}
+	a1.Close()
+	b1.Close()
+	if staleFired || !liveFired {
+		t.Fatalf("readiness: stale callback fired %v, live callback fired %v", staleFired, liveFired)
+	}
+	if n, ok := b2.(InlinePort).TryRecvBatch(buf[:]); n != 1 || !ok || buf[0].Seq != 2 {
+		t.Fatalf("the new channel received (%d, %v) seq %d, want its own envelope", n, ok, buf[0].Seq)
+	}
+	if err := b2.Send(sig.Envelope{Seq: 3}); err != nil {
+		t.Fatalf("the new channel was closed by a stale Close: %v", err)
+	}
+	a2.Close()
+	b2.Close()
 }
 
 // TestRingSpillCountedAndReused: a burst past the ring's capacity is
