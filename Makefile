@@ -80,13 +80,15 @@ bench-pair:
 # validation) and the framed fast path end to end, the reliable
 # layer's steady-state send (stamp, retain, ack bookkeeping), a logical
 # channel's envelopes from mux Send to the far RecvBatch over the
-# reliable layer, and the store's disabled path and cached registry
-# lookup allocate nothing; filling the intern table costs O(n) bytes,
-# not a copy of the table per string; a ring-network dial, accept and
-# close stay within their budget of one allocation of at most 128 B
-# (the pipe's identity: its rings are a store an earlier channel
-# released), an in-memory pipe is one allocation, and a mux channel's
-# dial, accept and close at both ends stay within 8; a whole call
+# reliable layer, and the store's disabled path and registry lookup
+# allocate nothing; a store's CDR append costs at most one allocation
+# (the store keeps the record itself, not a copy of its encoding);
+# filling the intern table costs O(n) bytes, not a copy of the table
+# per string; a ring-network dial, accept and close stay within their
+# budget of one allocation of at most 128 B (the pipe's identity: its
+# rings are a store an earlier channel released), an in-memory pipe
+# is one allocation, and a mux channel's dial, accept and close at both
+# ends stay within 8; a whole call
 # through a relay already holding 600 others — dial, splice, flow,
 # teardown — stays within its budget of 11 allocations and 1 KB; and
 # what standing state holds stays within its footprint: an idle
@@ -121,12 +123,13 @@ chaos-smoke:
 	$(GO) run ./cmd/chaosstorm -paths 24 -servers 3 -duration 20s -seed 1
 	GOMAXPROCS=4 $(GO) run ./cmd/chaosstorm -paths 24 -servers 3 -shards 2 -duration 10s -seed 1
 
-# store-smoke is the durable-state gate: a quick storestorm run so all
-# three index backends re-prove the conformance/durability gates (every
-# lookup hits, no acknowledged CDR lost across a crash, recovery lands
-# on the durable count), then a short chaosstorm with a store crash at
-# the storm midpoint so CDR-vs-lifecycle reconciliation is re-proved
-# across a restart under live fault load.
+# store-smoke is the durable-state gate: a quick storestorm run
+# re-proves the durability gates (every lookup hits, no acknowledged CDR
+# lost across a crash, recovery lands on the durable count and the
+# loaded profile count, lookups hit after recovery), then a short
+# chaosstorm with a store crash at the storm midpoint so
+# CDR-vs-lifecycle reconciliation is re-proved across a restart under
+# live fault load.
 store-smoke:
 	$(GO) run ./cmd/storestorm -keys 500 -lookups 20000 -cdrs 5000
 	$(GO) run ./cmd/chaosstorm -paths 8 -servers 3 -duration 5s -seed 1 -crash
@@ -158,10 +161,8 @@ bench-chaos:
 	$(GO) run ./cmd/chaosstorm -paths 24 -servers 3 -shards 2 -duration 30s -delayrate 0.05 -reorder 0.02 -seed 1 -crash -out BENCH_chaos.json
 
 # bench-store records the store numbers: point-lookup and CDR-append
-# rates per index backend (registry cache off, so the index itself is
-# measured), WAL group-commit fsync counts, and crash-recovery replay
-# time, written to BENCH_store.json. The cached production hot path is
-# reported once as cached_lookup_ns.
+# rates, WAL group-commit fsync counts, and crash-recovery replay time,
+# one record written to BENCH_store.json.
 bench-store:
 	$(GO) run ./cmd/storestorm -keys 5000 -lookups 200000 -cdrs 50000 -out BENCH_store.json
 

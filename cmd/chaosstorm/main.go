@@ -33,7 +33,7 @@
 //	           [-drop 0.05] [-dup 0.02] [-delayrate 0] [-reorder 0]
 //	           [-partition 150ms] [-seed 1] [-bound 5s] [-poll 25ms]
 //	           [-giveup-budget 0.01] [-out BENCH_chaos.json] [-check]
-//	           [-crash] [-store-dir DIR] [-store-backend btree]
+//	           [-crash] [-store-dir DIR]
 package main
 
 import (
@@ -101,7 +101,6 @@ type result struct {
 
 	// Durable-store fields, populated when -crash (or -store-dir) binds
 	// the store into the storm.
-	StoreBackend     string  `json:"store_backend,omitempty"`
 	StoreCrashed     bool    `json:"store_crashed,omitempty"`
 	StoreLookups     int64   `json:"store_lookups,omitempty"`
 	StoreLookupMiss  int64   `json:"store_lookup_miss"`
@@ -135,7 +134,6 @@ func main() {
 	check := flag.Bool("check", true, "exit nonzero when a resilience gate fails")
 	crash := flag.Bool("crash", false, "bind the durable store and crash/recover it mid-storm")
 	storeDir := flag.String("store-dir", "", "durable store directory (empty with -crash: a temp dir)")
-	storeBackend := flag.String("store-backend", "btree", "index backend for the bound store")
 	flag.Parse()
 
 	reg := telemetry.Enable()
@@ -159,7 +157,7 @@ func main() {
 			defer os.RemoveAll(sdir)
 		}
 		var err error
-		st, err = store.Open(sdir, store.Options{Backend: *storeBackend})
+		st, err = store.Open(sdir, store.Options{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "chaosstorm:", err)
 			os.Exit(1)
@@ -176,7 +174,7 @@ func main() {
 			}
 		}
 		storeReopen = func() *store.Store {
-			s2, err := store.Open(sdir, store.Options{Backend: *storeBackend})
+			s2, err := store.Open(sdir, store.Options{})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "chaosstorm: GATE FAILED: store recovery: %v\n", err)
 				os.Exit(1)
@@ -392,7 +390,6 @@ func main() {
 		Leaked:             leaked,
 	}
 	if useStore {
-		res.StoreBackend = *storeBackend
 		res.StoreCrashed = *crash
 		res.StoreLookups = counter(store.MetricLookups)
 		res.StoreLookupMiss = counter(store.MetricLookupMiss)

@@ -25,8 +25,8 @@
 //	clusterstorm [-shards 3] [-paths 24] [-servers 6] [-duration 12s]
 //	             [-hold 300ms] [-giveup 8s] [-bound 5s] [-poll 25ms]
 //	             [-hb 150ms] [-kill 1] [-seed 1] [-min-cps 2]
-//	             [-giveup-budget 0.05] [-store-backend btree]
-//	             [-store-dir DIR] [-out BENCH_cluster.json] [-check]
+//	             [-giveup-budget 0.05] [-store-dir DIR]
+//	             [-out BENCH_cluster.json] [-check]
 package main
 
 import (
@@ -75,7 +75,6 @@ type options struct {
 	seed         int64
 	minCPS       float64
 	giveupBudget float64
-	storeBackend string
 	storeDir     string
 	ctlAddr      string
 	out          string
@@ -98,7 +97,6 @@ func parseFlags() *options {
 	flag.Int64Var(&o.seed, "seed", 1, "seed for placement-independent schedules and jitter")
 	flag.Float64Var(&o.minCPS, "min-cps", 2, "minimum aggregate completed calls per second")
 	flag.Float64Var(&o.giveupBudget, "giveup-budget", 0.05, "max tolerated client give-up rate")
-	flag.StringVar(&o.storeBackend, "store-backend", "btree", "index backend for shard stores")
 	flag.StringVar(&o.storeDir, "store-dir", "", "base directory for shard stores (empty: a temp dir)")
 	flag.StringVar(&o.ctlAddr, "ctl", "", "supervisor control address (internal; child only)")
 	flag.StringVar(&o.out, "out", "", "write the result JSON here (empty: stdout only)")
@@ -161,7 +159,7 @@ func childMain(o *options) {
 	}
 	go http.Serve(httpLn, telemetry.Handler(reg, health))
 
-	st, err := store.Open(o.storeDir, store.Options{Backend: o.storeBackend})
+	st, err := store.Open(o.storeDir, store.Options{})
 	if err != nil {
 		logf("store open: %v", err)
 		os.Exit(1)
@@ -435,7 +433,6 @@ func parentMain(o *options) {
 				"-poll", o.poll.String(),
 				"-hb", o.hb.String(),
 				"-seed", strconv.FormatInt(o.seed, 10),
-				"-store-backend", o.storeBackend,
 				"-store-dir", dirs[shard],
 			)
 			cmd.Stderr = os.Stderr
@@ -537,7 +534,7 @@ func parentMain(o *options) {
 	if o.kills > 0 && banked["durable"] > acked[victim] {
 		acked[victim] = banked["durable"]
 	}
-	recon, reconErr := store.ReconcileFleet(dirs, acked, store.Options{Backend: o.storeBackend})
+	recon, reconErr := store.ReconcileFleet(dirs, acked)
 	if reconErr != nil {
 		fmt.Fprintf(os.Stderr, "clusterstorm: reconciliation: %v\n", reconErr)
 	}

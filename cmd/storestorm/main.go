@@ -1,25 +1,19 @@
-// storestorm benchmarks the durable store's pluggable index backends
-// under the two workloads the live runtime generates: OLTP-ish point
-// lookups (every path setup consults the subscriber registry) and
-// write-heavy CDR appends (every teardown cuts a record). Each backend
-// runs the same storm — load the registry, hammer random lookups,
-// append a CDR flood, then crash and time the WAL recovery — and the
-// per-backend rows land in BENCH_store.json for the EXPERIMENTS
-// comparison table.
-//
-// Lookups run with the registry cache disabled so the index backend
-// itself is measured; the cached production hot path is reported once,
-// separately, as cached_lookup_ns.
+// storestorm benchmarks the durable store under the two workloads the
+// live runtime generates: point lookups (every path setup consults the
+// subscriber registry) and write-heavy CDR appends (every teardown cuts
+// a record). One pass loads the registry, hammers random lookups,
+// appends a CDR flood, then crashes the store and times the WAL
+// recovery; the numbers land in BENCH_store.json.
 //
 // The run is also a gate (-check): every lookup must hit, no
-// acknowledged CDR append may be lost across the crash, and recovery
-// must land on exactly the durable record count.
+// acknowledged CDR append may be lost across the crash, recovery must
+// land on exactly the durable record count and the loaded profile
+// count, and lookups after recovery must hit.
 //
 // Usage:
 //
-//	storestorm [-backends btree,log,scan] [-keys 5000] [-lookups 200000]
-//	           [-cdrs 50000] [-fsync 2ms] [-seed 1] [-out BENCH_store.json]
-//	           [-check]
+//	storestorm [-keys 5000] [-lookups 200000] [-cdrs 50000] [-fsync 2ms]
+//	           [-seed 1] [-dir DIR] [-out BENCH_store.json] [-check]
 package main
 
 import (
@@ -27,9 +21,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"runtime"
-	"strings"
 	"time"
 
 	"ipmedia/internal/store"
@@ -37,8 +29,16 @@ import (
 	"ipmedia/internal/telemetry"
 )
 
-type backendResult struct {
-	Backend string `json:"backend"`
+type result struct {
+	Date       string `json:"date"`
+	NumCPU     int    `json:"num_cpu"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+
+	Keys    int     `json:"keys"`
+	Lookups int     `json:"lookups"`
+	CDRs    int     `json:"cdrs"`
+	FsyncMS float64 `json:"fsync_ms"`
+	Seed    int64   `json:"seed"`
 
 	LoadMS   float64 `json:"load_ms"`
 	LookupNS float64 `json:"lookup_ns"`
@@ -54,48 +54,43 @@ type backendResult struct {
 	TruncatedB  int64   `json:"truncated_tail_bytes"`
 }
 
-type result struct {
-	Date       string `json:"date"`
-	NumCPU     int    `json:"num_cpu"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-
-	Keys    int     `json:"keys"`
-	Lookups int     `json:"lookups"`
-	CDRs    int     `json:"cdrs"`
-	FsyncMS float64 `json:"fsync_ms"`
-	Seed    int64   `json:"seed"`
-
-	CachedLookupNS float64 `json:"cached_lookup_ns"`
-
-	Backends []backendResult `json:"backends"`
-}
-
 func main() {
-	backends := flag.String("backends", strings.Join(store.Backends(), ","), "comma-separated index backends to storm")
 	keys := flag.Int("keys", 5000, "subscriber profiles loaded into the registry")
-	lookups := flag.Int("lookups", 200000, "random point lookups per backend")
-	cdrs := flag.Int("cdrs", 50000, "CDR appends per backend")
+	lookups := flag.Int("lookups", 200000, "random point lookups")
+	cdrs := flag.Int("cdrs", 50000, "CDR appends")
 	fsync := flag.Duration("fsync", 2*time.Millisecond, "WAL group-commit window")
 	seed := flag.Int64("seed", 1, "workload seed")
-	dir := flag.String("dir", "", "store root directory (empty: a temp dir, removed afterwards)")
+	dir := flag.String("dir", "", "store directory (empty: a temp dir, removed afterwards)")
 	out := flag.String("out", "", "write the result JSON here (empty: stdout only)")
 	check := flag.Bool("check", true, "exit nonzero when a durability gate fails")
 	flag.Parse()
 
 	reg := telemetry.Enable()
 
-	root := *dir
-	if root == "" {
+	sdir := *dir
+	if sdir == "" {
 		var err error
-		root, err = os.MkdirTemp("", "storestorm-*")
+		sdir, err = os.MkdirTemp("", "storestorm-*")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "storestorm:", err)
 			os.Exit(1)
 		}
-		defer os.RemoveAll(root)
+		defer os.RemoveAll(sdir)
 	}
 
-	fail := func(format string, args ...any) { storm.FailGate("storestorm", format, args...) }
+	fail := func(format string, args ...any) {
+		if *check {
+			storm.FailGate("storestorm", format, args...)
+		}
+	}
+	open := func() *store.Store {
+		st, err := store.Open(sdir, store.Options{FsyncInterval: *fsync})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "storestorm:", err)
+			os.Exit(1)
+		}
+		return st
+	}
 
 	res := result{
 		Date:       time.Now().Format("2006-01-02"),
@@ -111,124 +106,81 @@ func main() {
 	for i := range names {
 		names[i] = fmt.Sprintf("sub-%06d", i)
 	}
+	snapBefore := reg.Snapshot()
+	st := open()
 
-	// The production hot path, once: cached lookups over the default
-	// backend.
-	{
-		st, err := store.Open(filepath.Join(root, "cached"), store.Options{FsyncInterval: *fsync})
-		if err != nil {
+	// Load the registry.
+	start := time.Now()
+	for _, n := range names {
+		if err := st.PutProfile(store.Profile{Name: n, Features: []string{"cf", "prepaid"}}); err != nil {
 			fmt.Fprintln(os.Stderr, "storestorm:", err)
 			os.Exit(1)
 		}
-		for _, n := range names {
-			st.PutProfile(store.Profile{Name: n, Features: []string{"cf"}})
-		}
-		rng := rand.New(rand.NewSource(*seed))
-		start := time.Now()
-		for i := 0; i < *lookups; i++ {
-			if _, ok := st.Lookup(names[rng.Intn(len(names))]); !ok {
-				fail("cached lookup missed a loaded profile")
-			}
-		}
-		res.CachedLookupNS = float64(time.Since(start)) / float64(*lookups)
-		st.Close()
 	}
+	res.LoadMS = float64(time.Since(start)) / float64(time.Millisecond)
 
-	for _, kind := range strings.Split(*backends, ",") {
-		kind = strings.TrimSpace(kind)
-		if kind == "" {
-			continue
+	// Workload 1: random point lookups, the setup hot path.
+	rng := rand.New(rand.NewSource(*seed))
+	start = time.Now()
+	for i := 0; i < *lookups; i++ {
+		if _, ok := st.Lookup(names[rng.Intn(len(names))]); !ok {
+			fail("lookup missed a loaded profile")
 		}
-		br := backendResult{Backend: kind}
-		bdir := filepath.Join(root, kind)
-		snapBefore := reg.Snapshot()
-
-		st, err := store.Open(bdir, store.Options{Backend: kind, NoCache: true, FsyncInterval: *fsync})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "storestorm:", err)
-			os.Exit(1)
-		}
-
-		// Load the registry.
-		start := time.Now()
-		for _, n := range names {
-			if err := st.PutProfile(store.Profile{Name: n, Features: []string{"cf", "prepaid"}}); err != nil {
-				fmt.Fprintln(os.Stderr, "storestorm:", err)
-				os.Exit(1)
-			}
-		}
-		br.LoadMS = float64(time.Since(start)) / float64(time.Millisecond)
-
-		// Workload 1: OLTP-ish random point lookups against the index.
-		rng := rand.New(rand.NewSource(*seed))
-		start = time.Now()
-		for i := 0; i < *lookups; i++ {
-			if _, ok := st.Lookup(names[rng.Intn(len(names))]); !ok && *check {
-				fail("%s: lookup missed a loaded profile", kind)
-			}
-		}
-		el := time.Since(start)
-		br.LookupNS = float64(el) / float64(*lookups)
-		br.LookupQP = float64(*lookups) / el.Seconds()
-
-		// Workload 2: the CDR append flood, closed by one durability
-		// barrier so the rate includes amortized group-commit cost.
-		start = time.Now()
-		for i := 0; i < *cdrs; i++ {
-			if _, ok := st.AppendCDR(store.CDR{
-				Local: "dev0", Peer: names[i%len(names)], Channel: "c",
-				SetupNS: int64(i), TornNS: int64(i + 1),
-			}); !ok {
-				fail("%s: CDR append refused", kind)
-			}
-		}
-		if err := st.Sync(); err != nil {
-			fail("%s: sync: %v", kind, err)
-		}
-		el = time.Since(start)
-		br.AppendNS = float64(el) / float64(*cdrs)
-		br.AppendQP = float64(*cdrs) / el.Seconds()
-		br.DurableCDRs = st.DurableCDRs()
-
-		snapAfter := reg.Snapshot()
-		br.WALFsyncs = int64(snapAfter.Counters[store.MetricWALFsyncs] - snapBefore.Counters[store.MetricWALFsyncs])
-		br.WALBytes = int64(snapAfter.Counters[store.MetricWALBytes] - snapBefore.Counters[store.MetricWALBytes])
-
-		// Crash and time the recovery replay.
-		st.Crash()
-		start = time.Now()
-		st2, err := store.Open(bdir, store.Options{Backend: kind, NoCache: true, FsyncInterval: *fsync})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "storestorm:", err)
-			os.Exit(1)
-		}
-		br.RecoveryMS = float64(time.Since(start)) / float64(time.Millisecond)
-		rs := st2.Recovery()
-		br.Recovered = rs.Records
-		br.TruncatedB = rs.Truncated
-
-		if *check {
-			// No acknowledged append may be lost, and recovery must land
-			// exactly on the durable count.
-			if got := uint64(st2.CDRCount()); got != br.DurableCDRs {
-				fail("%s: recovered %d CDRs, %d were acknowledged durable", kind, got, br.DurableCDRs)
-			}
-			if st2.Profiles() != *keys {
-				fail("%s: recovered %d profiles, loaded %d", kind, st2.Profiles(), *keys)
-			}
-			rng := rand.New(rand.NewSource(*seed + 1))
-			for i := 0; i < 1000; i++ {
-				if _, ok := st2.Lookup(names[rng.Intn(len(names))]); !ok {
-					fail("%s: post-recovery lookup missed", kind)
-				}
-			}
-		}
-		st2.Close()
-
-		fmt.Fprintf(os.Stderr, "storestorm: %-5s lookups %.0f ns/op (%.0f/s)  appends %.0f ns/op (%.0f/s)  %d fsyncs for %d records  recovery %.1f ms (%d records)\n",
-			kind, br.LookupNS, br.LookupQP, br.AppendNS, br.AppendQP, br.WALFsyncs, br.DurableCDRs, br.RecoveryMS, br.Recovered)
-		res.Backends = append(res.Backends, br)
 	}
+	el := time.Since(start)
+	res.LookupNS = float64(el) / float64(*lookups)
+	res.LookupQP = float64(*lookups) / el.Seconds()
+
+	// Workload 2: the CDR append flood, closed by one durability
+	// barrier so the rate includes amortized group-commit cost.
+	start = time.Now()
+	for i := 0; i < *cdrs; i++ {
+		if _, ok := st.AppendCDR(store.CDR{
+			Local: "dev0", Peer: names[i%len(names)], Channel: "c",
+			SetupNS: int64(i), TornNS: int64(i + 1),
+		}); !ok {
+			fail("CDR append refused")
+		}
+	}
+	if err := st.Sync(); err != nil {
+		fail("sync: %v", err)
+	}
+	el = time.Since(start)
+	res.AppendNS = float64(el) / float64(*cdrs)
+	res.AppendQP = float64(*cdrs) / el.Seconds()
+	res.DurableCDRs = st.DurableCDRs()
+
+	snapAfter := reg.Snapshot()
+	res.WALFsyncs = int64(snapAfter.Counters[store.MetricWALFsyncs] - snapBefore.Counters[store.MetricWALFsyncs])
+	res.WALBytes = int64(snapAfter.Counters[store.MetricWALBytes] - snapBefore.Counters[store.MetricWALBytes])
+
+	// Crash and time the recovery replay.
+	st.Crash()
+	start = time.Now()
+	st2 := open()
+	res.RecoveryMS = float64(time.Since(start)) / float64(time.Millisecond)
+	rs := st2.Recovery()
+	res.Recovered = rs.Records
+	res.TruncatedB = rs.Truncated
+
+	// No acknowledged append may be lost, and recovery must land
+	// exactly on the durable count.
+	if got := uint64(st2.CDRCount()); got != res.DurableCDRs {
+		fail("recovered %d CDRs, %d were acknowledged durable", got, res.DurableCDRs)
+	}
+	if st2.Profiles() != *keys {
+		fail("recovered %d profiles, loaded %d", st2.Profiles(), *keys)
+	}
+	rng = rand.New(rand.NewSource(*seed + 1))
+	for i := 0; i < 1000; i++ {
+		if _, ok := st2.Lookup(names[rng.Intn(len(names))]); !ok {
+			fail("post-recovery lookup missed")
+		}
+	}
+	st2.Close()
+
+	fmt.Fprintf(os.Stderr, "storestorm: lookups %.0f ns/op (%.0f/s)  appends %.0f ns/op (%.0f/s)  %d fsyncs for %d records  recovery %.1f ms (%d records)\n",
+		res.LookupNS, res.LookupQP, res.AppendNS, res.AppendQP, res.WALFsyncs, res.DurableCDRs, res.RecoveryMS, res.Recovered)
 
 	if _, err := storm.WriteReport(res, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "storestorm:", err)

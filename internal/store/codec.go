@@ -55,7 +55,7 @@ type adjust struct {
 	Token uint64
 }
 
-// balance is the decoded per-subscriber balance state.
+// balance is the per-subscriber balance state.
 type balance struct {
 	Cents     int64
 	LastToken uint64
@@ -83,12 +83,6 @@ func appendAdjust(dst []byte, a *adjust) []byte {
 	dst = appendString(dst, a.Name)
 	dst = binary.AppendVarint(dst, a.Delta)
 	return binary.AppendUvarint(dst, a.Token)
-}
-
-// appendBalance encodes the balance state stored in the index.
-func appendBalance(dst []byte, b balance) []byte {
-	dst = binary.AppendVarint(dst, b.Cents)
-	return binary.AppendUvarint(dst, b.LastToken)
 }
 
 // appendCDR encodes c.
@@ -178,13 +172,6 @@ func decodeAdjust(buf []byte) (adjust, error) {
 	d := decoder{buf: buf}
 	a := adjust{Name: d.string(), Delta: d.varint(), Token: d.uvarint()}
 	return a, d.done()
-}
-
-// decodeBalance decodes a stored balance.
-func decodeBalance(buf []byte) (balance, error) {
-	d := decoder{buf: buf}
-	b := balance{Cents: d.varint(), LastToken: d.uvarint()}
-	return b, d.done()
 }
 
 // decodeCDR decodes a call-detail record.

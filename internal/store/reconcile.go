@@ -1,5 +1,5 @@
 // Fleet-wide CDR reconciliation. Each shard process owns a shard-local
-// store (a WAL and indexes in its own directory); a SIGKILL takes the
+// store (a WAL in its own directory); a SIGKILL takes the
 // process but not the directory, and the restarted shard recovers by
 // replay. Reconciliation is the after-the-storm audit that turns that
 // per-shard property into a fleet-wide one: reopen every shard's
@@ -43,7 +43,7 @@ type FleetReport struct {
 // shards, no call record may appear in two ledgers (placement owns
 // each box, so each teardown is observed exactly once). The stores are
 // opened read-and-closed; the shard processes must be stopped first.
-func ReconcileFleet(dirs map[int]string, acked map[int]uint64, opts Options) (FleetReport, error) {
+func ReconcileFleet(dirs map[int]string, acked map[int]uint64) (FleetReport, error) {
 	var rep FleetReport
 	shards := make([]int, 0, len(dirs))
 	for i := range dirs {
@@ -52,7 +52,7 @@ func ReconcileFleet(dirs map[int]string, acked map[int]uint64, opts Options) (Fl
 	sort.Ints(shards)
 	seen := make(map[string]int) // call key -> owning shard
 	for _, i := range shards {
-		s, err := Open(dirs[i], opts)
+		s, err := Open(dirs[i], Options{})
 		if err != nil {
 			return rep, fmt.Errorf("store: reconcile shard %d: %w", i, err)
 		}

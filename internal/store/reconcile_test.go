@@ -38,7 +38,7 @@ func TestReconcileFleetClean(t *testing.T) {
 			{Local: "e", Peer: "f", Channel: "ch3", SetupNS: 120, TornNS: 220},
 		}),
 	}
-	rep, err := ReconcileFleet(dirs, acked, Options{})
+	rep, err := ReconcileFleet(dirs, acked)
 	if err != nil {
 		t.Fatalf("ReconcileFleet: %v", err)
 	}
@@ -53,7 +53,7 @@ func TestReconcileFleetDetectsLoss(t *testing.T) {
 	got := seedShard(t, dirs[0], []CDR{{Local: "a", Channel: "ch", SetupNS: 1, TornNS: 2}})
 	// The shard claimed more acked CDRs than its WAL can produce — the
 	// audit must flag the difference, not paper over it.
-	rep, err := ReconcileFleet(dirs, map[int]uint64{0: got + 2}, Options{})
+	rep, err := ReconcileFleet(dirs, map[int]uint64{0: got + 2})
 	if err != nil {
 		t.Fatalf("ReconcileFleet: %v", err)
 	}
@@ -70,7 +70,7 @@ func TestReconcileFleetDetectsDuplicates(t *testing.T) {
 		0: seedShard(t, dirs[0], []CDR{dup}),
 		1: seedShard(t, dirs[1], []CDR{dup}),
 	}
-	rep, err := ReconcileFleet(dirs, acked, Options{})
+	rep, err := ReconcileFleet(dirs, acked)
 	if err != nil {
 		t.Fatalf("ReconcileFleet: %v", err)
 	}

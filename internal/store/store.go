@@ -1,10 +1,20 @@
+// Package store is the durable state layer of the system: a subscriber
+// registry consulted on every signaling-channel setup, an append-heavy
+// call-detail-record (CDR) log fed by every teardown, and prepaid
+// balances debited idempotently — held in plain maps and recovered
+// from a write-ahead log with fsync batching and crash recovery.
+//
+// The package follows the telemetry package's nil-safe discipline:
+// every method of a nil *Store is a no-op (the "store disabled" path
+// costs nothing and allocates nothing), so instrumented runtimes never
+// branch on a "store enabled" flag.
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,18 +24,10 @@ import (
 
 // Options configures a Store.
 type Options struct {
-	// Backend selects the index backend for both the registry and the
-	// CDR log: "btree" (default), "log", or "scan".
-	Backend string
 	// FsyncInterval is the WAL group-commit window (default 2ms): an
 	// append is acknowledged as durable only after the fsync that
 	// closes its window.
 	FsyncInterval time.Duration
-	// NoCache disables the registry read cache, so every Lookup
-	// consults the index backend. The benchmarks use it to measure the
-	// backends themselves; production keeps the cache, which is what
-	// makes the setup hot path allocation-free.
-	NoCache bool
 }
 
 // RecoveryStats reports what Open found in the write-ahead log.
@@ -44,19 +46,16 @@ type RecoveryStats struct {
 // receiver, so a runtime wired for durable state runs unchanged (and
 // without cost) when the store is disabled.
 type Store struct {
-	opts Options
-	wal  *wal
+	wal *wal
 
-	// mu serializes writes and index access. The hot read path does
-	// not take it: registry lookups go through reg under regMu.
-	mu       sync.Mutex
-	profIdx  Index // "p/<name>" -> profile, "b/<name>" -> balance
-	cdrIdx   Index // 8-byte big-endian seq -> CDR
-	bal      map[string]balance
-	cdrSeq   uint64
-	profiles int
-	keyBuf   []byte
-	recBuf   []byte
+	// mu serializes writes and guards bal and cdrs. The hot read path
+	// does not take it: registry lookups go through reg under regMu,
+	// which writers take inside mu.
+	mu     sync.Mutex
+	bal    map[string]balance
+	cdrs   map[uint64]CDR
+	cdrSeq uint64 // highest seq issued or replayed
+	recBuf []byte
 
 	regMu sync.RWMutex
 	reg   map[string]Profile
@@ -78,14 +77,6 @@ type Store struct {
 // applied, a corrupt or truncated tail is cut off, and appends resume
 // from the recovered end.
 func Open(dir string, opts Options) (*Store, error) {
-	if opts.Backend == "" {
-		opts.Backend = "btree"
-	}
-	profIdx, err := NewIndex(opts.Backend)
-	if err != nil {
-		return nil, err
-	}
-	cdrIdx, _ := NewIndex(opts.Backend)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -95,10 +86,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 
 	s := &Store{
-		opts:       opts,
-		profIdx:    profIdx,
-		cdrIdx:     cdrIdx,
 		bal:        map[string]balance{},
+		cdrs:       map[uint64]CDR{},
 		reg:        map[string]Profile{},
 		mLookups:   telemetry.C(MetricLookups),
 		mMiss:      telemetry.C(MetricLookupMiss),
@@ -131,7 +120,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	// Every record replayed from disk is durable by definition.
-	s.cdrDurable.Add(uint64(s.cdrIdx.Len()))
+	s.cdrDurable.Add(uint64(len(s.cdrs)))
 	s.wal = newWAL(f, opts.FsyncInterval, s.recordDurable)
 	return s, nil
 }
@@ -155,37 +144,10 @@ func (s *Store) Recovery() RecoveryStats {
 	return s.recovery
 }
 
-// Backend returns the configured index backend kind.
-func (s *Store) Backend() string {
-	if s == nil {
-		return ""
-	}
-	return s.opts.Backend
-}
-
-// --- keys ---
-
-func profileKey(dst []byte, name string) []byte {
-	dst = append(dst[:0], 'p', '/')
-	return append(dst, name...)
-}
-
-func balanceKey(dst []byte, name string) []byte {
-	dst = append(dst[:0], 'b', '/')
-	return append(dst, name...)
-}
-
-func cdrKey(dst []byte, seq uint64) []byte {
-	dst = append(dst[:0], 'c', '/')
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], seq)
-	return append(dst, b[:]...)
-}
-
 // --- apply: shared by live writes and WAL replay ---
 // Every apply is idempotent: profile puts are last-wins, CDR puts are
-// keyed by their unique seq, and balance adjustments are guarded by
-// the monotone token. Replaying a prefix twice therefore reaches the
+// keyed by their seq (the last record for a seq wins), and balance
+// adjustments are guarded by the monotone token. Replaying a prefix twice therefore reaches the
 // same state — the property FuzzWALReplay and the crash tests pin.
 
 // apply mutates in-memory state from one record. Caller holds mu (or
@@ -197,7 +159,7 @@ func (s *Store) apply(typ byte, body []byte) error {
 		if err != nil {
 			return err
 		}
-		s.applyProfile(p, body)
+		s.applyProfile(p)
 	case recAdjust:
 		a, err := decodeAdjust(body)
 		if err != nil {
@@ -209,24 +171,17 @@ func (s *Store) apply(typ byte, body []byte) error {
 		if err != nil {
 			return err
 		}
-		s.applyCDR(c, body)
+		s.applyCDR(c)
 	default:
 		return fmt.Errorf("store: unknown record type %d", typ)
 	}
 	return nil
 }
 
-func (s *Store) applyProfile(p Profile, body []byte) {
-	s.keyBuf = profileKey(s.keyBuf, p.Name)
-	if _, existed := s.profIdx.Get(s.keyBuf); !existed {
-		s.profiles++
-	}
-	s.profIdx.Put(s.keyBuf, body)
-	if !s.opts.NoCache {
-		s.regMu.Lock()
-		s.reg[p.Name] = p
-		s.regMu.Unlock()
-	}
+func (s *Store) applyProfile(p Profile) {
+	s.regMu.Lock()
+	s.reg[p.Name] = p
+	s.regMu.Unlock()
 }
 
 // applyAdjust applies a token-guarded balance change: only a token
@@ -234,7 +189,7 @@ func (s *Store) applyProfile(p Profile, body []byte) {
 // may not take the balance below zero. Both rules are deterministic,
 // so replay reproduces exactly the original outcomes.
 func (s *Store) applyAdjust(a adjust) bool {
-	b := s.loadBalance(a.Name)
+	b := s.bal[a.Name]
 	if a.Token <= b.LastToken {
 		return false // already applied (replay, or a crashed client's retry)
 	}
@@ -244,40 +199,20 @@ func (s *Store) applyAdjust(a adjust) bool {
 	b.Cents += a.Delta
 	b.LastToken = a.Token
 	s.bal[a.Name] = b
-	s.keyBuf = balanceKey(s.keyBuf, a.Name)
-	s.recBuf = appendBalance(s.recBuf[:0], b)
-	s.profIdx.Put(s.keyBuf, s.recBuf)
 	return true
 }
 
-func (s *Store) applyCDR(c CDR, body []byte) {
-	s.keyBuf = cdrKey(s.keyBuf, c.Seq)
-	s.cdrIdx.Put(s.keyBuf, body)
+func (s *Store) applyCDR(c CDR) {
+	s.cdrs[c.Seq] = c
 	if c.Seq > s.cdrSeq {
 		s.cdrSeq = c.Seq
 	}
 }
 
-// loadBalance returns the decoded balance for name, consulting the
-// index on first touch. Caller holds mu.
-func (s *Store) loadBalance(name string) balance {
-	if b, ok := s.bal[name]; ok {
-		return b
-	}
-	s.keyBuf = balanceKey(s.keyBuf, name)
-	if v, ok := s.profIdx.Get(s.keyBuf); ok {
-		if b, err := decodeBalance(v); err == nil {
-			s.bal[name] = b
-			return b
-		}
-	}
-	return balance{}
-}
-
 // --- registry ---
 
-// PutProfile upserts a subscriber profile: logged, indexed, and (with
-// the cache enabled) visible to lock-free lookups.
+// PutProfile upserts a subscriber profile: logged, then visible to
+// lookups.
 func (s *Store) PutProfile(p Profile) error {
 	if s == nil {
 		return nil
@@ -288,45 +223,26 @@ func (s *Store) PutProfile(p Profile) error {
 	if _, ok := s.wal.append(recProfile, body); !ok {
 		return fmt.Errorf("store: closed")
 	}
-	s.applyProfile(p, body)
+	s.applyProfile(p)
 	return nil
 }
 
 // Lookup is the setup hot path: the subscriber's feature profile by
-// name. A hit on the read cache takes a shared lock and allocates
-// nothing. A miss returns the degraded-mode default profile with
-// ok=false and counts store.lookup_miss — setup proceeds featureless
-// rather than failing (there is no panic path for an unknown
-// subscriber).
+// name. It takes a shared lock and allocates nothing. A miss returns
+// the degraded-mode default profile with ok=false and counts
+// store.lookup_miss — setup proceeds featureless rather than failing
+// (there is no panic path for an unknown subscriber).
 func (s *Store) Lookup(name string) (Profile, bool) {
 	if s == nil {
 		return DefaultProfile(name), false
 	}
 	start := time.Now()
 	s.mLookups.Inc()
-	if !s.opts.NoCache {
-		s.regMu.RLock()
-		p, ok := s.reg[name]
-		s.regMu.RUnlock()
-		s.mLookupLat.Observe(time.Since(start))
-		if !ok {
-			s.mMiss.Inc()
-			return DefaultProfile(name), false
-		}
-		return p, true
-	}
-	// Uncached: consult the index backend (the benchmarked path).
-	s.mu.Lock()
-	s.keyBuf = profileKey(s.keyBuf, name)
-	v, ok := s.profIdx.Get(s.keyBuf)
-	var p Profile
-	var err error
-	if ok {
-		p, err = decodeProfile(v)
-	}
-	s.mu.Unlock()
+	s.regMu.RLock()
+	p, ok := s.reg[name]
+	s.regMu.RUnlock()
 	s.mLookupLat.Observe(time.Since(start))
-	if !ok || err != nil {
+	if !ok {
 		s.mMiss.Inc()
 		return DefaultProfile(name), false
 	}
@@ -338,9 +254,9 @@ func (s *Store) Profiles() int {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.profiles
+	s.regMu.RLock()
+	defer s.regMu.RUnlock()
+	return len(s.reg)
 }
 
 // --- balances ---
@@ -355,7 +271,7 @@ func (s *Store) NextToken(name string) uint64 {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.loadBalance(name).LastToken + 1
+	return s.bal[name].LastToken + 1
 }
 
 // SetBalance initializes or resets a subscriber's balance.
@@ -367,7 +283,7 @@ func (s *Store) SetBalance(name string, cents int64) error {
 	defer s.mu.Unlock()
 	// An absolute reset is a delta from the current state under the
 	// next token, so it logs and replays like any other adjustment.
-	b := s.loadBalance(name)
+	b := s.bal[name]
 	a := adjust{Name: name, Delta: cents - b.Cents, Token: b.LastToken + 1}
 	body := appendAdjust(nil, &a)
 	if _, ok := s.wal.append(recAdjust, body); !ok {
@@ -399,13 +315,13 @@ func (s *Store) adjustBy(name string, delta int64, token uint64) (int64, bool) {
 	a := adjust{Name: name, Delta: delta, Token: token}
 	body := appendAdjust(nil, &a)
 	if _, ok := s.wal.append(recAdjust, body); !ok {
-		return s.loadBalance(name).Cents, false
+		return s.bal[name].Cents, false
 	}
 	applied := s.applyAdjust(a)
 	if applied {
 		s.mDebits.Inc()
 	}
-	return s.loadBalance(name).Cents, applied
+	return s.bal[name].Cents, applied
 }
 
 // Balance returns a subscriber's balance in cents.
@@ -415,11 +331,8 @@ func (s *Store) Balance(name string) (int64, bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.keyBuf = balanceKey(s.keyBuf, name)
-	if _, ok := s.profIdx.Get(s.keyBuf); !ok {
-		return 0, false
-	}
-	return s.loadBalance(name).Cents, true
+	b, ok := s.bal[name]
+	return b.Cents, ok
 }
 
 // --- CDRs ---
@@ -440,24 +353,22 @@ func (s *Store) AppendCDR(c CDR) (uint64, bool) {
 		s.mu.Unlock()
 		return 0, false
 	}
-	s.cdrSeq = c.Seq
-	body := append([]byte(nil), s.recBuf...)
-	s.applyCDR(c, body)
+	s.applyCDR(c)
 	s.mu.Unlock()
 	s.mAppends.Inc()
 	s.mAppendLat.Observe(time.Since(start))
 	return c.Seq, true
 }
 
-// CDRCount returns the number of CDRs in the index (issued, durable or
-// not; after Open it is exactly the recovered count).
+// CDRCount returns the number of distinct CDR seqs held (issued,
+// durable or not; after Open it is exactly the recovered count).
 func (s *Store) CDRCount() int {
 	if s == nil {
 		return 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cdrIdx.Len()
+	return len(s.cdrs)
 }
 
 // DurableCDRs returns the number of CDR appends acknowledged by an
@@ -469,20 +380,24 @@ func (s *Store) DurableCDRs() uint64 {
 	return s.cdrDurable.Load()
 }
 
-// EachCDR iterates the CDR log in sequence order.
+// EachCDR iterates the CDR log in sequence order. It sorts the seqs
+// on every call: it is the reconciliation audit, not a hot path.
 func (s *Store) EachCDR(fn func(CDR) bool) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ascendPrefix(s.cdrIdx, []byte("c/"), func(_, v []byte) bool {
-		c, err := decodeCDR(v)
-		if err != nil {
-			return true
+	seqs := make([]uint64, 0, len(s.cdrs))
+	for seq := range s.cdrs {
+		seqs = append(seqs, seq)
+	}
+	slices.Sort(seqs)
+	for _, seq := range seqs {
+		if !fn(s.cdrs[seq]) {
+			return
 		}
-		return fn(c)
-	})
+	}
 }
 
 // --- lifecycle ---

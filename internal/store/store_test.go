@@ -26,37 +26,33 @@ func openTest(t *testing.T, dir string, opts Options) *Store {
 }
 
 func TestStoreProfileRoundTrip(t *testing.T) {
-	for _, backend := range Backends() {
-		t.Run(backend, func(t *testing.T) {
-			dir := t.TempDir()
-			st := openTest(t, dir, Options{Backend: backend})
-			want := Profile{Name: "alice", Features: []string{"cf", "prepaid"}}
-			if err := st.PutProfile(want); err != nil {
-				t.Fatal(err)
-			}
-			got, ok := st.Lookup("alice")
-			if !ok || got.Name != "alice" || len(got.Features) != 2 {
-				t.Fatalf("Lookup = %+v, %v", got, ok)
-			}
-			if st.Profiles() != 1 {
-				t.Fatalf("Profiles = %d", st.Profiles())
-			}
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
+	dir := t.TempDir()
+	st := openTest(t, dir, Options{})
+	want := Profile{Name: "alice", Features: []string{"cf", "prepaid"}}
+	if err := st.PutProfile(want); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := st.Lookup("alice")
+	if !ok || got.Name != "alice" || len(got.Features) != 2 {
+		t.Fatalf("Lookup = %+v, %v", got, ok)
+	}
+	if st.Profiles() != 1 {
+		t.Fatalf("Profiles = %d", st.Profiles())
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-			// Reopen: the profile must survive via WAL replay.
-			st2 := openTest(t, dir, Options{Backend: backend})
-			defer st2.Close()
-			got, ok = st2.Lookup("alice")
-			if !ok || got.Name != "alice" || len(got.Features) != 2 ||
-				got.Features[0] != "cf" || got.Features[1] != "prepaid" {
-				t.Fatalf("after reopen: Lookup = %+v, %v", got, ok)
-			}
-			if rs := st2.Recovery(); rs.Records != 1 || rs.Truncated != 0 {
-				t.Fatalf("Recovery = %+v", rs)
-			}
-		})
+	// Reopen: the profile must survive via WAL replay.
+	st2 := openTest(t, dir, Options{})
+	defer st2.Close()
+	got, ok = st2.Lookup("alice")
+	if !ok || got.Name != "alice" || len(got.Features) != 2 ||
+		got.Features[0] != "cf" || got.Features[1] != "prepaid" {
+		t.Fatalf("after reopen: Lookup = %+v, %v", got, ok)
+	}
+	if rs := st2.Recovery(); rs.Records != 1 || rs.Truncated != 0 {
+		t.Fatalf("Recovery = %+v", rs)
 	}
 }
 
@@ -68,38 +64,34 @@ func TestStoreLookupMissDegraded(t *testing.T) {
 	telemetry.SetDefault(reg)
 	defer telemetry.SetDefault(nil)
 
-	for _, cached := range []bool{false, true} {
-		t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
-			st := openTest(t, t.TempDir(), Options{NoCache: !cached})
-			defer st.Close()
-			st.PutProfile(Profile{Name: "known"})
+	st := openTest(t, t.TempDir(), Options{})
+	defer st.Close()
+	st.PutProfile(Profile{Name: "known"})
 
-			missBefore := reg.Counter(MetricLookupMiss).Value()
-			lookBefore := reg.Counter(MetricLookups).Value()
+	missBefore := reg.Counter(MetricLookupMiss).Value()
+	lookBefore := reg.Counter(MetricLookups).Value()
 
-			p, ok := st.Lookup("ghost")
-			if ok {
-				t.Fatal("Lookup(ghost) reported a hit")
-			}
-			if p.Name != "ghost" || len(p.Features) != 0 {
-				t.Fatalf("degraded profile = %+v, want bare default", p)
-			}
-			if _, ok := st.Lookup("known"); !ok {
-				t.Fatal("Lookup(known) missed")
-			}
+	p, ok := st.Lookup("ghost")
+	if ok {
+		t.Fatal("Lookup(ghost) reported a hit")
+	}
+	if p.Name != "ghost" || len(p.Features) != 0 {
+		t.Fatalf("degraded profile = %+v, want bare default", p)
+	}
+	if _, ok := st.Lookup("known"); !ok {
+		t.Fatal("Lookup(known) missed")
+	}
 
-			if got := reg.Counter(MetricLookupMiss).Value() - missBefore; got != 1 {
-				t.Fatalf("lookup_miss delta = %d, want 1", got)
-			}
-			if got := reg.Counter(MetricLookups).Value() - lookBefore; got != 2 {
-				t.Fatalf("lookups delta = %d, want 2", got)
-			}
-		})
+	if got := reg.Counter(MetricLookupMiss).Value() - missBefore; got != 1 {
+		t.Fatalf("lookup_miss delta = %d, want 1", got)
+	}
+	if got := reg.Counter(MetricLookups).Value() - lookBefore; got != 2 {
+		t.Fatalf("lookups delta = %d, want 2", got)
 	}
 
 	// The nil store degrades the same way.
 	var nilStore *Store
-	p, ok := nilStore.Lookup("anyone")
+	p, ok = nilStore.Lookup("anyone")
 	if ok || p.Name != "anyone" {
 		t.Fatalf("nil store Lookup = %+v, %v", p, ok)
 	}
