@@ -183,6 +183,14 @@ func runOnce(root, workload string, seed int, seconds string) (result, error) {
 	if jerr := json.Unmarshal([]byte(lines[len(lines)-1]), &res); jerr != nil {
 		return res, fmt.Errorf("no result (%v, %v):\n%s", err, jerr, stderr.String())
 	}
+	if !res.Correct {
+		// The result says only that a check failed; the run's report names it.
+		for _, l := range strings.Split(stderr.String(), "\n") {
+			if strings.Contains(l, "CHECK FAILED") {
+				fmt.Fprintf(os.Stderr, "%s seed %d in %s: %s\n", workload, seed, root, strings.TrimSpace(l))
+			}
+		}
+	}
 	return res, nil
 }
 

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"testing"
 )
@@ -32,5 +35,43 @@ func TestCompare(t *testing.T) {
 	}
 	if r := compare([]float64{0, 0}, []float64{1, 1}, "lower", 0.1); !r.worse {
 		t.Fatalf("a rise from zero: %+v", r)
+	}
+}
+
+// TestReportGates: a workload fails on a run that was not correct, on
+// either side, or when the change fails a larger share of its
+// operations, even with every metric inside its bound.
+func TestReportGates(t *testing.T) {
+	var sp spec
+	if err := json.Unmarshal([]byte(`{"end_to_end": [{"name": "cpu_us_per_op", "better": "lower", "bound": 0.25}]}`), &sp); err != nil {
+		t.Fatal(err)
+	}
+	run := func(cpu float64, correct bool, failed int) result {
+		var r result
+		line := fmt.Sprintf(`{"correct": %v, "attempted": 1000, "failed": %d, "metrics": {"cpu_us_per_op": {"value": %g}}}`, correct, failed, cpu)
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	runs := func(change result) [2][]result {
+		return [2][]result{
+			{run(30, true, 1), run(31, true, 1), run(29, true, 1)},
+			{run(30, true, 1), change, run(29, true, 1)},
+		}
+	}
+	if report(io.Discard, "w", sp, runs(run(30, true, 1))) {
+		t.Fatal("equal runs, all correct, made the workload fail")
+	}
+	if !report(io.Discard, "w", sp, runs(run(30, false, 1))) {
+		t.Fatal("a change run that was not correct passed")
+	}
+	bad := runs(run(30, true, 1))
+	bad[0][2].Correct = false
+	if !report(io.Discard, "w", sp, bad) {
+		t.Fatal("a parent run that was not correct passed")
+	}
+	if !report(io.Discard, "w", sp, runs(run(30, true, 2))) {
+		t.Fatal("a larger failed share on the change passed")
 	}
 }

@@ -1,9 +1,9 @@
 // Package box implements the box runtime of paper Section VII: Box
 // objects contain the high-level code that calls on Goal and Slot
 // objects, with a Maps association between slots and the goal objects
-// controlling them, and the state-oriented programming model of
-// Section IV (program states carrying goal annotations, with guarded
-// transitions).
+// controlling them (held on each slot), and the state-oriented
+// programming model of Section IV (program states carrying goal
+// annotations, with guarded transitions).
 //
 // The Box core is strictly synchronous and clock-free: events go in,
 // outputs come out. Runtimes — the goroutine Runner in this package,
@@ -64,6 +64,8 @@ type Event struct {
 	Env     sig.Envelope // EvEnvelope payload
 	Timer   string       // EvTimer: timer name
 	Call    func(*Ctx)   // EvCall: closure to run
+
+	ci *chanInfo // Channel's record if the runtime holds it; nil: resolve Channel by name
 }
 
 // OutputKind classifies box outputs for the runtime.
@@ -88,6 +90,8 @@ type Output struct {
 	Timer   string
 	Dur     time.Duration
 	Note    string
+
+	ci *chanInfo // a goal's OutSend or an OutTeardown: the channel's record, so the runner need not look it up
 }
 
 func (o Output) String() string {
@@ -123,20 +127,22 @@ type chanInfo struct {
 	name      string
 	live      bool // the box holds the channel: between AddChannel and destroyChannel
 	initiator bool
-	minted    bool      // a default accept name (in<k>): any accepted channel may reopen the record
-	slotNames []string  // cached TunnelSlot names, indexed by tunnel
-	owned     []string  // names of the live slots of this channel (newSlot adds them)
-	own1      [1]string // owned's first backing: most channels carry one tunnel
-	s0        boxSlot   // storage for tunnel 0's slot, Reset for each channel the record serves
+	minted    bool        // a default accept name (in<k>): any accepted channel may reopen the record
+	parked    bool        // on the box's parked list
+	slotNames []string    // cached TunnelSlot names, indexed by tunnel
+	owned     []*boxSlot  // the live slots of this channel (newSlot adds them)
+	own1      [1]*boxSlot // owned's first backing: most channels carry one tunnel
+	s0        boxSlot     // storage for tunnel 0's slot, reset for each channel the record serves
 
 	// Runner state, unused in a box driven without one. Loop goroutine
 	// only.
-	port  transport.Port // nil once closed or lost
-	ready func()         // the inline port's readiness callback, built once
-	setup *sig.Meta      // the setup meta announcing this box on the channel, built once
+	port   transport.Port // nil once closed or lost
+	ready  func()         // the inline port's readiness callback, built once
+	setup  *sig.Meta      // the setup meta announcing this box on the channel, built once
+	lcPeer string         // the lifecycle's peer for the channel
+	lcAt   int64          // Unix ns when the lifecycle saw the channel set up; 0: not set up, or torn down
 
-	parked             bool      // on the box's parked list
-	parkPrev, parkNext *chanInfo // its links
+	parkPrev, parkNext *chanInfo // links on the box's parked list
 }
 
 // parkList is a box's parked records, oldest first. It is linked
@@ -175,11 +181,15 @@ func (l *parkList) remove(ci *chanInfo) {
 
 // boxSlot is a slot together with its place in the box: the channel
 // record that owns it and its tunnel index, so an action naming the
-// slot resolves to (channel, tunnel) by one lookup.
+// slot resolves to (channel, tunnel) by one lookup, and its end of the
+// Maps association: the goal object controlling it and that goal's
+// invocation counter.
 type boxSlot struct {
 	slot.Slot
 	ci     *chanInfo
 	tunnel int
+	goal   core.Goal          // nil until a goal is installed over the slot
+	ctr    *telemetry.Counter // box.goal_invocations.<goal kind>, resolved by the goal's first dispatch
 }
 
 // tunnelSlot returns the slot name for tunnel i, cached so
@@ -211,8 +221,7 @@ type Box struct {
 	name    string
 	profile core.Profile // profile for annotation-created goals
 
-	slots map[string]*boxSlot
-	goals map[string]core.Goal // the Maps object: slot name -> goal
+	slots map[string]*boxSlot // each slot carries its goal: the Maps association
 
 	// chans holds every channel record by name — live, closing or parked
 	// — live counts the live ones and parked lists the parked ones. peak
@@ -226,7 +235,7 @@ type Box struct {
 	opens          int
 
 	program  *Program
-	state    string
+	state    *State          // the program's current state
 	pendingT map[string]bool // armed timers
 
 	// DefaultGoal builds the goal object for a slot that receives
@@ -266,7 +275,6 @@ func New(name string, profile core.Profile) *Box {
 		name:     name,
 		profile:  profile,
 		slots:    map[string]*boxSlot{},
-		goals:    map[string]core.Goal{},
 		chans:    map[string]*chanInfo{},
 		pendingT: map[string]bool{},
 	}
@@ -297,10 +305,20 @@ func (b *Box) LendActions() *[]core.Action { return &b.acts }
 
 // GoalFor returns the goal object currently controlling the named
 // slot, if any.
-func (b *Box) GoalFor(name string) core.Goal { return b.goals[name] }
+func (b *Box) GoalFor(name string) core.Goal {
+	if s := b.slots[name]; s != nil {
+		return s.goal
+	}
+	return nil
+}
 
 // State returns the current program state name, if a program is set.
-func (b *Box) State() string { return b.state }
+func (b *Box) State() string {
+	if b.state == nil {
+		return ""
+	}
+	return b.state.Name
+}
 
 // SlotNames returns the box's slot names, sorted for deterministic
 // iteration.
@@ -319,7 +337,7 @@ func (b *Box) Links() [][2]string {
 	var out [][2]string
 	seen := map[string]bool{}
 	for _, name := range b.SlotNames() {
-		g := b.goals[name]
+		g := b.slots[name].goal
 		if g == nil || seen[name] {
 			continue
 		}
@@ -360,6 +378,15 @@ func (b *Box) channel(name string) *chanInfo {
 // teardown closes it one output later, a remote one when the transport
 // reports the loss), and a notification can outlive both.
 func (b *Box) record(name string) *chanInfo { return b.chans[name] }
+
+// recordOf returns the record of ev's channel: the one ev carries, or
+// the one kept under its name.
+func (b *Box) recordOf(ev *Event) *chanInfo {
+	if ev.ci != nil {
+		return ev.ci
+	}
+	return b.chans[ev.Channel]
+}
 
 // HasChannel reports whether the named channel exists.
 func (b *Box) HasChannel(name string) bool { return b.channel(name) != nil }
@@ -482,28 +509,28 @@ func (b *Box) ensureSlot(name string) (*boxSlot, error) {
 	return b.newSlot(ci, tunnel, name), nil
 }
 
-// newSlot creates the slot of a tunnel of ci. A channel's first slot,
-// if it is tunnel 0's (most channels carry that one tunnel), lives in
-// the channel record; any other is allocated.
+// newSlot creates the slot of a tunnel of ci, with no goal. A
+// channel's first slot, if it is tunnel 0's (most channels carry that
+// one tunnel), lives in the channel record; any other is allocated.
 func (b *Box) newSlot(ci *chanInfo, tunnel int, name string) *boxSlot {
 	s := &ci.s0
 	if tunnel != 0 || len(ci.owned) > 0 {
 		s = &boxSlot{}
 	}
 	s.Slot.Reset(name, ci.initiator)
-	s.ci, s.tunnel = ci, tunnel
+	s.ci, s.tunnel, s.goal, s.ctr = ci, tunnel, nil, nil
 	b.slots[name] = s
-	ci.owned = append(ci.owned, name)
+	ci.owned = append(ci.owned, s)
 	return s
 }
 
 // ensureGoal returns the goal for a slot, installing the default if
 // none is set, and applying its attach actions.
-func (b *Box) ensureGoal(name string) (core.Goal, error) {
-	if g := b.goals[name]; g != nil {
-		return g, nil
+func (b *Box) ensureGoal(s *boxSlot) (core.Goal, error) {
+	if s.goal != nil {
+		return s.goal, nil
 	}
-	g := b.DefaultGoal(name)
+	g := b.DefaultGoal(s.Name())
 	if err := b.install(g); err != nil {
 		return nil, err
 	}
@@ -512,11 +539,12 @@ func (b *Box) ensureGoal(name string) (core.Goal, error) {
 
 // install maps a goal over its slots and applies its attach actions.
 func (b *Box) install(g core.Goal) error {
-	for _, s := range g.SlotNames() {
-		if _, err := b.ensureSlot(s); err != nil {
+	for _, name := range g.SlotNames() {
+		s, err := b.ensureSlot(name)
+		if err != nil {
 			return err
 		}
-		b.goals[s] = g
+		s.goal, s.ctr = g, nil
 	}
 	acts, err := g.Attach(b)
 	if err != nil {
@@ -541,6 +569,7 @@ func (b *Box) emitActions(acts []core.Action) {
 			Kind:    OutSend,
 			Channel: s.ci.name,
 			Env:     sig.Envelope{Tunnel: s.tunnel, Sig: a.Sig},
+			ci:      s.ci,
 		})
 	}
 }
@@ -555,36 +584,34 @@ func asRaw(g core.Goal) (core.RawGoal, bool) {
 	return rg, ok
 }
 
-// destroyChannel removes a channel and all its tunnels, slots, and
-// goal mappings ("destroying channel 1 is a meta-action that of course
-// destroys all its tunnels and slots", paper Section IV-B). A slot
-// that was flowlinked to a destroyed slot falls back to a closeSlot:
-// its path is broken, so its half of the channel is shut down cleanly.
-// The cost is that of the channel's own slots, whatever else the box
-// holds.
-func (b *Box) destroyChannel(name string) {
-	ci := b.channel(name)
-	if ci == nil {
-		return // no channel, so no slot of it either (see ensureSlot)
-	}
+// destroyChannel removes a live channel and all its tunnels, slots,
+// and goal mappings ("destroying channel 1 is a meta-action that of
+// course destroys all its tunnels and slots", paper Section IV-B). A
+// slot that was flowlinked to a destroyed slot falls back to a
+// closeSlot: its path is broken, so its half of the channel is shut
+// down cleanly. The cost is that of the channel's own slots, whatever
+// else the box holds.
+func (b *Box) destroyChannel(ci *chanInfo) {
 	ci.live = false
 	b.live--
 	b.chanVer++
-	b.markDirty(name)
+	b.markDirty(ci.name)
 	// Every goal partner of an owned slot is a candidate widow; the ones
 	// still standing once the channel's slots are gone belong to other
 	// channels.
 	widowed := b.widowScratch[:0]
-	for _, sn := range ci.owned {
-		if g := b.goals[sn]; g != nil {
-			for _, partner := range g.SlotNames() {
+	for i, s := range ci.owned {
+		sn := s.Name()
+		if s.goal != nil {
+			for _, partner := range s.goal.SlotNames() {
 				if partner != sn {
 					widowed = append(widowed, partner)
 				}
 			}
 		}
 		delete(b.slots, sn)
-		delete(b.goals, sn)
+		s.goal, s.ctr = nil, nil
+		ci.owned[i] = nil
 	}
 	ci.owned = ci.owned[:0]
 	b.retire(ci)
@@ -602,13 +629,17 @@ func (b *Box) destroyChannel(name string) {
 // Handle processes one event and returns the outputs it produced. It
 // must be called from a single goroutine. The returned slice is owned
 // by the caller until passed back via Recycle.
-func (b *Box) Handle(ev Event) ([]Output, error) {
+func (b *Box) Handle(ev Event) ([]Output, error) { return b.handle(&ev) }
+
+// handle is Handle on an event its caller holds, so a runtime's event
+// is copied once, into the frame.
+func (b *Box) handle(ev *Event) ([]Output, error) {
 	saved := b.outs // non-nil only if Handle re-enters mid-event
 	b.outs = b.spare[:0]
 	b.spare = nil
 
 	f := b.getFrame()
-	f.ev = ev
+	f.ev = *ev
 	f.ctx = Ctx{b: b, ev: &f.ev}
 	err := b.handleFrame(f)
 	b.putFrame(f)
@@ -659,9 +690,8 @@ func (b *Box) putFrame(f *frame) {
 	b.frames = append(b.frames, f)
 }
 
-// goalCounter memoizes the per-goal-kind invocation counter, keyed by
-// the goal kind, so dispatch does not rebuild the metric name per
-// envelope.
+// goalCounter memoizes the per-goal-kind invocation counter, so a
+// slot's first dispatch under a goal does not build the metric name.
 func (b *Box) goalCounter(kind string) *telemetry.Counter {
 	if c := b.goalCtrs[kind]; c != nil {
 		return c
@@ -679,21 +709,25 @@ func (b *Box) dispatch(ctx *Ctx, ev *Event) error {
 	case EvEnvelope:
 		if ev.Env.IsMeta() {
 			if ev.Env.Meta.Kind == sig.MetaTeardown {
-				b.destroyChannel(ev.Channel)
+				if ci := b.recordOf(ev); ci != nil && ci.live {
+					b.destroyChannel(ci)
+				}
 			}
 			return nil // metas are observed by hooks and guards
 		}
-		ci := b.channel(ev.Channel)
-		if ci == nil {
+		ci := b.recordOf(ev)
+		if ci == nil || !ci.live {
 			// Signal for a channel already destroyed locally; drop.
 			return nil
 		}
 		name := ci.tunnelSlot(ev.Env.Tunnel)
-		s := b.slots[name]
-		if s == nil {
+		var s *boxSlot
+		if ev.Env.Tunnel == 0 && len(ci.owned) > 0 && ci.owned[0] == &ci.s0 {
+			s = &ci.s0 // tunnel 0's slot lives in the record (see newSlot)
+		} else if s = b.slots[name]; s == nil {
 			s = b.newSlot(ci, ev.Env.Tunnel, name)
 		}
-		g, err := b.ensureGoal(name)
+		g, err := b.ensureGoal(s)
 		if err != nil {
 			return err
 		}
@@ -707,10 +741,13 @@ func (b *Box) dispatch(ctx *Ctx, ev *Event) error {
 		if err != nil {
 			return fmt.Errorf("box %s: %w", b.name, err)
 		}
-		// Enabled() gates the counter resolution; the per-kind counter is
-		// cached so the enabled path does no string work either.
+		// Enabled() gates the counter; the slot holds its goal's, so the
+		// enabled path does no lookup past the slot's first dispatch.
 		if telemetry.Enabled() {
-			b.goalCounter(g.Kind()).Inc()
+			if s.ctr == nil {
+				s.ctr = b.goalCounter(g.Kind())
+			}
+			s.ctr.Inc()
 		}
 		acts, err := g.OnEvent(b, name, sev, ev.Env.Sig)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"ipmedia/internal/core"
 	"ipmedia/internal/sig"
 	"ipmedia/internal/slot"
+	"ipmedia/internal/telemetry"
 )
 
 // standingBox builds a box holding n channels "s0".."s<n-1>", each
@@ -19,7 +20,11 @@ func standingBox(tb testing.TB, n int) *Box {
 	for i := 0; i < n; i++ {
 		ch := "s" + strconv.Itoa(i)
 		b.AddChannel(ch, false)
-		if _, err := b.ensureGoal(TunnelSlot(ch, 0)); err != nil {
+		s, err := b.ensureSlot(TunnelSlot(ch, 0))
+		if err == nil {
+			_, err = b.ensureGoal(s)
+		}
+		if err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -35,6 +40,17 @@ func handle(tb testing.TB, b *Box, ev Event) {
 	b.Recycle(outs)
 }
 
+// goalCount is how many of b's slots a goal object controls.
+func goalCount(b *Box) int {
+	n := 0
+	for _, s := range b.slots {
+		if s.goal != nil {
+			n++
+		}
+	}
+	return n
+}
+
 func teardown(ch string) Event {
 	return Event{Kind: EvEnvelope, Channel: ch, Env: sig.Envelope{Meta: &sig.Meta{Kind: sig.MetaTeardown}}}
 }
@@ -42,9 +58,22 @@ func teardown(ch string) Event {
 // TestDestroyChannelOnlyOwnSlots: tearing one channel down on a box
 // that holds 2000 others removes exactly that channel's slots —
 // cached-name tunnels, a tunnel index past the name cache, and a slot a
-// program named itself — leaves every other slot and goal object
-// untouched, and hands the surviving half of a flowlink to a closeSlot.
+// program named itself — and their goals, leaves every other slot and
+// goal object untouched, and hands the surviving half of a flowlink to
+// a closeSlot. A redial of the name reuses the record's tunnel-0 slot
+// storage with none of the first incarnation's goal state: the slot
+// starts with no goal and no invocation counter, its first signal
+// installs and counts the default holdSlot, and a goal installed over
+// the slot later counts under its own kind.
 func TestDestroyChannelOnlyOwnSlots(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	prev := telemetry.Default()
+	telemetry.SetDefault(reg)
+	defer telemetry.SetDefault(prev)
+	invocations := func(kind string) uint64 {
+		return reg.Counter(MetricGoalInvocationsPrefix + kind).Value()
+	}
+
 	const standing = 2000
 	b := standingBox(t, standing)
 	type held struct {
@@ -53,7 +82,7 @@ func TestDestroyChannelOnlyOwnSlots(t *testing.T) {
 	}
 	before := make(map[string]held, standing)
 	for name, s := range b.slots {
-		before[name] = held{&s.Slot, b.goals[name]}
+		before[name] = held{&s.Slot, s.goal}
 	}
 
 	b.AddChannel("victim", false)
@@ -63,12 +92,20 @@ func TestDestroyChannelOnlyOwnSlots(t *testing.T) {
 		ctx.SetGoal(core.NewHoldSlot("victim.t7", b.Profile())) // named by the program, not by dispatch
 	}})
 	open := sig.Open(sig.Audio, sig.Descriptor{})
-	handle(t, b, Event{Kind: EvEnvelope, Channel: "victim", Env: sig.Envelope{Tunnel: 1, Sig: open}})
-	handle(t, b, Event{Kind: EvEnvelope, Channel: "victim", Env: sig.Envelope{Tunnel: 1500, Sig: open}})
+	for _, tunnel := range []int{0, 1, 1500} {
+		handle(t, b, Event{Kind: EvEnvelope, Channel: "victim", Env: sig.Envelope{Tunnel: tunnel, Sig: open}})
+	}
+	victims := map[string]*boxSlot{}
 	for _, sn := range []string{"victim.t0", "victim.t1", "victim.t7", "victim.t1500"} {
-		if b.Slot(sn) == nil {
-			t.Fatalf("setup: slot %s missing", sn)
+		s := b.slots[sn]
+		if s == nil || s.goal == nil {
+			t.Fatalf("setup: slot %s missing or without a goal", sn)
 		}
+		victims[sn] = s
+	}
+	rec := b.record("victim")
+	if s0 := victims["victim.t0"]; s0 != &rec.s0 || s0.goal.Kind() != "flowLink" || s0.ctr == nil {
+		t.Fatalf("setup: victim.t0 is not the record's flowlinked, counted tunnel-0 slot")
 	}
 
 	handle(t, b, teardown("victim"))
@@ -81,19 +118,19 @@ func TestDestroyChannelOnlyOwnSlots(t *testing.T) {
 			t.Errorf("slot %s survived its channel", name)
 		}
 	}
-	for name := range b.goals {
-		if strings.HasPrefix(name, "victim.") {
+	for name, s := range victims {
+		if s.goal != nil || s.ctr != nil {
 			t.Errorf("goal mapping %s survived its channel", name)
 		}
 	}
-	if len(b.slots) != standing || len(b.goals) != standing {
-		t.Errorf("box holds %d slots / %d goals, want %d each", len(b.slots), len(b.goals), standing)
+	if len(b.slots) != standing || goalCount(b) != standing {
+		t.Errorf("box holds %d slots / %d goals, want %d each", len(b.slots), goalCount(b), standing)
 	}
 	for name, was := range before {
 		if b.Slot(name) != was.s {
 			t.Errorf("slot %s was replaced or removed", name)
 		}
-		if name != partner && b.goals[name] != was.g {
+		if name != partner && b.GoalFor(name) != was.g {
 			t.Errorf("goal of %s was replaced or removed", name)
 		}
 	}
@@ -104,7 +141,35 @@ func TestDestroyChannelOnlyOwnSlots(t *testing.T) {
 	// A redial of the name starts with no slots, and its teardown must
 	// not reach for the ones the first incarnation owned.
 	b.AddChannel("victim", true)
+	if b.record("victim") != rec {
+		t.Fatal("the redial did not reopen the victim's record")
+	}
+	s0, err := b.ensureSlot("victim.t0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s0 != &rec.s0 || s0.goal != nil || s0.ctr != nil {
+		t.Fatalf("redialed victim.t0: reuses s0 %v, goal %v, counter %v; want s0 reused, no goal, no counter",
+			s0 == &rec.s0, s0.goal, s0.ctr)
+	}
+	holds, links := invocations("holdSlot"), invocations("flowLink")
 	handle(t, b, Event{Kind: EvEnvelope, Channel: "victim", Env: sig.Envelope{Tunnel: 0, Sig: open}})
+	if g := b.GoalFor("victim.t0"); g == nil || g.Kind() != "holdSlot" {
+		t.Errorf("redialed victim.t0 is controlled by %v, want the default holdSlot", g)
+	}
+	if d := invocations("holdSlot") - holds; d != 1 {
+		t.Errorf("the redialed slot's first signal counted %d holdSlot invocations, want 1", d)
+	}
+	if d := invocations("flowLink") - links; d != 0 {
+		t.Errorf("the redialed slot's first signal counted %d flowLink invocations, want 0", d)
+	}
+	// A goal installed over a counted slot counts under its own kind.
+	handle(t, b, Event{Kind: EvCall, Call: func(ctx *Ctx) { ctx.SetGoal(core.NewCloseSlot("victim.t0")) }})
+	holds, closes := invocations("holdSlot"), invocations("closeSlot")
+	handle(t, b, Event{Kind: EvEnvelope, Channel: "victim", Env: sig.Envelope{Tunnel: 0, Sig: sig.CloseAck()}})
+	if dh, dc := invocations("holdSlot")-holds, invocations("closeSlot")-closes; dh != 0 || dc != 1 {
+		t.Errorf("a signal after a closeSlot replaced the holdSlot counted %d holdSlot and %d closeSlot invocations, want 0 and 1", dh, dc)
+	}
 	handle(t, b, teardown("victim"))
 	if len(b.slots) != standing {
 		t.Errorf("after redial and teardown the box holds %d slots, want %d", len(b.slots), standing)
@@ -118,8 +183,8 @@ func TestAddChannelTwiceKeepsOwnedSlots(t *testing.T) {
 	b := standingBox(t, 1)
 	b.AddChannel("s0", true)
 	handle(t, b, teardown("s0"))
-	if len(b.slots) != 0 || len(b.goals) != 0 {
-		t.Fatalf("teardown left %d slots / %d goals behind", len(b.slots), len(b.goals))
+	if len(b.slots) != 0 || b.record("s0").s0.goal != nil {
+		t.Fatalf("teardown left %d slots, or the goal of s0.t0, behind", len(b.slots))
 	}
 }
 

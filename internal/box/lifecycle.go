@@ -21,64 +21,44 @@ type Lifecycle interface {
 	ChannelTeardown(local, peer, channel string, setupAt time.Time)
 }
 
-// lcEntry tracks one live channel for lifecycle accounting. Loop
-// goroutine only.
-type lcEntry struct {
-	peer    string
-	setupAt time.Time
-}
-
 // SetLifecycle installs the lifecycle observer (nil removes it).
 // Install before traffic starts: channels already up when the observer
 // is installed produce no setup, and therefore no teardown.
 func (r *Runner) SetLifecycle(l Lifecycle) {
-	r.Do(func(*Ctx) {
-		r.lifecycle = l
-		if l != nil && r.lcChans == nil {
-			r.lcChans = map[string]lcEntry{}
-		}
-	})
+	r.Do(func(*Ctx) { r.lifecycle = l })
 }
 
-// lcSetup records a channel coming up and fires ChannelSetup. The map
-// dedups: a channel already tracked (e.g. an envelope replay) is not
-// announced twice. Loop goroutine only.
-func (r *Runner) lcSetup(channel, peer string) {
-	if r.lifecycle == nil {
+// lcSetup records ci's channel coming up and fires ChannelSetup. The
+// record dedups: a channel already set up (e.g. an envelope replay) is
+// not announced twice. A nil record (an event injected for a channel
+// the box never had) is not tracked. Loop goroutine only.
+func (r *Runner) lcSetup(ci *chanInfo, peer string) {
+	if r.lifecycle == nil || ci == nil || ci.lcAt != 0 {
 		return
 	}
-	if _, ok := r.lcChans[channel]; ok {
-		return
-	}
-	r.lcChans[channel] = lcEntry{peer: peer, setupAt: time.Now()}
-	r.lifecycle.ChannelSetup(r.box.Name(), peer, channel)
+	ci.lcPeer, ci.lcAt = peer, time.Now().UnixNano()
+	r.lifecycle.ChannelSetup(r.box.Name(), peer, ci.name)
 }
 
-// lcTeardown fires ChannelTeardown for a tracked channel, exactly
-// once: the local OutTeardown, the received MetaTeardown, and the
-// port-loss synthesized teardown all funnel here, and whichever lands
-// first wins. Loop goroutine only.
-func (r *Runner) lcTeardown(channel string) {
-	if r.lifecycle == nil {
+// lcTeardown fires ChannelTeardown for ci's channel if it was set up,
+// exactly once: the local OutTeardown, the received MetaTeardown, and
+// the port-loss synthesized teardown all funnel here while the box
+// still keeps the channel's record, and whichever lands first wins.
+// Loop goroutine only.
+func (r *Runner) lcTeardown(ci *chanInfo) {
+	if r.lifecycle == nil || ci == nil || ci.lcAt == 0 {
 		return
 	}
-	e, ok := r.lcChans[channel]
-	if !ok {
-		return
-	}
-	delete(r.lcChans, channel)
-	r.lifecycle.ChannelTeardown(r.box.Name(), e.peer, channel, e.setupAt)
+	peer, at := ci.lcPeer, ci.lcAt
+	ci.lcPeer, ci.lcAt = "", 0
+	r.lifecycle.ChannelTeardown(r.box.Name(), peer, ci.name, time.Unix(0, at))
 }
 
-// lcFlush tears down every still-tracked channel — the runner is
+// lcFlush tears down every channel still set up — the runner is
 // stopping, and CDR accounting must not leak the calls it takes down
 // with it. Loop goroutine only.
 func (r *Runner) lcFlush() {
-	if r.lifecycle == nil {
-		return
-	}
-	for channel, e := range r.lcChans {
-		delete(r.lcChans, channel)
-		r.lifecycle.ChannelTeardown(r.box.Name(), e.peer, channel, e.setupAt)
+	for _, ci := range r.box.chans {
+		r.lcTeardown(ci)
 	}
 }

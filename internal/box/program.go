@@ -119,7 +119,7 @@ func (p *Program) compile() error {
 // in control of their slots until replaced.
 func (b *Box) ClearProgram() {
 	b.program = nil
-	b.state = ""
+	b.state = nil
 }
 
 // SetProgram installs and starts a program on the box. The initial
@@ -149,7 +149,7 @@ func (b *Box) enterState(ctx *Ctx, name string) error {
 	if st == nil {
 		return fmt.Errorf("box %s: no program state %q", b.name, name)
 	}
-	b.state = name
+	b.state = st
 	if st.OnEnter != nil {
 		st.OnEnter(ctx)
 		if ctx.err != nil {
@@ -170,7 +170,7 @@ func (b *Box) reconcileGoals(st *State) error {
 	for _, ann := range st.Annots {
 		// Keep the existing goal object if the same annotation already
 		// controls the slot(s).
-		if cur, ok := b.goals[ann.Slot1].(*annotated); ok && equalAnnot(cur.ann, ann) {
+		if cur, ok := b.GoalFor(ann.Slot1).(*annotated); ok && equalAnnot(cur.ann, ann) {
 			continue
 		}
 		g, err := b.buildGoal(ann)
@@ -186,10 +186,14 @@ func (b *Box) reconcileGoals(st *State) error {
 	// abandoned slot must not stay attached to the old goal object —
 	// two controllers would fight over the shared slot. It falls back
 	// to the box default.
-	for name, g := range b.goals {
+	for name, s := range b.slots {
+		g := s.goal
+		if g == nil {
+			continue
+		}
 		stale := false
 		for _, other := range g.SlotNames() {
-			if b.goals[other] != g {
+			if b.GoalFor(other) != g {
 				stale = true
 				break
 			}
@@ -197,8 +201,8 @@ func (b *Box) reconcileGoals(st *State) error {
 		if !stale {
 			continue
 		}
-		delete(b.goals, name)
-		if _, err := b.ensureGoal(name); err != nil {
+		s.goal, s.ctr = nil, nil
+		if _, err := b.ensureGoal(s); err != nil {
 			return fmt.Errorf("box %s state %s: reassigning %s: %w", b.name, st.Name, name, err)
 		}
 	}
@@ -239,9 +243,9 @@ func (b *Box) step(ctx *Ctx) error {
 	}
 	for rounds := 0; ; rounds++ {
 		if rounds > 64 {
-			return fmt.Errorf("box %s: program livelock in state %s", b.name, b.state)
+			return fmt.Errorf("box %s: program livelock in state %s", b.name, b.state.Name)
 		}
-		st := b.program.byName[b.state]
+		st := b.state
 		if st == nil {
 			return nil
 		}
@@ -348,11 +352,12 @@ func (c *Ctx) Dial(channel, addr string) {
 
 // Teardown destroys a signaling channel and all its tunnels and slots.
 func (c *Ctx) Teardown(channel string) {
-	if !c.b.HasChannel(channel) {
+	ci := c.b.channel(channel)
+	if ci == nil {
 		return
 	}
-	c.b.destroyChannel(channel)
-	c.b.outs = append(c.b.outs, Output{Kind: OutTeardown, Channel: channel})
+	c.b.destroyChannel(ci)
+	c.b.outs = append(c.b.outs, Output{Kind: OutTeardown, Channel: channel, ci: ci})
 }
 
 // SendMeta emits a meta-signal on a channel.
@@ -383,7 +388,7 @@ func (c *Ctx) SetGoal(g core.Goal) {
 // Refresh tells the goal controlling the named slot that the box's
 // media profile changed (the modify event of paper Figure 5).
 func (c *Ctx) Refresh(slotName string, inChanged, outChanged bool) {
-	g := c.b.goals[slotName]
+	g := c.b.GoalFor(slotName)
 	if g == nil {
 		return
 	}

@@ -43,7 +43,7 @@ func TestPumpStateReusedOnlyAfterAck(t *testing.T) {
 	// Every channel is registered up front, its port preloaded with a
 	// setup and two app metas — one batch, within the smallest buffer —
 	// and closed behind them, so its pump exits as soon as it has posted.
-	var waves [2][]transport.Port
+	var waves [2][]*chanInfo
 	names := func(w int) []string {
 		ns := make([]string, perWave)
 		for k := range ns {
@@ -61,16 +61,17 @@ func TestPumpStateReusedOnlyAfterAck(t *testing.T) {
 						Attrs: sig.NewAttrs("ch", name, "i", strconv.Itoa(i))}})
 				}
 				far.Close()
-				ctx.Box().addChannel(name, false, false).port = near
-				waves[w] = append(waves[w], near)
+				ci := ctx.Box().addChannel(name, false, false)
+				ci.port = near
+				waves[w] = append(waves[w], ci)
 			}
 		}
 	})
 	start := func(w int) {
-		for k, name := range names(w) {
-			p := waves[w][k]
+		for _, ci := range waves[w] {
+			p := ci.port
 			r.wg.Add(1)
-			go r.pump(name, p, p.(transport.BatchPort))
+			go r.pump(ci, p, p.(transport.BatchPort))
 		}
 	}
 	start(0)

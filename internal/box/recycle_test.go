@@ -268,8 +268,11 @@ func TestAcceptNameReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := log.await(t, "c1")
-	var oldPort transport.Port
-	srv.Do(func(*Ctx) { oldPort = srv.port(first) })
+	var (
+		oldPort transport.Port
+		rec     *chanInfo
+	)
+	srv.Do(func(ctx *Ctx) { oldPort, rec = srv.port(first), ctx.Box().record(first) })
 	if oldPort == nil {
 		t.Fatalf("accepted channel %s has no port", first)
 	}
@@ -287,12 +290,15 @@ func TestAcceptNameReuse(t *testing.T) {
 		t.Fatalf("the second channel was accepted as %s, want the freed name %s", second, first)
 	}
 
-	// What the first incarnation may still have in flight, delivered now.
-	srv.sh.inbox.push(inboxItem{kind: itemRing, r: srv, ev: Event{Kind: EvEnvelope, Channel: first}})
-	srv.sh.inbox.push(inboxItem{kind: itemPortLost, r: srv, ev: Event{Channel: first}, port: oldPort})
+	// What the first incarnation may still have in flight, delivered now:
+	// its port's readiness item and loss report, which carry the record
+	// the re-accepted channel reopened.
+	srv.sh.inbox.push(inboxItem{kind: itemRing, r: srv, ev: Event{Kind: EvEnvelope, Channel: first, ci: rec}})
+	srv.sh.inbox.push(inboxItem{kind: itemPortLost, r: srv, ev: Event{Channel: first, ci: rec}, port: oldPort})
 	survived := false
 	srv.Do(func(ctx *Ctx) {
-		survived = ctx.Box().HasChannel(first) && srv.port(first) != nil && srv.port(first) != oldPort
+		survived = ctx.Box().HasChannel(first) && ctx.Box().record(first) == rec &&
+			srv.port(first) != nil && srv.port(first) != oldPort
 	})
 	if !survived {
 		t.Fatalf("the re-accepted channel %s did not survive the old one's stragglers", first)
@@ -521,6 +527,108 @@ func TestPumpStragglersMissTheNextChannel(t *testing.T) {
 	})
 	close(old.recv)
 	close(next.recv)
+	noErrs(t, r)
+}
+
+// dialNet is a network whose Dial always succeeds with a fresh
+// recordingPort, kept in order; it listens nowhere.
+type dialNet struct{ ports []*recordingPort }
+
+func (n *dialNet) Listen(string) (transport.Listener, error) { return nil, transport.ErrClosed }
+
+func (n *dialNet) Dial(string) (transport.Port, error) {
+	p := &recordingPort{done: make(chan struct{})}
+	n.ports = append(n.ports, p)
+	return p, nil
+}
+
+// recordingPort records the metas it is sent and whether it was closed;
+// its receive side stays silent until Close. The runner sends and
+// closes from its loop, so the test reads it inside Do.
+type recordingPort struct {
+	metas  []sig.MetaKind
+	closed bool
+	done   chan struct{}
+}
+
+func (p *recordingPort) Send(e sig.Envelope) error {
+	if e.IsMeta() {
+		p.metas = append(p.metas, e.Meta.Kind)
+	}
+	return nil
+}
+
+func (p *recordingPort) Close() error {
+	if !p.closed {
+		p.closed = true
+		close(p.done)
+	}
+	return nil
+}
+
+func (p *recordingPort) Peer() string { return "recording" }
+
+func (p *recordingPort) RecvBatch([]sig.Envelope) (int, bool) {
+	<-p.done
+	return 0, false
+}
+
+// TestRedialAfterForgottenRecord: a program that dials, tears down and
+// redials one name in one event, while the box holds so many closing
+// records that the torn-down one is forgotten at once, still tears its
+// first connection down. The first port is sent a teardown and closed;
+// the second is the channel's, and open.
+func TestRedialAfterForgottenRecord(t *testing.T) {
+	net := &dialNet{}
+	r := NewRunner(New("C", deviceProfile("C", 5006)), net)
+	defer r.Stop()
+	// A port the runner lost track of would keep its pump, and Stop, waiting.
+	defer r.Do(func(*Ctx) {
+		for _, p := range net.ports {
+			p.Close()
+		}
+	})
+	var forgotten bool
+	r.Do(func(ctx *Ctx) {
+		// Channels their far ends tore down, whose ports are not yet
+		// reported lost: neither live nor parked, so retire cannot make
+		// room by forgetting them.
+		b := ctx.Box()
+		for i := 0; i <= parkSlack; i++ {
+			name := "closing" + strconv.Itoa(i)
+			b.chans[name] = &chanInfo{name: name, port: &lingerPort{recv: make(chan sig.Envelope)}}
+		}
+		ctx.Dial("x", "S")
+		first := b.record("x")
+		ctx.Teardown("x")
+		forgotten = b.record("x") == nil
+		ctx.Dial("x", "S")
+		forgotten = forgotten && b.record("x") != first
+	})
+	if !forgotten {
+		t.Fatal("the torn-down record was not forgotten at once; the test does not reach the case it is for")
+	}
+	var first, second []sig.MetaKind
+	var firstClosed, secondClosed, secondHeld bool
+	r.Do(func(*Ctx) {
+		if len(net.ports) != 2 {
+			return
+		}
+		p1, p2 := net.ports[0], net.ports[1]
+		first, firstClosed = p1.metas, p1.closed
+		second, secondClosed = p2.metas, p2.closed
+		secondHeld = r.port("x") == transport.Port(p2)
+	})
+	if len(net.ports) != 2 {
+		t.Fatalf("the program dialed twice, the runner made %d connections", len(net.ports))
+	}
+	if !firstClosed || len(first) != 2 || first[1] != sig.MetaTeardown {
+		t.Errorf("the first connection was sent %v and closed=%v, want a setup then a teardown, and closed", first, firstClosed)
+	}
+	if secondClosed || len(second) != 1 || !secondHeld {
+		t.Errorf("the second connection was sent %v, closed=%v, held by the channel=%v; want a setup only, open and held",
+			second, secondClosed, secondHeld)
+	}
 	noErrs(t, r)
 }
 

@@ -98,7 +98,7 @@ const (
 type inboxItem struct {
 	kind    itemKind
 	r       *Runner
-	ev      Event              // itemEvent payload; ev.Channel also labels itemBatch/itemRing/itemPortLost
+	ev      Event              // itemEvent payload; ev.Channel and ev.ci also label itemBatch/itemRing/itemPortLost
 	batch   []sig.Envelope     // itemBatch payload, the pump's buffer until acked
 	ack     chan<- struct{}    // itemBatch: signaled when the batch is processed
 	port    transport.Port     // itemAccept, itemPortLost: the port concerned; itemBatch: the source
@@ -256,12 +256,11 @@ type Runner struct {
 	wg       sync.WaitGroup // pumps and accept goroutines
 
 	// loop-goroutine-only state; per-channel state (port, readiness
-	// callback, setup meta) is in the box's channel records
+	// callback, setup meta, lifecycle) is in the box's channel records
 	timers    map[string]*timerwheel.Timer // one per timer name, re-armed in place
 	acceptN   int                          // accept names minted so far
 	chanVer   uint64                       // box.ChanVersion after the last dispatched item
 	lifecycle Lifecycle
-	lcChans   map[string]lcEntry
 
 	mu    sync.Mutex
 	errs  []error
@@ -298,9 +297,9 @@ func (r *Runner) SetTrace(f func(WireEvent)) {
 	r.Do(func(*Ctx) { r.trace = f })
 }
 
-func (r *Runner) traceEvent(dir, channel string, env sig.Envelope) {
+func (r *Runner) traceEvent(dir, channel string, env *sig.Envelope) {
 	if r.trace != nil {
-		r.trace(WireEvent{Box: r.box.Name(), Dir: dir, Channel: channel, Env: env, At: time.Now()})
+		r.trace(WireEvent{Box: r.box.Name(), Dir: dir, Channel: channel, Env: *env, At: time.Now()})
 	}
 	// Armed is the advisory gate that keeps the always-on tracer free:
 	// rendering env.String() costs several allocations per event, so it
@@ -331,9 +330,9 @@ func newRunner(b *Box, net transport.Network, sh *shard, own bool) *Runner {
 	}
 	for _, ci := range b.chans {
 		// Records an earlier runner of this box left behind: their ports
-		// are closed and their callbacks post to that runner. One that
-		// was only waiting for its port to go can be parked now.
-		ci.port, ci.ready = nil, nil
+		// are closed, their callbacks and lifecycle are that runner's.
+		// One that was only waiting for its port to go can be parked now.
+		ci.port, ci.ready, ci.lcPeer, ci.lcAt = nil, nil, "", 0
 		b.retire(ci)
 	}
 	return r
@@ -361,16 +360,17 @@ func (r *Runner) execute(it *inboxItem) int {
 	switch it.kind {
 	case itemEvent:
 		n = 1
-		r.handle(it.ev)
+		r.handle(&it.ev)
 		if it.done != nil {
 			it.done <- struct{}{}
 		}
 	case itemBatch:
 		n = len(it.batch)
-		current := r.port(it.ev.Channel) == it.port
+		ci := it.ev.ci
+		current := ci.port == it.port
 		for _, e := range it.batch {
 			if current {
-				r.handle(Event{Kind: EvEnvelope, Channel: it.ev.Channel, Env: e})
+				r.handle(&Event{Kind: EvEnvelope, Channel: ci.name, Env: e, ci: ci})
 			} else {
 				e.Release()
 			}
@@ -381,9 +381,9 @@ func (r *Runner) execute(it *inboxItem) int {
 		r.accept(it.port, it.nameFor)
 	case itemPortLost:
 		n = 1
-		r.portLost(it.ev.Channel, it.port)
+		r.portLost(it.ev.ci, it.port)
 	case itemRing:
-		n = r.drainRing(it.ev.Channel)
+		n = r.drainRing(it.ev.ci)
 	case itemStop:
 		r.closeAll()
 		close(r.stopDone)
@@ -395,19 +395,16 @@ func (r *Runner) execute(it *inboxItem) int {
 	return n
 }
 
-// drainRing moves pending envelopes out of the channel's inline port
-// and through the box, up to the fairness cap; past the cap it re-posts
-// itself so one busy channel cannot starve the shard's other boxes. The
-// port is whatever the channel name maps to now: a notification that
-// outlived its channel finds nothing, and one that outlived a redial
-// or a re-accept under the name drains the new port, which is harmless
-// (an early drain finds the ring empty and re-arms its edge). Loop
-// goroutine only.
-func (r *Runner) drainRing(channel string) int {
-	ci := r.box.record(channel)
-	if ci == nil {
-		return 0
-	}
+// drainRing moves pending envelopes out of the inline port of ci's
+// channel and through the box, up to the fairness cap; past the cap it
+// re-posts itself so one busy channel cannot starve the shard's other
+// boxes. The port is whatever the record holds now: a notification
+// that outlived its channel finds nothing, and one that outlived a
+// redial or a re-accept of the record drains the new port, which is
+// harmless (an early drain finds the ring empty and re-arms its edge).
+// Each envelope reaches the box with the record, so dispatch does not
+// look the channel up by name. Loop goroutine only.
+func (r *Runner) drainRing(ci *chanInfo) int {
 	ip, _ := ci.port.(transport.InlinePort)
 	if ip == nil {
 		return 0
@@ -421,14 +418,14 @@ func (r *Runner) drainRing(channel string) int {
 		n, ok := ip.TryRecvBatch(buf)
 		if n == 0 {
 			if !ok {
-				r.portLost(channel, ip)
+				r.portLost(ci, ip)
 			}
 			// Empty ring: the readiness edge was re-armed by
 			// TryRecvBatch, so the next push re-posts us.
 			return events
 		}
 		for i := 0; i < n; i++ {
-			r.handle(Event{Kind: EvEnvelope, Channel: channel, Env: buf[i]})
+			r.handle(&Event{Kind: EvEnvelope, Channel: ci.name, Env: buf[i], ci: ci})
 			buf[i] = sig.Envelope{}
 			if ci.port != transport.Port(ip) {
 				// The box tore this channel down mid-burst; the rest of
@@ -440,7 +437,7 @@ func (r *Runner) drainRing(channel string) int {
 	}
 	// Fairness cap hit with the ring possibly non-empty and the edge
 	// NOT re-armed: hand the loop back and queue another drain.
-	r.sh.inbox.push(inboxItem{kind: itemRing, r: r, ev: Event{Kind: EvEnvelope, Channel: channel}})
+	r.sh.inbox.push(inboxItem{kind: itemRing, r: r, ev: Event{Kind: EvEnvelope, Channel: ci.name, ci: ci}})
 	return events
 }
 
@@ -571,19 +568,20 @@ func (r *Runner) Inject(ev Event) {
 
 // handle runs one event through the box and processes its outputs.
 // Loop goroutine only.
-func (r *Runner) handle(ev Event) {
+func (r *Runner) handle(ev *Event) {
 	if ev.Kind == EvEnvelope {
-		r.traceEvent("recv", ev.Channel, ev.Env)
+		r.traceEvent("recv", ev.Channel, &ev.Env)
 		if r.lifecycle != nil && ev.Env.Meta != nil {
+			ci := r.box.recordOf(ev)
 			switch ev.Env.Meta.Kind {
 			case sig.MetaSetup:
-				r.lcSetup(ev.Channel, ev.Env.Meta.Get("from"))
+				r.lcSetup(ci, ev.Env.Meta.Get("from"))
 			case sig.MetaTeardown:
-				r.lcTeardown(ev.Channel)
+				r.lcTeardown(ci)
 			}
 		}
 	}
-	outs, err := r.box.Handle(ev)
+	outs, err := r.box.handle(ev)
 	// Dispatch is complete: recycle the decode-owned Meta frame (no-op
 	// for hand-built envelopes). Handlers that keep attr data past this
 	// point hold the strings, never the frame.
@@ -638,17 +636,16 @@ func (r *Runner) dropIdleTimer(name string) {
 }
 
 // readyFnFor returns the readiness callback for the channel's inline
-// port, built once per channel record: it posts a drain item, naming
-// the channel rather than the port so that one closure serves every
+// port, built once per channel record: it posts a drain item carrying
+// the record rather than the port, so that one closure serves every
 // channel the record is reopened for. It runs on the producer's
 // goroutine, one edge per empty→non-empty transition; a refused push
 // means the runner stopped, and its cleanup closes the port. Loop
 // goroutine only.
 func (r *Runner) readyFnFor(ci *chanInfo) func() {
 	if ci.ready == nil {
-		channel := ci.name
 		ci.ready = func() {
-			r.sh.inbox.push(inboxItem{kind: itemRing, r: r, ev: Event{Kind: EvEnvelope, Channel: channel}})
+			r.sh.inbox.push(inboxItem{kind: itemRing, r: r, ev: Event{Kind: EvEnvelope, Channel: ci.name, ci: ci}})
 		}
 	}
 	return ci.ready
@@ -656,11 +653,22 @@ func (r *Runner) readyFnFor(ci *chanInfo) func() {
 
 // process executes box outputs. Loop goroutine only.
 func (r *Runner) process(outs []Output) {
-	for _, o := range outs {
+	for i := range outs {
+		o := &outs[i]
 		switch o.Kind {
 		case OutSend:
-			if p := r.port(o.Channel); p != nil {
-				r.traceEvent("send", o.Channel, o.Env)
+			// A goal's send carries its slot's record; a program's names
+			// its channel. A record with a port is the name's, so only a
+			// send without one looks the name up, as a teardown does below.
+			var p transport.Port
+			if o.ci != nil {
+				p = o.ci.port
+			}
+			if p == nil {
+				p = r.port(o.Channel)
+			}
+			if p != nil {
+				r.traceEvent("send", o.Channel, &o.Env)
 				p.Send(o.Env)
 			}
 		case OutDial:
@@ -690,11 +698,19 @@ func (r *Runner) process(outs []Output) {
 				continue
 			}
 			r.addPort(ci, p)
-			r.lcSetup(o.Channel, o.Addr)
+			r.lcSetup(ci, o.Addr)
 			p.Send(sig.Envelope{Meta: r.setupMetaFor(ci)})
 		case OutTeardown:
-			r.lcTeardown(o.Channel)
-			if ci := r.box.record(o.Channel); ci != nil && ci.port != nil {
+			// A record with a port is still the name's. One without may
+			// have been forgotten when the program tore it down, and if
+			// the program dialed the name again in the same event, that
+			// Dial's port sits on the name's new record: tear that down.
+			ci := o.ci
+			if ci == nil || ci.port == nil {
+				ci = r.box.record(o.Channel)
+			}
+			r.lcTeardown(ci)
+			if ci != nil && ci.port != nil {
 				ci.port.Send(sig.Envelope{Meta: teardownMeta})
 				ci.port.Close()
 				ci.port = nil
@@ -740,7 +756,7 @@ func (r *Runner) addPort(ci *chanInfo, p transport.Port) {
 		rp.SetReady(r.readyFnFor(ci))
 	case transport.BatchPort:
 		r.wg.Add(1)
-		go r.pump(ci.name, p, rp)
+		go r.pump(ci, p, rp)
 	}
 }
 
@@ -751,11 +767,12 @@ func (r *Runner) addPort(ci *chanInfo, p transport.Port) {
 // arrive meanwhile wait in the port's queue and go out in the next
 // batch, so the buffer is never refilled while the loop reads it and
 // the pump's state is never given up with a batch in flight. Every item
-// carries the port as well as the channel name: the loop dispatches a
-// pump's envelopes only while its port is the name's registered one, so
-// what a pump still carries after its channel was torn down locally
-// cannot land in the channel that dialed or accepted the name next.
-func (r *Runner) pump(channel string, p transport.Port, bp transport.BatchPort) {
+// carries the port as well as the channel record: the loop dispatches a
+// pump's envelopes only while its port is the record's, so what a pump
+// still carries after its channel was torn down locally cannot land in
+// the channel that dialed or accepted the name next. The pump reads
+// only the record's name, which never changes.
+func (r *Runner) pump(ci *chanInfo, p transport.Port, bp transport.BatchPort) {
 	defer r.wg.Done()
 	st := pumpPool.Get().(*pumpState)
 	defer st.release()
@@ -772,7 +789,7 @@ func (r *Runner) pump(channel string, p transport.Port, bp transport.BatchPort) 
 			want *= 2 // saturated drain: the port is bursty, scale up
 		}
 		if !r.sh.inbox.push(inboxItem{kind: itemBatch, r: r, port: p,
-			ev: Event{Kind: EvEnvelope, Channel: channel}, batch: st.buf[:n], ack: st.ack}) {
+			ev: Event{Kind: EvEnvelope, Channel: ci.name, ci: ci}, batch: st.buf[:n], ack: st.ack}) {
 			return
 		}
 		// A pushed item is always executed, and executing a batch acks it.
@@ -781,7 +798,7 @@ func (r *Runner) pump(channel string, p transport.Port, bp transport.BatchPort) 
 	// Transport gone without a teardown: synthesize one so the box
 	// cleans up. The item executes outside the box core because
 	// portLost re-enters handle.
-	r.sh.inbox.push(inboxItem{kind: itemPortLost, r: r, ev: Event{Channel: channel}, port: p})
+	r.sh.inbox.push(inboxItem{kind: itemPortLost, r: r, ev: Event{Channel: ci.name, ci: ci}, port: p})
 }
 
 // pumpState is what a pump keeps besides its goroutine: the channel the
@@ -807,13 +824,12 @@ func (st *pumpState) release() {
 	pumpPool.Put(st)
 }
 
-// portLost is the loop-side cleanup when a transport disappears. Loop
-// goroutine only. The loss only counts if p is still the registered
-// port: a teardown-then-redial reuses the channel name, and the old
-// pump's parting report must not kill the new channel.
-func (r *Runner) portLost(channel string, p transport.Port) {
-	ci := r.box.record(channel)
-	if ci == nil || ci.port != p {
+// portLost is the loop-side cleanup when the transport of ci's channel
+// disappears. Loop goroutine only. The loss only counts if p is still
+// the record's port: a teardown-then-redial reuses the record, and the
+// old pump's parting report must not kill the new channel.
+func (r *Runner) portLost(ci *chanInfo, p transport.Port) {
+	if ci.port != p {
 		return
 	}
 	p.Close()
@@ -821,7 +837,7 @@ func (r *Runner) portLost(channel string, p transport.Port) {
 	if ci.live {
 		// The box destroys the channel and, the port being gone, retires
 		// the record.
-		r.handle(Event{Kind: EvEnvelope, Channel: channel, Env: sig.Envelope{Meta: teardownMeta}})
+		r.handle(&Event{Kind: EvEnvelope, Channel: ci.name, Env: sig.Envelope{Meta: teardownMeta}, ci: ci})
 	} else {
 		r.box.retire(ci)
 	}
@@ -1017,7 +1033,7 @@ func (r *Runner) Connect(channel, addr string) error {
 		}
 		ci := r.box.addChannel(channel, true, false)
 		r.addPort(ci, p)
-		r.lcSetup(channel, addr)
+		r.lcSetup(ci, addr)
 		p.Send(sig.Envelope{Meta: r.setupMetaFor(ci)})
 	})
 	return err

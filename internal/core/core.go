@@ -118,7 +118,16 @@ func (e *Emitter) Emit(name string, g sig.Signal) {
 	if e.err != nil {
 		return
 	}
-	s := e.ss.Slot(name)
+	e.emitOn(e.ss.Slot(name), name, g)
+}
+
+// emitOn is Emit on a slot the goal has already resolved by name (nil
+// if the Slots had none), so a goal call resolves each of its slots
+// once however many signals it sends.
+func (e *Emitter) emitOn(s *slot.Slot, name string, g sig.Signal) {
+	if e.err != nil {
+		return
+	}
 	if s == nil {
 		e.err = fmt.Errorf("core: no slot %q", name)
 		return
@@ -140,13 +149,10 @@ func (e *Emitter) EmitRaw(name string, g sig.Signal) {
 }
 
 // ackIfOwed emits the closeack for a previously received close, if one
-// is still owed on the named slot.
-func (e *Emitter) ackIfOwed(name string) {
-	if e.err != nil {
-		return
-	}
-	if s := e.ss.Slot(name); s != nil && s.OwesCloseAck() {
-		e.Emit(name, sig.CloseAck())
+// is still owed on the slot (resolved by name, nil if unknown).
+func (e *Emitter) ackIfOwed(s *slot.Slot, name string) {
+	if s != nil && s.OwesCloseAck() {
+		e.emitOn(s, name, sig.CloseAck())
 	}
 }
 

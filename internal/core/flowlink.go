@@ -19,7 +19,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"ipmedia/internal/sig"
 	"ipmedia/internal/slot"
@@ -50,14 +49,6 @@ func (g *FlowLink) Kind() string { return "flowLink" }
 // SlotNames implements Goal.
 func (g *FlowLink) SlotNames() []string { return g.names[:] }
 
-// other returns the name of the other slot of the link.
-func (g *FlowLink) other(name string) string {
-	if name == g.A {
-		return g.B
-	}
-	return g.A
-}
-
 // utd returns a pointer to the utd variable of the named slot.
 func (g *FlowLink) utd(name string) *bool {
 	if name == g.A {
@@ -77,12 +68,11 @@ func (g *FlowLink) Attach(ss Slots) ([]Action, error) {
 	if sa.State() != slot.Closed && sb.State() != slot.Closed && sa.Medium() != sb.Medium() {
 		return nil, fmt.Errorf("core: flowLink(%s,%s): medium mismatch %q vs %q", g.A, g.B, sa.Medium(), sb.Medium())
 	}
-	defer goalHists().link.ObserveSince(time.Now())
 	g.UtdA, g.UtdB = false, false
 	em := NewEmitter(ss)
-	em.ackIfOwed(g.A)
-	em.ackIfOwed(g.B)
-	g.reconcile(em, ss)
+	em.ackIfOwed(sa, g.A)
+	em.ackIfOwed(sb, g.B)
+	g.reconcile(em, sa, sb)
 	return em.Done()
 }
 
@@ -92,77 +82,82 @@ func (g *FlowLink) Attach(ss Slots) ([]Action, error) {
 // otherwise), and in live states it works to make the utd variables
 // true. It loops to a fixpoint because one emission can enable
 // another (e.g. oacking one slot makes it flowing, enabling a
-// describe).
-func (g *FlowLink) reconcile(em *Emitter, ss Slots) {
+// describe). sa and sb are slots A and B, resolved once by the caller.
+func (g *FlowLink) reconcile(em *Emitter, sa, sb *slot.Slot) {
 	for progress := true; progress && em.err == nil; {
-		progress = false
-		for _, pair := range [2][2]string{{g.A, g.B}, {g.B, g.A}} {
-			from, to := pair[0], pair[1]
-			sf, st := ss.Slot(from), ss.Slot(to)
-			d, described := sf.Desc()
-			if !described {
-				continue
-			}
-			// from is described (opened or flowing); push its descriptor
-			// toward to, in whatever form to's state requires.
-			utd := g.utd(to)
-			switch st.State() {
-			case slot.Closed:
-				if !st.OwesCloseAck() {
-					em.Emit(to, sig.Open(sf.Medium(), d))
-					*utd = true
-					progress = true
-				}
-			case slot.Opened:
-				em.Emit(to, sig.Oack(d))
-				*utd = true
-				progress = true
-			case slot.Flowing:
-				if !*utd {
-					em.Emit(to, sig.Describe(d))
-					*utd = true
-					progress = true
-				}
-			case slot.Opening, slot.Closing:
-				// Wait for the far end's oack/close or the closeack.
-			}
-		}
+		toB := push(em, sa, sb, g.B, &g.UtdB)
+		toA := push(em, sb, sa, g.A, &g.UtdA)
+		progress = toB || toA
 	}
+}
+
+// push forwards from's descriptor, if it is described (opened or
+// flowing), toward the slot to (named toName, with up-to-date variable
+// utd), in whatever form to's state requires. It reports whether it
+// emitted anything.
+func push(em *Emitter, from, to *slot.Slot, toName string, utd *bool) bool {
+	d, described := from.Desc()
+	if !described {
+		return false
+	}
+	switch to.State() {
+	case slot.Closed:
+		if !to.OwesCloseAck() {
+			em.emitOn(to, toName, sig.Open(from.Medium(), d))
+			*utd = true
+			return true
+		}
+	case slot.Opened:
+		em.emitOn(to, toName, sig.Oack(d))
+		*utd = true
+		return true
+	case slot.Flowing:
+		if !*utd {
+			em.emitOn(to, toName, sig.Describe(d))
+			*utd = true
+			return true
+		}
+	case slot.Opening, slot.Closing:
+		// Wait for the far end's oack/close or the closeack.
+	}
+	return false
 }
 
 // OnEvent implements Goal.
 func (g *FlowLink) OnEvent(ss Slots, name string, ev slot.Event, in sig.Signal) ([]Action, error) {
-	defer goalHists().link.ObserveSince(time.Now())
 	em := NewEmitter(ss)
-	other := g.other(name)
+	sa, sb := ss.Slot(g.A), ss.Slot(g.B)
+	s, other, so := sa, g.B, sb
+	if name != g.A {
+		s, other, so = sb, g.A, sa
+	}
 	switch ev {
 	case slot.EvOpen, slot.EvOpenRace, slot.EvOack, slot.EvDescribe:
 		// This slot has a fresh descriptor: the other slot is no longer
 		// up to date. Reconciliation forwards it in the right form.
 		*g.utd(other) = false
-		g.reconcile(em, ss)
+		g.reconcile(em, sa, sb)
 	case slot.EvClose:
 		// One side of the path is closing the channel. Acknowledge, and
 		// propagate the closure to the other side (Figure 12: the
 		// environment chose the one-live or both-dead superstate).
-		em.ackIfOwed(name)
+		em.ackIfOwed(s, name)
 		*g.utd(name) = false
 		*g.utd(other) = false
-		if so := ss.Slot(other); so.State().Live() {
-			em.Emit(other, sig.Close())
+		if so.State().Live() {
+			em.emitOn(so, other, sig.Close())
 		}
 	case slot.EvCloseAck:
 		// A closure completed; the far end may have reopened the other
 		// side in the meantime.
-		g.reconcile(em, ss)
+		g.reconcile(em, sa, sb)
 	case slot.EvSelect:
 		// Forward iff the selector answers the other slot's current
 		// descriptor; otherwise it is obsolete and is discarded (paper
 		// Section VII). Only fresh selectors matter, so no history of
 		// selectors is kept.
-		so := ss.Slot(other)
 		if d, ok := so.Desc(); ok && d.ID == in.Sel.Answers && so.State() == slot.Flowing {
-			em.Emit(other, sig.Select(in.Sel))
+			em.emitOn(so, other, sig.Select(in.Sel))
 		}
 	case slot.EvStale:
 		// Already discarded by the slot.

@@ -6,7 +6,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"ipmedia/internal/sig"
 	"ipmedia/internal/slot"
@@ -46,14 +45,14 @@ func (g *OpenSlot) Attach(ss Slots) ([]Action, error) {
 	if s == nil {
 		return nil, fmt.Errorf("core: no slot %q", g.Name)
 	}
-	em.ackIfOwed(g.Name)
+	em.ackIfOwed(s, g.Name)
 	switch s.State() {
 	case slot.Closed:
-		em.Emit(g.Name, sig.Open(g.Medium, g.P.Describe()))
+		em.emitOn(s, g.Name, sig.Open(g.Medium, g.P.Describe()))
 	case slot.Opened:
-		em.Emit(g.Name, sig.Oack(g.P.Describe()))
+		em.emitOn(s, g.Name, sig.Oack(g.P.Describe()))
 		if d, ok := s.Desc(); ok {
-			em.Emit(g.Name, sig.Select(g.P.Answer(d)))
+			em.emitOn(s, g.Name, sig.Select(g.P.Answer(d)))
 		}
 	case slot.Flowing:
 		g.redescribeIfStale(em, s, g.Name)
@@ -62,7 +61,7 @@ func (g *OpenSlot) Attach(ss Slots) ([]Action, error) {
 		// flowlink along the path, and every goal object must answer
 		// the current descriptor to re-establish the path state.
 		if d, ok := s.Desc(); ok {
-			em.Emit(g.Name, sig.Select(g.P.Answer(d)))
+			em.emitOn(s, g.Name, sig.Select(g.P.Answer(d)))
 		}
 	case slot.Opening, slot.Closing:
 		// Wait for the far end or the in-flight closeack.
@@ -72,36 +71,35 @@ func (g *OpenSlot) Attach(ss Slots) ([]Action, error) {
 
 // OnEvent implements Goal.
 func (g *OpenSlot) OnEvent(ss Slots, name string, ev slot.Event, in sig.Signal) ([]Action, error) {
-	defer goalHists().open.ObserveSince(time.Now())
 	em := NewEmitter(ss)
 	s := ss.Slot(name)
 	switch ev {
 	case slot.EvOack:
 		// Channel accepted: answer the acceptor's descriptor, and
 		// refresh our own description if it changed while opening.
-		em.Emit(name, sig.Select(g.P.Answer(in.Desc)))
+		em.emitOn(s, name, sig.Select(g.P.Answer(in.Desc)))
 		g.redescribeIfStale(em, s, name)
 	case slot.EvDescribe:
-		em.Emit(name, sig.Select(g.P.Answer(in.Desc)))
+		em.emitOn(s, name, sig.Select(g.P.Answer(in.Desc)))
 	case slot.EvOpen, slot.EvOpenRace:
 		// Either the far end opened first (after a rejection cycle), or
 		// we lost an open-open race and back off to be the acceptor
 		// (paper Section VII footnote). Both push toward flowing.
-		em.Emit(name, sig.Oack(g.P.Describe()))
-		em.Emit(name, sig.Select(g.P.Answer(in.Desc)))
+		em.emitOn(s, name, sig.Oack(g.P.Describe()))
+		em.emitOn(s, name, sig.Select(g.P.Answer(in.Desc)))
 	case slot.EvClose:
 		// Rejected (or closed from flowing): acknowledge and try again.
 		// In a simultaneous close (a previous controller of the slot
 		// sent a close that is still unacknowledged) the slot is still
 		// closing; the retry then waits for the closeack.
-		em.ackIfOwed(name)
+		em.ackIfOwed(s, name)
 		if s != nil && s.State() == slot.Closed {
-			em.Emit(name, sig.Open(g.Medium, g.P.Describe()))
+			em.emitOn(s, name, sig.Open(g.Medium, g.P.Describe()))
 		}
 	case slot.EvCloseAck:
 		// A close sent by a previous goal completed under our control:
 		// the slot is closed, so pursue the goal and reopen.
-		em.Emit(name, sig.Open(g.Medium, g.P.Describe()))
+		em.emitOn(s, name, sig.Open(g.Medium, g.P.Describe()))
 	case slot.EvSelect, slot.EvStale:
 		// Nothing to do: selects are recorded by the slot, stale
 		// signals are already discarded.
@@ -117,7 +115,7 @@ func (g *OpenSlot) redescribeIfStale(em *Emitter, s *slot.Slot, name string) {
 	}
 	cur := g.P.Describe()
 	if h := s.Hist(); !h.HasDescSent || h.DescSent.ID != cur.ID {
-		em.Emit(name, sig.Describe(cur))
+		em.emitOn(s, name, sig.Describe(cur))
 	}
 }
 
@@ -150,11 +148,11 @@ func refreshSingle(ss Slots, name string, p Profile, inChanged, outChanged bool)
 		return nil, nil
 	}
 	if inChanged {
-		em.Emit(name, sig.Describe(p.Describe()))
+		em.emitOn(s, name, sig.Describe(p.Describe()))
 	}
 	if outChanged {
 		if d, ok := s.Desc(); ok {
-			em.Emit(name, sig.Select(p.Answer(d)))
+			em.emitOn(s, name, sig.Select(p.Answer(d)))
 		}
 	}
 	return em.Done()
@@ -187,10 +185,10 @@ func (g *CloseSlot) Attach(ss Slots) ([]Action, error) {
 	if s == nil {
 		return nil, fmt.Errorf("core: no slot %q", g.Name)
 	}
-	em.ackIfOwed(g.Name)
+	em.ackIfOwed(s, g.Name)
 	switch s.State() {
 	case slot.Opening, slot.Opened, slot.Flowing:
-		em.Emit(g.Name, sig.Close())
+		em.emitOn(s, g.Name, sig.Close())
 	case slot.Closed, slot.Closing:
 		// Already there, or waiting for a closeack.
 	}
@@ -199,14 +197,13 @@ func (g *CloseSlot) Attach(ss Slots) ([]Action, error) {
 
 // OnEvent implements Goal.
 func (g *CloseSlot) OnEvent(ss Slots, name string, ev slot.Event, in sig.Signal) ([]Action, error) {
-	defer goalHists().clos.ObserveSince(time.Now())
 	em := NewEmitter(ss)
 	switch ev {
 	case slot.EvOpen, slot.EvOpenRace:
 		// Reject immediately.
 		em.Emit(name, sig.Close())
 	case slot.EvClose:
-		em.ackIfOwed(name)
+		em.ackIfOwed(ss.Slot(name), name)
 	case slot.EvCloseAck, slot.EvSelect, slot.EvDescribe, slot.EvOack, slot.EvStale:
 		// CloseAck completes our close. The others cannot occur while a
 		// closeSlot is attached (the attach close races ahead of them
@@ -259,22 +256,22 @@ func (g *HoldSlot) Attach(ss Slots) ([]Action, error) {
 	if s == nil {
 		return nil, fmt.Errorf("core: no slot %q", g.Name)
 	}
-	em.ackIfOwed(g.Name)
+	em.ackIfOwed(s, g.Name)
 	switch s.State() {
 	case slot.Opened:
-		em.Emit(g.Name, sig.Oack(g.P.Describe()))
+		em.emitOn(s, g.Name, sig.Oack(g.P.Describe()))
 		if d, ok := s.Desc(); ok {
-			em.Emit(g.Name, sig.Select(g.P.Answer(d)))
+			em.emitOn(s, g.Name, sig.Select(g.P.Answer(d)))
 		}
 	case slot.Flowing:
 		cur := g.P.Describe()
 		if h := s.Hist(); !h.HasDescSent || h.DescSent.ID != cur.ID {
-			em.Emit(g.Name, sig.Describe(cur))
+			em.emitOn(s, g.Name, sig.Describe(cur))
 		}
 		// Re-send the selector unconditionally (see OpenSlot.Attach): a
 		// previous selector may have been discarded along the path.
 		if d, ok := s.Desc(); ok {
-			em.Emit(g.Name, sig.Select(g.P.Answer(d)))
+			em.emitOn(s, g.Name, sig.Select(g.P.Answer(d)))
 		}
 	case slot.Closed, slot.Opening, slot.Closing:
 		// Wait: holdSlot never originates anything.
@@ -284,28 +281,27 @@ func (g *HoldSlot) Attach(ss Slots) ([]Action, error) {
 
 // OnEvent implements Goal.
 func (g *HoldSlot) OnEvent(ss Slots, name string, ev slot.Event, in sig.Signal) ([]Action, error) {
-	defer goalHists().hold.ObserveSince(time.Now())
 	em := NewEmitter(ss)
 	s := ss.Slot(name)
 	switch ev {
 	case slot.EvOpen, slot.EvOpenRace:
-		em.Emit(name, sig.Oack(g.P.Describe()))
-		em.Emit(name, sig.Select(g.P.Answer(in.Desc)))
+		em.emitOn(s, name, sig.Oack(g.P.Describe()))
+		em.emitOn(s, name, sig.Select(g.P.Answer(in.Desc)))
 	case slot.EvOack:
 		// A previous goal's open completed under our control.
-		em.Emit(name, sig.Select(g.P.Answer(in.Desc)))
+		em.emitOn(s, name, sig.Select(g.P.Answer(in.Desc)))
 		cur := g.P.Describe()
 		if s != nil {
 			if h := s.Hist(); !h.HasDescSent || h.DescSent.ID != cur.ID {
-				em.Emit(name, sig.Describe(cur))
+				em.emitOn(s, name, sig.Describe(cur))
 			}
 		}
 	case slot.EvDescribe:
-		em.Emit(name, sig.Select(g.P.Answer(in.Desc)))
+		em.emitOn(s, name, sig.Select(g.P.Answer(in.Desc)))
 	case slot.EvClose:
 		// The far end closed: acknowledge and remain closed until the
 		// far end asks to open again.
-		em.ackIfOwed(name)
+		em.ackIfOwed(s, name)
 	case slot.EvCloseAck, slot.EvSelect, slot.EvStale:
 		// CloseAck can complete a close sent by a previous goal.
 	}

@@ -124,19 +124,19 @@ func (m *Monitor) Snapshot() ([]PathReport, error) {
 
 	// Collect per-box state under each box's own goroutine.
 	type boxState struct {
-		links [][2]string
-		goals map[string]string
-		slots map[string]*slot.Slot
+		links     [][2]string
+		goalKinds map[string]string
+		slots     map[string]*slot.Slot
 	}
 	states := map[string]boxState{}
 	for name, r := range runners {
-		st := boxState{goals: map[string]string{}, slots: map[string]*slot.Slot{}}
+		st := boxState{goalKinds: map[string]string{}, slots: map[string]*slot.Slot{}}
 		r.Do(func(ctx *box.Ctx) {
 			b := ctx.Box()
 			st.links = b.Links()
 			for _, sn := range b.SlotNames() {
 				if g := b.GoalFor(sn); g != nil {
-					st.goals[sn] = g.Kind()
+					st.goalKinds[sn] = g.Kind()
 				}
 				if s := b.Slot(sn); s != nil {
 					st.slots[sn] = s.Clone()
@@ -154,7 +154,7 @@ func (m *Monitor) Snapshot() ([]PathReport, error) {
 		for _, l := range st.links {
 			top.Link(path.SlotRef{Box: name, Slot: l[0]}, path.SlotRef{Box: name, Slot: l[1]})
 		}
-		for sn, kind := range st.goals {
+		for sn, kind := range st.goalKinds {
 			top.SetGoal(path.SlotRef{Box: name, Slot: sn}, kind)
 		}
 	}

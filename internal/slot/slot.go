@@ -103,8 +103,12 @@ type Slot struct {
 	stale uint32 // count of discarded stale signals, for diagnostics
 
 	m        *slotMetrics // telemetry instruments; never nil after New
-	openedAt time.Time    // when the slot last left Closed (telemetry only)
+	openedAt int64        // when the slot last left Closed, as ns since clockBase; 0: unset (telemetry only)
 }
+
+// clockBase anchors openedAt, so a slot holds its time as one word and
+// time-to-flowing is still read off the monotonic clock.
+var clockBase = time.Now()
 
 // New creates a slot named name. initiator must be true exactly at the
 // end of the tunnel whose box initiated setup of the containing
@@ -138,11 +142,11 @@ func (s *Slot) transition(to State) {
 	}
 	m.trans[from][to].Inc()
 	if from == Closed && to != Closed {
-		s.openedAt = time.Now()
+		s.openedAt = int64(time.Since(clockBase))
 	}
-	if to == Flowing && from != Flowing && !s.openedAt.IsZero() {
-		m.ttf.Observe(time.Since(s.openedAt))
-		s.openedAt = time.Time{}
+	if to == Flowing && from != Flowing && s.openedAt != 0 {
+		m.ttf.Observe(time.Since(clockBase) - time.Duration(s.openedAt))
+		s.openedAt = 0
 	}
 	if m.tracer.Armed() {
 		m.tracer.Record("slot", s.name, from.String()+"->"+to.String())
