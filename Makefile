@@ -1,19 +1,24 @@
 GO ?= go
 
-.PHONY: ci vet build test fuzz bench agree bench-smoke bench-check bench-pair bench-mc chaos-smoke bench-chaos alloc-gate store-smoke bench-store profile-runtime cluster-smoke bench-cluster
+.PHONY: ci vet build test fuzz bench agree bench-smoke bench-check bench-pair bench-mc alloc-gate profile-runtime cluster-smoke bench-cluster
 
 # ci is the gate: static checks, build, the full test suite under the
-# race detector (it includes the load tests: 500 call lifecycles on a
-# 4-shard ring cluster, the same population stopped under load, and 8
-# paced MPEG-TS flows held to zero integrity errors), the
-# parallel-vs-sequential checker agreement test, a short fuzz smoke so
-# the sig and media fuzz targets are actually executed, a
-# one-iteration benchmark smoke so the perf harness keeps compiling,
-# the zero-alloc gates (non-race: the race detector defeats the
-# accounting), a seeded chaos-storm so the fault-recovery story is
-# re-proved on every run, and the benchmark's own checks so a change
-# that stops bench/ compiling or running against the tree fails here.
-ci: vet build test agree fuzz bench-smoke bench-check alloc-gate chaos-smoke store-smoke cluster-smoke
+# race detector, the parallel-vs-sequential checker agreement test, a
+# short fuzz smoke so the sig, media, ts, slot and store fuzz targets
+# are actually executed, a one-iteration benchmark smoke so the perf
+# harness keeps compiling, the benchmark's own checks so a change that
+# stops bench/ compiling or running against the tree fails here, the
+# zero-alloc gates (non-race: the race detector defeats the
+# accounting), and the multi-process cluster storm. The race run holds
+# the load and resilience gates as plain tests: 500 call lifecycles on
+# a 4-shard ring cluster and the same population stopped under load
+# (internal/storm), the chaos storm — 24 paths over a reliable layer
+# on a wire that drops, duplicates, delays and reorders envelopes and
+# is severed mid-storm while the durable store takes a power cut, with
+# the Section V formulas checked live, standalone and on 2 shards
+# (TestChaosUnderFaults) — the store's crash-recovery and model tests,
+# and 8 paced MPEG-TS flows held to zero integrity errors.
+ci: vet build test agree fuzz bench-smoke bench-check alloc-gate cluster-smoke
 
 vet:
 	$(GO) vet ./...
@@ -111,29 +116,6 @@ alloc-gate:
 	$(GO) test -race -run='TestPumpStateReusedOnlyAfterAck|TestPumpBurstInOrder' ./internal/box
 	$(GO) test -race -run='TestRingStoreIsolation|TestRingStalePort|TestRingCloseVsSend' ./internal/transport
 
-# chaos-smoke is the seeded resilience gate: ~30 seconds of call
-# lifecycles over a wire that drops 5% and duplicates 2% of envelopes
-# with one mid-storm partition, while the Section V formulas are
-# checked live. It exits nonzero on any bounded-time formula
-# violation, a wedged path after drain, a give-up rate over budget, or
-# a leaked goroutine. The second leg reruns the same profile with the
-# population multiplexed onto 2 cluster shards, so the formulas are
-# re-proved against the sharded runtime too.
-chaos-smoke:
-	$(GO) run ./cmd/chaosstorm -paths 24 -servers 3 -duration 20s -seed 1
-	GOMAXPROCS=4 $(GO) run ./cmd/chaosstorm -paths 24 -servers 3 -shards 2 -duration 10s -seed 1
-
-# store-smoke is the durable-state gate: a quick storestorm run
-# re-proves the durability gates (every lookup hits, no acknowledged CDR
-# lost across a crash, recovery lands on the durable count and the
-# loaded profile count, lookups hit after recovery), then a short
-# chaosstorm with a store crash at the storm midpoint so
-# CDR-vs-lifecycle reconciliation is re-proved across a restart under
-# live fault load.
-store-smoke:
-	$(GO) run ./cmd/storestorm -keys 500 -lookups 20000 -cdrs 5000
-	$(GO) run ./cmd/chaosstorm -paths 8 -servers 3 -duration 5s -seed 1 -crash
-
 # cluster-smoke is the multi-process resilience gate: call lifecycles
 # across 2 supervised shard processes with a SIGKILL of the busiest
 # shard mid-storm. clusterstorm exits nonzero unless the victim is
@@ -153,18 +135,6 @@ cluster-smoke:
 # written to BENCH_cluster.json.
 bench-cluster:
 	$(GO) run ./cmd/clusterstorm -shards 3 -paths 24 -servers 6 -duration 12s -seed 1 -out BENCH_cluster.json
-
-# bench-chaos records the recovery numbers — recovery-latency
-# percentiles, retransmit/reconnect counts, give-up rate — under the
-# standard fault profile, written to BENCH_chaos.json.
-bench-chaos:
-	$(GO) run ./cmd/chaosstorm -paths 24 -servers 3 -shards 2 -duration 30s -delayrate 0.05 -reorder 0.02 -seed 1 -crash -out BENCH_chaos.json
-
-# bench-store records the store numbers: point-lookup and CDR-append
-# rates, WAL group-commit fsync counts, and crash-recovery replay time,
-# one record written to BENCH_store.json.
-bench-store:
-	$(GO) run ./cmd/storestorm -keys 5000 -lookups 200000 -cdrs 50000 -out BENCH_store.json
 
 # profile-runtime captures CPU and allocation profiles of the call
 # cycle for `go tool pprof` spelunking: BenchmarkCallCycle — one ring

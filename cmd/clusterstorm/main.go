@@ -607,7 +607,7 @@ func parentMain(o *options) {
 
 	res.GoroutinesFinal, res.Leaked = storm.SettledGoroutines(baselineG)
 
-	if _, err := storm.WriteReport(res, o.out); err != nil {
+	if err := storm.WriteReport(res, o.out); err != nil {
 		fatal("%v", err)
 	}
 

@@ -30,7 +30,6 @@ func TestOpenOpenRaceUnderFaults(t *testing.T) {
 		DelayRate: 0.4, DelayMin: time.Millisecond, DelayMax: 8 * time.Millisecond,
 		DupRate: 0.3,
 	})
-	defer fn.Stop()
 	net := transport.NewRelNetwork(fn, transport.RelConfig{
 		RexmitInterval: 30 * time.Millisecond,
 		AckDelay:       10 * time.Millisecond,

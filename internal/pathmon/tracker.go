@@ -10,8 +10,8 @@
 //   - □◇bothFlowing (recurrence): the path must revisit bothFlowing;
 //     an outage longer than the bound is a violation, and every
 //     recovered outage contributes its duration to the recovery
-//     latency histogram — the number the chaos harness plots against
-//     the fault profile.
+//     latency histogram — the numbers internal/storm's chaos test
+//     logs for its fault profiles.
 //   - The hold/hold disjunction is checked as: once the path has ever
 //     flowed it is held to the recurrence reading, otherwise to the
 //     stability reading.

@@ -11,7 +11,7 @@ import (
 // imports the runtime, the runtime imports this.
 //
 // The store reference is swappable at runtime, which is how the chaos
-// harness survives a simulated crash: Crash() the old store, Open a
+// test survives a simulated crash: Crash() the old store, Open a
 // fresh one over the same directory, Swap it in, and traffic continues
 // against recovered state. A nil *Binder is inert.
 type Binder struct {
@@ -52,7 +52,7 @@ func (b *Binder) Swap(st *Store) *Store {
 }
 
 // Issued returns the number of CDR appends the bound store accepted.
-// The chaos harness reconciles this against DurableCDRs and the
+// The chaos test reconciles this against DurableCDRs and the
 // recovered CDR count after a crash.
 func (b *Binder) Issued() uint64 {
 	if b == nil {

@@ -419,7 +419,7 @@ func (s *Store) Close() error {
 }
 
 // Crash simulates a power cut for the crash-recovery tests and the
-// chaos harness: buffered, unacknowledged WAL records are abandoned
+// chaos test: buffered, unacknowledged WAL records are abandoned
 // and the file closes without a final flush. Durable state on disk is
 // untouched; reopen with Open to recover it.
 func (s *Store) Crash() {

@@ -80,13 +80,13 @@ func relayHook(devAddrs []string, seed int) func(*box.Ctx, *box.Event) {
 // has had a call flow. It returns every runner it started.
 func startLoad(t *testing.T, newRunner func(*box.Box) *box.Runner, stats *Stats) []*box.Runner {
 	t.Helper()
-	devs, devAddrs, err := ListenAll(newRunner, false, "dev", loadServers, func(name string, i int) *box.Box {
+	devs, devAddrs, err := ListenAll(newRunner, "dev", loadServers, func(name string, i int) *box.Box {
 		return box.New(name, DevProfile(name, 20000+i))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	relays, relayAddrs, err := ListenAll(newRunner, false, "relay", loadServers, func(name string, i int) *box.Box {
+	relays, relayAddrs, err := ListenAll(newRunner, "relay", loadServers, func(name string, i int) *box.Box {
 		b := box.New(name, core.ServerProfile{Name: name})
 		b.Hook = relayHook(devAddrs, i)
 		return b

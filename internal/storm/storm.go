@@ -1,18 +1,17 @@
-// Package storm is the kit the storm harnesses share: the client
-// lifecycle program the chaos and cluster storms drive their paths
-// with, the device hook and poll loop that hold those paths to their
-// Section V formulas, the outcome counters, and the report and gate
-// plumbing every harness ends with. cmd/chaosstorm and
-// cmd/clusterstorm run exactly this program — their gates certify it —
-// and so do this package's load tests, on a sharded ring cluster and
-// on standalone runners stopped under load.
+// Package storm is the kit the storms share: the client lifecycle
+// program they drive their paths with, the device hook and poll loop
+// that hold those paths to their Section V formulas, the outcome
+// counters, and the report and gate plumbing cmd/clusterstorm ends
+// with. cmd/clusterstorm and this package's tests run exactly this
+// program — their gates certify it: the chaos test over a faulted
+// reliable wire with a store crash, and the load tests on a sharded
+// ring cluster and on standalone runners stopped under load.
 package storm
 
 import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"runtime"
 	"strconv"
@@ -53,26 +52,16 @@ func DevProfile(name string, port int) *core.EndpointProfile {
 }
 
 // ListenAll starts n server boxes — build(name, i), named prefix<i> —
-// each on a runner from newRunner listening at an address of its own:
-// its name, or over TCP a free loopback port. It returns the runners
-// and their dial addresses.
-func ListenAll(newRunner func(*box.Box) *box.Runner, tcp bool, prefix string, n int,
+// each on a runner from newRunner listening at its name. It returns
+// the runners and their dial addresses.
+func ListenAll(newRunner func(*box.Box) *box.Runner, prefix string, n int,
 	build func(name string, i int) *box.Box) ([]*box.Runner, []string, error) {
 	runners, addrs := make([]*box.Runner, n), make([]string, n)
 	for i := range runners {
 		name := prefix + strconv.Itoa(i)
 		addrs[i] = name
-		if tcp {
-			// Grab a free loopback port for the runner to re-listen on.
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return nil, nil, err
-			}
-			addrs[i] = l.Addr().String()
-			l.Close()
-		}
 		runners[i] = newRunner(build(name, i))
-		if err := runners[i].Listen(addrs[i], nil); err != nil {
+		if err := runners[i].Listen(name, nil); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -261,17 +250,17 @@ func SettledGoroutines(baseline int) (final int, leaked bool) {
 }
 
 // WriteReport prints res as indented JSON on stdout and, when out is
-// non-empty, writes it there as well. It returns the encoding.
-func WriteReport(res any, out string) ([]byte, error) {
+// non-empty, writes it there as well.
+func WriteReport(res any, out string) error {
 	blob, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Println(string(blob))
 	if out != "" {
 		err = os.WriteFile(out, append(blob, '\n'), 0o644)
 	}
-	return blob, err
+	return err
 }
 
 // FailGate reports a failed gate of harness prog on stderr and exits 1.

@@ -132,7 +132,6 @@ func TestMuxCarrierRecoversAfterBoxTeardown(t *testing.T) {
 	telemetry.SetDefault(reg)
 	defer telemetry.SetDefault(nil)
 	fn := NewFaultNetwork(NewMemNetwork(), FaultProfile{PartitionFor: 30 * time.Millisecond})
-	defer fn.Stop()
 	rel := NewRelNetwork(fn, RelConfig{RexmitInterval: 20 * time.Millisecond, AckDelay: 5 * time.Millisecond,
 		RedialMin: 5 * time.Millisecond, GiveUpAfter: 5 * time.Second})
 	a, b, addr, near, far := muxChannel(t, rel, "carrier")

@@ -1,6 +1,6 @@
 // Fault injection for signaling transports: a Network wrapper that
 // drops, delays, duplicates, and reorders envelopes, and severs live
-// links on schedule — an adversarial network in a box, in the spirit
+// links on demand — an adversarial network in a box, in the spirit
 // of chaos-style resilience testing. Everything is driven by a
 // deterministic seeded PRNG, so a failing chaos run replays exactly
 // from its seed.
@@ -27,7 +27,7 @@ import (
 // [0,1], evaluated independently per envelope in the order drop,
 // duplicate, delay, reorder. The zero profile injects nothing.
 type FaultProfile struct {
-	Seed int64 // PRNG seed; runs with the same seed and schedule replay
+	Seed int64 // PRNG seed; runs with the same seed replay
 
 	DropRate    float64       // lose the envelope entirely
 	DupRate     float64       // deliver the envelope twice
@@ -36,11 +36,8 @@ type FaultProfile struct {
 	DelayMax    time.Duration
 	ReorderRate float64 // hold the envelope until one more is sent
 
-	// SeverEvery periodically severs every live link (0: never). Severed
-	// links look like broken sockets: readers see EOF, senders see a
-	// closed port. PartitionFor makes Dial fail for that long after each
-	// sever, forcing reconnect backoff to actually back off.
-	SeverEvery   time.Duration
+	// PartitionFor makes Dial fail for that long after each Sever,
+	// forcing reconnect backoff to actually back off.
 	PartitionFor time.Duration
 }
 
@@ -65,42 +62,25 @@ type FaultNetwork struct {
 	ports     map[*faultPort]struct{}
 	nextSeed  int64
 	downUntil time.Time
-	stopped   bool
 
 	faults *telemetry.Counter
 }
 
-// NewFaultNetwork wraps under with fault injection per prof. Timers
-// (delays, sever schedule) run on the shared process timer wheel.
+// NewFaultNetwork wraps under with fault injection per prof. Delay
+// and reorder timers run on the shared process timer wheel.
 func NewFaultNetwork(under Network, prof FaultProfile) *FaultNetwork {
-	n := &FaultNetwork{
+	return &FaultNetwork{
 		under:  under,
 		prof:   prof.withDefaults(),
 		wheel:  procWheel(),
 		ports:  map[*faultPort]struct{}{},
 		faults: telemetry.C(MetricFaultsInjected),
 	}
-	if n.prof.SeverEvery > 0 {
-		n.scheduleSever()
-	}
-	return n
-}
-
-func (n *FaultNetwork) scheduleSever() {
-	n.wheel.Schedule(n.prof.SeverEvery, func() {
-		n.Sever()
-		n.mu.Lock()
-		stopped := n.stopped
-		n.mu.Unlock()
-		if !stopped {
-			n.scheduleSever()
-		}
-	})
 }
 
 // Sever cuts every live link established through this network, as a
-// partition or mass TCP reset would, and — if PartitionFor is set —
-// refuses new dials for that long.
+// partition or mass TCP reset would: readers see EOF, senders a closed
+// port. If PartitionFor is set it then refuses new dials for that long.
 func (n *FaultNetwork) Sever() {
 	n.mu.Lock()
 	cut := make([]*faultPort, 0, len(n.ports))
@@ -116,13 +96,6 @@ func (n *FaultNetwork) Sever() {
 		n.faults.Inc()
 		p.Port.Close() // sever the underlying link; the wrapper stays inert
 	}
-}
-
-// Stop ends the sever schedule. Live ports are left alone.
-func (n *FaultNetwork) Stop() {
-	n.mu.Lock()
-	n.stopped = true
-	n.mu.Unlock()
 }
 
 func (n *FaultNetwork) wrap(p Port) (Port, error) {

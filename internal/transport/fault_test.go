@@ -22,7 +22,6 @@ func wrapped(t *testing.T, n *FaultNetwork, p Port) Port {
 // wrapper — everything sent arrives, in order.
 func TestFaultNetworkPassthrough(t *testing.T) {
 	n := NewFaultNetwork(NewMemNetwork(), FaultProfile{})
-	defer n.Stop()
 	l, err := n.Listen("a")
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +63,6 @@ func TestFaultNetworkDropsDeterministically(t *testing.T) {
 		telemetry.SetDefault(reg)
 		defer telemetry.SetDefault(nil)
 		n := NewFaultNetwork(NewMemNetwork(), FaultProfile{Seed: 7, DropRate: 0.3})
-		defer n.Stop()
 		// Wrap a pipe directly, and nothing else: each wrapped port draws
 		// its PRNG seed from a per-network counter, so this must be the
 		// network's first port on every run, and the receive side is
@@ -113,7 +111,6 @@ func TestFaultNetworkDropsDeterministically(t *testing.T) {
 // still exactly what was sent.
 func TestFaultNetworkDupAndReorder(t *testing.T) {
 	n := NewFaultNetwork(NewMemNetwork(), FaultProfile{Seed: 3, DupRate: 0.2, ReorderRate: 0.2})
-	defer n.Stop()
 	near, far := Pipe("a", "b")
 	fp := wrapped(t, n, near)
 	const total = 300
@@ -151,7 +148,6 @@ func TestFaultNetworkDelay(t *testing.T) {
 	n := NewFaultNetwork(NewMemNetwork(), FaultProfile{
 		Seed: 11, DelayRate: 1.0, DelayMin: time.Millisecond, DelayMax: 5 * time.Millisecond,
 	})
-	defer n.Stop()
 	near, far := Pipe("a", "b")
 	fp := wrapped(t, n, near)
 	const total = 20
@@ -170,7 +166,6 @@ func TestFaultNetworkDelay(t *testing.T) {
 // fails during the partition window, then succeeds again.
 func TestFaultNetworkSeverAndPartition(t *testing.T) {
 	n := NewFaultNetwork(NewMemNetwork(), FaultProfile{PartitionFor: 100 * time.Millisecond})
-	defer n.Stop()
 	l, err := n.Listen("a")
 	if err != nil {
 		t.Fatal(err)

@@ -111,7 +111,6 @@ func TestMuxInvalidateFailsChannels(t *testing.T) {
 func TestMuxRidesOutPartition(t *testing.T) {
 	fn := NewFaultNetwork(NewMemNetwork(), FaultProfile{Seed: 7, PartitionFor: 150 * time.Millisecond})
 	rel := NewRelNetwork(fn, RelConfig{Seed: 7, GiveUpAfter: 5 * time.Second})
-	defer fn.Stop()
 	a, b, addr := muxPair(t, rel)
 	l, _ := b.Listen("svc")
 	near, err := a.Dial(addr, "svc")

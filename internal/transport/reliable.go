@@ -859,5 +859,5 @@ func (p *RelPort) Peer() string {
 }
 
 // ID returns the channel identity carried across reconnects; it names
-// the channel in diagnostics and the chaos harness.
+// the channel in diagnostics.
 func (p *RelPort) ID() string { return p.id }

@@ -105,7 +105,6 @@ func TestRelPortRecoversLoss(t *testing.T) {
 	fn := NewFaultNetwork(NewMemNetwork(), FaultProfile{
 		Seed: 42, DropRate: 0.15, DupRate: 0.1, ReorderRate: 0.1,
 	})
-	defer fn.Stop()
 	n := NewRelNetwork(fn, RelConfig{RexmitInterval: 30 * time.Millisecond, AckDelay: 10 * time.Millisecond})
 	dialer, accepted := relPair(t, n, "a")
 	defer dialer.Close()
@@ -139,7 +138,6 @@ func TestRelPortReconnects(t *testing.T) {
 	telemetry.SetDefault(reg)
 	defer telemetry.SetDefault(nil)
 	fn := NewFaultNetwork(NewMemNetwork(), FaultProfile{PartitionFor: 50 * time.Millisecond})
-	defer fn.Stop()
 	n := NewRelNetwork(fn, RelConfig{
 		RexmitInterval: 30 * time.Millisecond,
 		AckDelay:       10 * time.Millisecond,
@@ -185,7 +183,6 @@ func TestRelPortGivesUp(t *testing.T) {
 	telemetry.SetDefault(reg)
 	defer telemetry.SetDefault(nil)
 	fn := NewFaultNetwork(NewMemNetwork(), FaultProfile{})
-	defer fn.Stop()
 	n := NewRelNetwork(fn, RelConfig{
 		RedialMin:   5 * time.Millisecond,
 		GiveUpAfter: 150 * time.Millisecond,
@@ -259,7 +256,6 @@ func TestRelPortLingerDeliversTeardown(t *testing.T) {
 	// Seed chosen so at least one teardown send is dropped across the
 	// rounds below; determinism makes the seed a fixture, not a flake.
 	fn := NewFaultNetwork(NewMemNetwork(), FaultProfile{Seed: 5, DropRate: 0.4})
-	defer fn.Stop()
 	n := NewRelNetwork(fn, RelConfig{
 		RexmitInterval: 20 * time.Millisecond,
 		AckDelay:       5 * time.Millisecond,
@@ -409,7 +405,6 @@ func TestRelPortSurvivesRepeatedPartitions(t *testing.T) {
 	telemetry.SetDefault(reg)
 	defer telemetry.SetDefault(nil)
 	fn := NewFaultNetwork(NewMemNetwork(), FaultProfile{PartitionFor: 30 * time.Millisecond})
-	defer fn.Stop()
 	n := NewRelNetwork(fn, RelConfig{
 		RexmitInterval: 20 * time.Millisecond,
 		AckDelay:       5 * time.Millisecond,

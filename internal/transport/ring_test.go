@@ -634,7 +634,6 @@ func TestRingSpillTracksBacklog(t *testing.T) {
 func TestLayersRefuseRingPorts(t *testing.T) {
 	t.Run("fault", func(t *testing.T) {
 		n := NewFaultNetwork(NewRingMemNetwork(), FaultProfile{})
-		defer n.Stop()
 		l, err := n.Listen("a")
 		if err != nil {
 			t.Fatal(err)
