@@ -75,9 +75,10 @@ bench-pair:
 	$(GO) run ./cmd/benchpair $(REF) $(PAIRS) $(SECONDS) $(WORKLOADS)
 
 # alloc-gate asserts the zero-alloc claims: the signaling decode path
-# (interned strings, pooled Meta frames), a frame's encode and decode
+# (interned strings, pooled Meta frames), a descriptor seen before
+# decoding to its one shared record, a frame's encode and decode
 # through a reused FrameReader, an application server's noMedia
-# descriptor, and the end-to-end
+# descriptor (one shared record per server), and the end-to-end
 # decode->inbox->dispatch->release path, the steady-state event
 # dispatch path (box) both standalone and through a cluster shard, the
 # media fast path — packet marshal, transmit staging, and wire delivery
@@ -89,13 +90,13 @@ bench-pair:
 # allocate nothing; a store's CDR append costs at most one allocation
 # (the store keeps the record itself, not a copy of its encoding);
 # filling the intern table costs O(n) bytes, not a copy of the table
-# per string; a ring-network dial, accept and close stay within their
+# per string, and so does filling the descriptor table; a ring-network dial, accept and close stay within their
 # budget of one allocation of at most 128 B (the pipe's identity: its
 # rings are a store an earlier channel released), an in-memory pipe
 # is one allocation, and a mux channel's dial, accept and close at both
 # ends stay within 8; a whole call
 # through a relay already holding 600 others — dial, splice, flow,
-# teardown — stays within its budget of 11 allocations and 1 KB; and
+# teardown — stays within its budget of 10 allocations and 1 KB; and
 # what standing state holds stays within its footprint: an idle
 # standalone runner 3 KB, a pumped in-memory channel with both pumps
 # posted its measured size plus 10 %. The last two lines are
@@ -106,7 +107,7 @@ bench-pair:
 # ends of its last one have closed, so no envelope reaches a later
 # channel and a stale port touches nothing.
 alloc-gate:
-	$(GO) test -run='TestDecodeZeroAlloc|TestEncodeZeroAlloc|TestFrameRoundTripZeroAlloc|TestInternGrowthLinear' ./internal/sig
+	$(GO) test -run='TestDecodeZeroAlloc|TestDecodeDescriptorZeroAlloc|TestEncodeZeroAlloc|TestFrameRoundTripZeroAlloc|TestInternGrowthLinear|TestDescriptorTableGrowthLinear' ./internal/sig
 	$(GO) test -run='TestServerDescribeZeroAlloc' ./internal/core
 	$(GO) test -run='TestRunnerEventZeroAlloc|TestClusterEventZeroAlloc|TestRunnerEventEndToEndAllocs|TestCallCycleAllocBudget|TestStandaloneRunnerFootprint|TestPumpedChannelFootprint' ./internal/box
 	$(GO) test -run='TestMediaZeroAlloc|TestTSFramingZeroAlloc' ./internal/media

@@ -64,9 +64,9 @@ func BenchmarkE2PrepaidCorrect(b *testing.B) {
 // open, oack, selects, modify (describe/select), close, closeack —
 // through two real slots per iteration.
 func BenchmarkE3ProtocolScenario(b *testing.B) {
-	dl := sig.Descriptor{ID: sig.DescID{Origin: "L", Seq: 1}, Addr: "l", Port: 1, Codecs: []sig.Codec{sig.G711}}
-	dl2 := sig.Descriptor{ID: sig.DescID{Origin: "L", Seq: 2}, Addr: "l", Port: 1, Codecs: []sig.Codec{sig.G726}}
-	dr := sig.Descriptor{ID: sig.DescID{Origin: "R", Seq: 1}, Addr: "r", Port: 2, Codecs: []sig.Codec{sig.G711, sig.G726}}
+	dl := &sig.Descriptor{ID: sig.DescID{Origin: "L", Seq: 1}, Addr: "l", Port: 1, Codecs: []sig.Codec{sig.G711}}
+	dl2 := &sig.Descriptor{ID: sig.DescID{Origin: "L", Seq: 2}, Addr: "l", Port: 1, Codecs: []sig.Codec{sig.G726}}
+	dr := &sig.Descriptor{ID: sig.DescID{Origin: "R", Seq: 1}, Addr: "r", Port: 2, Codecs: []sig.Codec{sig.G711, sig.G726}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		l, r := slot.New("l", true), slot.New("r", false)
@@ -301,7 +301,7 @@ func BenchmarkE12Ablations(b *testing.B) {
 // BenchmarkWireCodec measures the framed binary encoding of a typical
 // signal.
 func BenchmarkWireCodec(b *testing.B) {
-	e := sig.Envelope{Tunnel: 3, Sig: sig.Open(sig.Audio, sig.Descriptor{
+	e := sig.Envelope{Tunnel: 3, Sig: sig.Open(sig.Audio, &sig.Descriptor{
 		ID: sig.DescID{Origin: "device", Seq: 7}, Addr: "192.168.1.10", Port: 5004,
 		Codecs: []sig.Codec{sig.G711, sig.G726},
 	})}
@@ -322,8 +322,8 @@ func BenchmarkFlowLinkForwarding(b *testing.B) {
 	ss["b"] = slot.New("b", false)
 	fl := core.NewFlowLink("a", "b")
 	// Bring both slots to flowing by hand.
-	dl := sig.Descriptor{ID: sig.DescID{Origin: "L", Seq: 1}, Addr: "l", Port: 1, Codecs: []sig.Codec{sig.G711}}
-	dr := sig.Descriptor{ID: sig.DescID{Origin: "R", Seq: 1}, Addr: "r", Port: 2, Codecs: []sig.Codec{sig.G711}}
+	dl := &sig.Descriptor{ID: sig.DescID{Origin: "L", Seq: 1}, Addr: "l", Port: 1, Codecs: []sig.Codec{sig.G711}}
+	dr := &sig.Descriptor{ID: sig.DescID{Origin: "R", Seq: 1}, Addr: "r", Port: 2, Codecs: []sig.Codec{sig.G711}}
 	if _, err := ss["a"].Receive(sig.Open(sig.Audio, dl)); err != nil {
 		b.Fatal(err)
 	}

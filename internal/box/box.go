@@ -183,13 +183,16 @@ func (l *parkList) remove(ci *chanInfo) {
 // record that owns it and its tunnel index, so an action naming the
 // slot resolves to (channel, tunnel) by one lookup, and its end of the
 // Maps association: the goal object controlling it and that goal's
-// invocation counter.
+// invocation counter. closer is the closeSlot the slot falls back to
+// when its flowlink partner's channel is destroyed (destroyChannel), so
+// a widowed slot costs no allocation.
 type boxSlot struct {
 	slot.Slot
 	ci     *chanInfo
 	tunnel int
 	goal   core.Goal          // nil until a goal is installed over the slot
 	ctr    *telemetry.Counter // box.goal_invocations.<goal kind>, resolved by the goal's first dispatch
+	closer core.CloseSlot
 }
 
 // tunnelSlot returns the slot name for tunnel i, cached so
@@ -616,10 +619,12 @@ func (b *Box) destroyChannel(ci *chanInfo) {
 	ci.owned = ci.owned[:0]
 	b.retire(ci)
 	for _, sn := range widowed {
-		if b.slots[sn] == nil {
+		w := b.slots[sn]
+		if w == nil {
 			continue
 		}
-		if err := b.install(core.NewCloseSlot(sn)); err != nil {
+		w.closer.Reset(sn)
+		if err := b.install(&w.closer); err != nil {
 			b.outs = append(b.outs, Output{Kind: OutNote, Note: "widowed slot cleanup: " + err.Error()})
 		}
 	}

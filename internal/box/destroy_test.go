@@ -91,7 +91,7 @@ func TestDestroyChannelOnlyOwnSlots(t *testing.T) {
 		ctx.SetGoal(core.NewFlowLink(TunnelSlot("victim", 0), partner))
 		ctx.SetGoal(core.NewHoldSlot("victim.t7", b.Profile())) // named by the program, not by dispatch
 	}})
-	open := sig.Open(sig.Audio, sig.Descriptor{})
+	open := sig.Open(sig.Audio, &sig.Descriptor{})
 	for _, tunnel := range []int{0, 1, 1500} {
 		handle(t, b, Event{Kind: EvEnvelope, Channel: "victim", Env: sig.Envelope{Tunnel: tunnel, Sig: open}})
 	}
@@ -191,7 +191,7 @@ func TestAddChannelTwiceKeepsOwnedSlots(t *testing.T) {
 // churn runs n dial-shaped channel lifetimes (add, first signal,
 // teardown) on bx.
 func churn(tb testing.TB, bx *Box, n int) {
-	open := Event{Kind: EvEnvelope, Channel: "call", Env: sig.Envelope{Sig: sig.Open(sig.Audio, sig.Descriptor{})}}
+	open := Event{Kind: EvEnvelope, Channel: "call", Env: sig.Envelope{Sig: sig.Open(sig.Audio, &sig.Descriptor{})}}
 	down := teardown("call")
 	for i := 0; i < n; i++ {
 		bx.AddChannel("call", false)

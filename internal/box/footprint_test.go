@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"ipmedia/internal/core"
 	"ipmedia/internal/sig"
@@ -148,5 +149,22 @@ func TestPumpBurstInOrder(t *testing.T) {
 		if v != i {
 			t.Fatalf("envelope %d arrived as %v", i, seen[max(0, i-2):min(len(seen), i+3)])
 		}
+	}
+}
+
+// TestRecordSizes pins the records a box moves by value: an Event per
+// inbox entry and frame, an Output per entry of a box's output buffer.
+// Each holds one 120-byte envelope, whose descriptor is a pointer to a
+// shared record; the pins keep the footprint of a parked call's inbox
+// and output buffers from creeping back.
+func TestRecordSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pinned sizes are for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Event{}); got != 176 {
+		t.Errorf("unsafe.Sizeof(Event{}) = %d, want 176", got)
+	}
+	if got := unsafe.Sizeof(Output{}); got != 208 {
+		t.Errorf("unsafe.Sizeof(Output{}) = %d, want 208", got)
 	}
 }

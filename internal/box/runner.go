@@ -21,7 +21,7 @@
 // An idle or call-holding box pays only for what it uses. A standalone
 // runner holds its runner record, a shard with its inbox and loop
 // goroutine, and the box: about 2 KB of heap besides the goroutine's
-// stack. The shard's ring-drain scratch (64 envelopes, 11.8 KB) is
+// stack. The shard's ring-drain scratch (64 envelopes, 7.5 KB) is
 // allocated by the first ring drain, so a runner whose ports are all
 // batch ports never holds one. A pumped port holds a goroutine, an ack
 // channel and one batch buffer of 4 envelopes, grown only while the

@@ -15,13 +15,15 @@ import (
 // media flow in both directions.
 type Profile interface {
 	// Describe returns the current self-description as a receiver of
-	// media. Repeated calls return the same descriptor ID until the
-	// content changes, which keeps protocol state spaces finite.
-	Describe() sig.Descriptor
+	// media. Repeated calls return the same descriptor, by pointer,
+	// until the content changes, which keeps protocol state spaces
+	// finite. The descriptor is shared and must not be written.
+	Describe() *sig.Descriptor
 	// Answer builds the selector with which this box answers
 	// descriptor d.
-	Answer(d sig.Descriptor) sig.Selector
-	// Clone deep-copies the profile.
+	Answer(d *sig.Descriptor) sig.Selector
+	// Clone copies the profile; the copy shares the immutable
+	// descriptors the original issued.
 	Clone() Profile
 	// AppendEncode appends a deterministic state fingerprint to dst and
 	// returns the extended slice.
@@ -35,13 +37,14 @@ type ServerProfile struct {
 	Name string
 }
 
-// Describe returns the server's constant noMedia descriptor.
-func (p ServerProfile) Describe() sig.Descriptor {
+// Describe returns the server's constant noMedia descriptor: one shared
+// record per server name, so asking again allocates nothing.
+func (p ServerProfile) Describe() *sig.Descriptor {
 	return sig.NoMediaDescriptor(sig.DescID{Origin: p.Name, Seq: 1})
 }
 
 // Answer answers any descriptor with a noMedia selector.
-func (p ServerProfile) Answer(d sig.Descriptor) sig.Selector {
+func (p ServerProfile) Answer(d *sig.Descriptor) sig.Selector {
 	return sig.Selector{Answers: d.ID, Codec: sig.NoMedia}
 }
 
@@ -67,7 +70,7 @@ type EndpointProfile struct {
 	MuteOut    bool        // user does not wish to send media
 
 	seq    uint32
-	issued []sig.Descriptor // every distinct content ever described
+	issued []*sig.Descriptor // every distinct content ever described
 }
 
 // NewEndpointProfile builds a profile for a device at addr:port.
@@ -90,13 +93,14 @@ func (p *EndpointProfile) desired() sig.Descriptor {
 
 // Describe returns the endpoint's current descriptor. Descriptor IDs
 // are a function of content: re-describing previously seen content
-// reuses its ID. This keeps protocol state spaces finite under
-// openslot retry loops and mute toggles — a requirement of the model
-// checker — and is harmless live, since a selector answering the ID
-// still answers exactly this content. An issued descriptor gets its
-// own copy of the codec list, so later edits of RecvCodecs cannot
-// reach it.
-func (p *EndpointProfile) Describe() sig.Descriptor {
+// returns the descriptor issued for it, ID and record both. This keeps
+// protocol state spaces finite under openslot retry loops and mute
+// toggles — a requirement of the model checker — and is harmless live,
+// since a selector answering the ID still answers exactly this
+// content. A descriptor is built once, when its content is first
+// described, with its own copy of the codec list, so later edits of
+// RecvCodecs cannot reach it.
+func (p *EndpointProfile) Describe() *sig.Descriptor {
 	want := p.desired()
 	for _, d := range p.issued {
 		if want.SameContent(d) {
@@ -104,15 +108,17 @@ func (p *EndpointProfile) Describe() sig.Descriptor {
 		}
 	}
 	p.seq++
-	want.ID = sig.DescID{Origin: p.Origin, Seq: p.seq}
-	want.Codecs = append([]sig.Codec(nil), want.Codecs...)
-	p.issued = append(p.issued, want)
-	return want
+	d := new(sig.Descriptor)
+	*d = want
+	d.ID = sig.DescID{Origin: p.Origin, Seq: p.seq}
+	d.Codecs = append([]sig.Codec(nil), want.Codecs...)
+	p.issued = append(p.issued, d)
+	return d
 }
 
 // Answer answers descriptor d per the unilateral codec-choice rule of
 // paper Section VI-B.
-func (p *EndpointProfile) Answer(d sig.Descriptor) sig.Selector {
+func (p *EndpointProfile) Answer(d *sig.Descriptor) sig.Selector {
 	return sig.AnswerDescriptor(d, p.Addr, p.Port, p.SendCodecs, p.MuteOut)
 }
 
@@ -134,16 +140,13 @@ func (p *EndpointProfile) SetMuteOut(v bool) bool {
 	return true
 }
 
-// Clone deep-copies the profile.
+// Clone copies the profile. The copy shares the codec lists and the
+// issued descriptors, which nothing writes, but gets its own issued
+// slice, so that two clones describing new content never append into
+// one backing array.
 func (p *EndpointProfile) Clone() Profile {
 	c := *p
-	c.RecvCodecs = append([]sig.Codec(nil), p.RecvCodecs...)
-	c.SendCodecs = append([]sig.Codec(nil), p.SendCodecs...)
-	c.issued = make([]sig.Descriptor, len(p.issued))
-	for i, d := range p.issued {
-		c.issued[i] = d
-		c.issued[i].Codecs = append([]sig.Codec(nil), d.Codecs...)
-	}
+	c.issued = append([]*sig.Descriptor(nil), p.issued...)
 	return &c
 }
 

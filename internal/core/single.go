@@ -168,7 +168,16 @@ type CloseSlot struct {
 
 // NewCloseSlot builds a closeSlot goal for the named slot.
 func NewCloseSlot(name string) *CloseSlot {
-	return &CloseSlot{Name: name, names: [1]string{name}}
+	g := new(CloseSlot)
+	g.Reset(name)
+	return g
+}
+
+// Reset makes g the goal NewCloseSlot(name) builds, in place, so an
+// owner can hold a closeSlot in storage of its own. Nothing may still
+// hold g as the goal of another slot.
+func (g *CloseSlot) Reset(name string) {
+	*g = CloseSlot{Name: name, names: [1]string{name}}
 }
 
 // Kind implements Goal.

@@ -114,8 +114,8 @@ func drive(t *testing.T, l, r *slot.Slot) {
 	t.Helper()
 	// Bring the pair to flowing with full histories, simulating a
 	// zero-length path.
-	dl := sig.Descriptor{ID: sig.DescID{Origin: "L", Seq: 1}, Addr: "l", Port: 1, Codecs: []sig.Codec{sig.G711}}
-	dr := sig.Descriptor{ID: sig.DescID{Origin: "R", Seq: 1}, Addr: "r", Port: 2, Codecs: []sig.Codec{sig.G711}}
+	dl := &sig.Descriptor{ID: sig.DescID{Origin: "L", Seq: 1}, Addr: "l", Port: 1, Codecs: []sig.Codec{sig.G711}}
+	dr := &sig.Descriptor{ID: sig.DescID{Origin: "R", Seq: 1}, Addr: "r", Port: 2, Codecs: []sig.Codec{sig.G711}}
 	step := func(err error) {
 		if err != nil {
 			t.Fatal(err)
@@ -163,7 +163,7 @@ func TestBothFlowingRequiresFreshSelectors(t *testing.T) {
 	l, r := slot.New("l", true), slot.New("r", false)
 	drive(t, l, r)
 	// L re-describes; until R answers, the path is not bothFlowing.
-	d2 := sig.Descriptor{ID: sig.DescID{Origin: "L", Seq: 2}, Addr: "l", Port: 1, Codecs: []sig.Codec{sig.G726}}
+	d2 := &sig.Descriptor{ID: sig.DescID{Origin: "L", Seq: 2}, Addr: "l", Port: 1, Codecs: []sig.Codec{sig.G726}}
 	if err := l.Send(sig.Describe(d2)); err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func (n *NaiveServer) routeOf(from string) string {
 
 // ownDesc is the noMedia descriptor the server uses when it issues
 // commands of its own (putting an endpoint on hold).
-func (n *NaiveServer) ownDesc() sig.Descriptor {
+func (n *NaiveServer) ownDesc() *sig.Descriptor {
 	return sig.NoMediaDescriptor(sig.DescID{Origin: n.Name, Seq: 1})
 }
 
@@ -109,7 +109,7 @@ func (g *NaiveLeg) OnEvent(ss core.Slots, name string, ev slot.Event, in sig.Sig
 	return em.Done()
 }
 
-func (g *NaiveLeg) forwardDesc(em *core.Emitter, ss core.Slots, dest string, d sig.Descriptor) {
+func (g *NaiveLeg) forwardDesc(em *core.Emitter, ss core.Slots, dest string, d *sig.Descriptor) {
 	if dest == "" {
 		return
 	}
@@ -135,7 +135,7 @@ func (g *NaiveLeg) AppendEncode(dst []byte) []byte {
 // Describe sends a descriptor command on a leg: "a signal to X telling
 // it to send media to Y" is describe(descY); "telling it to stop
 // sending" is describe(noMedia) (paper Section VI-C).
-func (n *NaiveServer) Describe(ctx *box.Ctx, slotName string, d sig.Descriptor) {
+func (n *NaiveServer) Describe(ctx *box.Ctx, slotName string, d *sig.Descriptor) {
 	s := ctx.Box().Slot(slotName)
 	if s == nil {
 		return
@@ -148,7 +148,7 @@ func (n *NaiveServer) Describe(ctx *box.Ctx, slotName string, d sig.Descriptor) 
 }
 
 // OpenLeg opens a leg's media channel carrying descriptor d.
-func (n *NaiveServer) OpenLeg(ctx *box.Ctx, slotName string, m sig.Medium, d sig.Descriptor) {
+func (n *NaiveServer) OpenLeg(ctx *box.Ctx, slotName string, m sig.Medium, d *sig.Descriptor) {
 	s := ctx.Box().Slot(slotName)
 	if s == nil {
 		return
@@ -162,7 +162,7 @@ func (n *NaiveServer) OpenLeg(ctx *box.Ctx, slotName string, m sig.Medium, d sig
 
 // HoldDesc returns the server's own noMedia descriptor for scripted
 // hold commands.
-func (n *NaiveServer) HoldDesc() sig.Descriptor { return n.ownDesc() }
+func (n *NaiveServer) HoldDesc() *sig.Descriptor { return n.ownDesc() }
 
 func splitSlotName(name string) (string, int) {
 	for i := len(name) - 1; i > 1; i-- {

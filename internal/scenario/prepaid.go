@@ -41,8 +41,8 @@ type Prepaid struct {
 	// descA is the descriptor of A as recorded by PC when it passed
 	// through in earlier signals (paper Section VI-C) — the naive
 	// regime replays it in Snapshot 4.
-	descA sig.Descriptor
-	descC sig.Descriptor
+	descA *sig.Descriptor
+	descC *sig.Descriptor
 
 	pbxN *NaiveServer
 	pcN  *NaiveServer
@@ -368,7 +368,7 @@ func (p *Prepaid) RunNaive() ([]string, error) {
 	// untouched to C. Pathology: V is left without audio input from C.
 	p.PBX.Do(func(ctx *box.Ctx) {
 		p.pbxN.SetRoute(pbxA, pbxB)
-		var descA, descB sig.Descriptor
+		var descA, descB *sig.Descriptor
 		if d, ok := ctx.Box().Slot(pbxA).Desc(); ok {
 			descA = d
 		}

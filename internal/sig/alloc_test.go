@@ -27,7 +27,7 @@ func TestDecodeZeroAlloc(t *testing.T) {
 	signal := Envelope{Sig: Signal{
 		Kind:   KindOpen,
 		Medium: Audio,
-		Desc: Descriptor{
+		Desc: &Descriptor{
 			ID:     DescID{Origin: "storm-box", Seq: 7},
 			Addr:   "storm-box",
 			Port:   4000,
@@ -137,7 +137,7 @@ func FuzzEnvelopeAliasing(f *testing.F) {
 	f.Add(Envelope{Sig: Signal{
 		Kind:   KindOpen,
 		Medium: Video,
-		Desc: Descriptor{
+		Desc: &Descriptor{
 			ID:     DescID{Origin: "fz", Seq: 1},
 			Addr:   "fz:1",
 			Port:   9,

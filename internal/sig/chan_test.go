@@ -12,7 +12,7 @@ func chanCases() []struct {
 	e   Envelope
 	tag byte
 } {
-	d := Descriptor{ID: DescID{Origin: "dev", Seq: 3}, Addr: "10.0.0.1", Port: 5004, Codecs: []Codec{G711, G726}}
+	d := &Descriptor{ID: DescID{Origin: "dev", Seq: 3}, Addr: "10.0.0.1", Port: 5004, Codecs: []Codec{G711, G726}}
 	return []struct {
 		e   Envelope
 		tag byte
@@ -84,14 +84,17 @@ func TestChanZeroRejected(t *testing.T) {
 	}
 }
 
-// TestEnvelopeSize pins the envelope's footprint: Chan lives in the
-// padding after Seq, so adding it copied no extra byte on any path
-// that moves envelopes by value (rings, queues, batches).
+// TestEnvelopeSize pins the envelope's footprint on every path that
+// moves envelopes by value (rings, queues, batches): Chan lives in the
+// padding after Seq, and a signal's descriptor is one pointer to a
+// shared record, so an envelope is 8+4+4 bytes of header, a 96-byte
+// Signal (kind, medium, descriptor pointer, 64-byte selector) and the
+// Meta pointer.
 func TestEnvelopeSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the pinned size is for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Envelope{}); got != 184 {
-		t.Fatalf("unsafe.Sizeof(Envelope{}) = %d, want 184", got)
+	if got := unsafe.Sizeof(Envelope{}); got != 120 {
+		t.Fatalf("unsafe.Sizeof(Envelope{}) = %d, want 120", got)
 	}
 }

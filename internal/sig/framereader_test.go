@@ -37,7 +37,7 @@ func frameStream(t *testing.T, envs []Envelope) []byte {
 // burstEnvelopes is a mix of every envelope shape: signals of each
 // kind, sequenced and channel-tagged ones, and metas with attrs.
 func burstEnvelopes() []Envelope {
-	d := Descriptor{ID: DescID{Origin: "dev", Seq: 3}, Addr: "10.0.0.1", Port: 5004, Codecs: []Codec{G711, G726}}
+	d := &Descriptor{ID: DescID{Origin: "dev", Seq: 3}, Addr: "10.0.0.1", Port: 5004, Codecs: []Codec{G711, G726}}
 	envs := []Envelope{
 		{Tunnel: 0, Sig: Open(Audio, d)},
 		{Tunnel: 1, Seq: 4, Sig: Oack(d)},

@@ -11,7 +11,7 @@ import (
 // decoder, and that anything that decodes re-encodes to an equivalent
 // envelope (decode∘encode∘decode is the identity).
 func FuzzUnmarshalEnvelope(f *testing.F) {
-	d := Descriptor{ID: DescID{Origin: "dev", Seq: 3}, Addr: "10.0.0.1", Port: 5004, Codecs: []Codec{G711, G726}}
+	d := &Descriptor{ID: DescID{Origin: "dev", Seq: 3}, Addr: "10.0.0.1", Port: 5004, Codecs: []Codec{G711, G726}}
 	seeds := []Envelope{
 		{Tunnel: 0, Sig: Open(Audio, d)},
 		{Tunnel: 1, Sig: Oack(d)},

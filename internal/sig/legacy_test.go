@@ -32,7 +32,7 @@ func legacyPutU32(b *bytes.Buffer, v uint32) {
 	b.Write(n[:])
 }
 
-func legacyEncodeDescriptor(b *bytes.Buffer, d Descriptor) {
+func legacyEncodeDescriptor(b *bytes.Buffer, d *Descriptor) {
 	legacyPutString(b, d.ID.Origin)
 	legacyPutU32(b, d.ID.Seq)
 	legacyPutString(b, d.Addr)
@@ -115,7 +115,7 @@ func TestEncoderMatchesLegacy(t *testing.T) {
 // decoder and asserts the new encoder reproduces the legacy encoding
 // of whatever decodes.
 func FuzzEncoderEquivalence(f *testing.F) {
-	d := Descriptor{ID: DescID{Origin: "dev", Seq: 3}, Addr: "10.0.0.1", Port: 5004, Codecs: []Codec{G711, G726}}
+	d := &Descriptor{ID: DescID{Origin: "dev", Seq: 3}, Addr: "10.0.0.1", Port: 5004, Codecs: []Codec{G711, G726}}
 	f.Add(Envelope{Tunnel: 2, Sig: Open(Audio, d)}.Marshal())
 	f.Add(Envelope{Tunnel: 0, Sig: Select(Selector{Answers: d.ID, Addr: "h", Port: 9, Codec: G711})}.Marshal())
 	f.Add(Envelope{Meta: &Meta{Kind: MetaApp, App: "paid", Attrs: NewAttrs("k", "v")}}.Marshal())
@@ -166,10 +166,10 @@ func TestEncodeRejectsUndecodable(t *testing.T) {
 		name string
 		e    Envelope
 	}{
-		{"codec overflow", Envelope{Sig: Oack(Descriptor{Codecs: tooManyCodecs})}},
+		{"codec overflow", Envelope{Sig: Oack(&Descriptor{Codecs: tooManyCodecs})}},
 		{"attr overflow", Envelope{Meta: &Meta{Kind: MetaApp, App: "a", Attrs: tooManyAttrs}}},
-		{"oversized origin", Envelope{Sig: Describe(Descriptor{ID: DescID{Origin: long}})}},
-		{"oversized medium", Envelope{Sig: Open(Medium(long), Descriptor{})}},
+		{"oversized origin", Envelope{Sig: Describe(&Descriptor{ID: DescID{Origin: long}})}},
+		{"oversized medium", Envelope{Sig: Open(Medium(long), &Descriptor{})}},
 		{"oversized selector codec", Envelope{Sig: Select(Selector{Codec: Codec(long)})}},
 		{"oversized app", Envelope{Meta: &Meta{Kind: MetaApp, App: long}}},
 		{"unknown kind", Envelope{Sig: Signal{Kind: Kind(42)}}},
@@ -184,7 +184,7 @@ func TestEncodeRejectsUndecodable(t *testing.T) {
 		}
 	}
 	// And a maximal-but-legal envelope still round-trips.
-	ok := Envelope{Sig: Oack(Descriptor{ID: DescID{Origin: "o", Seq: 1}, Codecs: make([]Codec, MaxCodecs)})}
+	ok := Envelope{Sig: Oack(&Descriptor{ID: DescID{Origin: "o", Seq: 1}, Codecs: make([]Codec, MaxCodecs)})}
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, ok); err != nil {
 		t.Fatalf("maximal legal envelope rejected: %v", err)
@@ -201,7 +201,7 @@ func TestWriteFrameZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool reuse is randomized under -race")
 	}
-	e := Envelope{Tunnel: 3, Sig: Open(Audio, Descriptor{
+	e := Envelope{Tunnel: 3, Sig: Open(Audio, &Descriptor{
 		ID: DescID{Origin: "device", Seq: 7}, Addr: "192.168.1.10", Port: 5004,
 		Codecs: []Codec{G711, G726},
 	})}
@@ -218,7 +218,7 @@ func TestWriteFrameZeroAlloc(t *testing.T) {
 // TestAppendBinaryZeroAlloc asserts the caller-buffer encode path is
 // allocation-free for tunnel signals.
 func TestAppendBinaryZeroAlloc(t *testing.T) {
-	e := Envelope{Tunnel: 1, Sig: Describe(Descriptor{
+	e := Envelope{Tunnel: 1, Sig: Describe(&Descriptor{
 		ID: DescID{Origin: "device", Seq: 2}, Addr: "10.0.0.9", Port: 4000,
 		Codecs: []Codec{G711},
 	})}
@@ -239,7 +239,7 @@ func TestAppendBinaryZeroAlloc(t *testing.T) {
 // caller-reused buffer, the path WriteFrame and the model checker's
 // fingerprinting run on. allocs/op must report 0.
 func BenchmarkMarshal(b *testing.B) {
-	e := Envelope{Tunnel: 3, Sig: Open(Audio, Descriptor{
+	e := Envelope{Tunnel: 3, Sig: Open(Audio, &Descriptor{
 		ID: DescID{Origin: "device", Seq: 7}, Addr: "192.168.1.10", Port: 5004,
 		Codecs: []Codec{G711, G726},
 	})}
@@ -256,7 +256,7 @@ func BenchmarkMarshal(b *testing.B) {
 // BenchmarkMarshalLegacy measures the retired bytes.Buffer encoder,
 // kept here as the before side of the BENCH_mc.json comparison.
 func BenchmarkMarshalLegacy(b *testing.B) {
-	e := Envelope{Tunnel: 3, Sig: Open(Audio, Descriptor{
+	e := Envelope{Tunnel: 3, Sig: Open(Audio, &Descriptor{
 		ID: DescID{Origin: "device", Seq: 7}, Addr: "192.168.1.10", Port: 5004,
 		Codecs: []Codec{G711, G726},
 	})}
@@ -271,7 +271,7 @@ func BenchmarkMarshalLegacy(b *testing.B) {
 // BenchmarkMarshalAlloc measures the convenience Marshal, which
 // allocates its result slice per call.
 func BenchmarkMarshalAlloc(b *testing.B) {
-	e := Envelope{Tunnel: 3, Sig: Open(Audio, Descriptor{
+	e := Envelope{Tunnel: 3, Sig: Open(Audio, &Descriptor{
 		ID: DescID{Origin: "device", Seq: 7}, Addr: "192.168.1.10", Port: 5004,
 		Codecs: []Codec{G711, G726},
 	})}
@@ -285,7 +285,7 @@ func BenchmarkMarshalAlloc(b *testing.B) {
 
 // BenchmarkWriteFrame measures the full framed TCP encode path.
 func BenchmarkWriteFrame(b *testing.B) {
-	e := Envelope{Tunnel: 3, Sig: Open(Audio, Descriptor{
+	e := Envelope{Tunnel: 3, Sig: Open(Audio, &Descriptor{
 		ID: DescID{Origin: "device", Seq: 7}, Addr: "192.168.1.10", Port: 5004,
 		Codecs: []Codec{G711, G726},
 	})}
@@ -303,7 +303,7 @@ func BenchmarkWriteFrame(b *testing.B) {
 // counts the framing and decode path rather than first-sight strings.
 func BenchmarkFrameRoundTrip(b *testing.B) {
 	InternSeed("device", "192.168.1.10")
-	e := Envelope{Tunnel: 3, Sig: Open(Audio, Descriptor{
+	e := Envelope{Tunnel: 3, Sig: Open(Audio, &Descriptor{
 		ID: DescID{Origin: "device", Seq: 7}, Addr: "192.168.1.10", Port: 5004,
 		Codecs: []Codec{G711, G726},
 	})}

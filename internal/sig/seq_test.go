@@ -9,7 +9,7 @@ import (
 // the sequence number rides outside the legacy payload — stripping it
 // recovers the legacy encoding exactly.
 func TestSeqEnvelopeRoundTrip(t *testing.T) {
-	d := Descriptor{ID: DescID{Origin: "dev", Seq: 3}, Addr: "10.0.0.1", Port: 5004, Codecs: []Codec{G711, G726}}
+	d := &Descriptor{ID: DescID{Origin: "dev", Seq: 3}, Addr: "10.0.0.1", Port: 5004, Codecs: []Codec{G711, G726}}
 	cases := []Envelope{
 		{Tunnel: 0, Seq: 1, Sig: Open(Audio, d)},
 		{Tunnel: 3, Seq: 7, Sig: Oack(d)},

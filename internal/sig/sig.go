@@ -7,7 +7,11 @@
 //
 // Everything in this package is a plain value with no behavior beyond
 // construction, comparison, and encoding; protocol state lives in
-// package slot and policy lives in package core.
+// package slot and policy lives in package core. A Descriptor is the
+// one record shared rather than copied: as in the paper, where an
+// endpoint issues one per content change and every flowlink forwards it
+// unchanged, it is built once, immutable, passed by pointer, and never
+// written through.
 package sig
 
 import (
@@ -73,6 +77,14 @@ func (id DescID) String() string {
 // and a priority-ordered list of codecs it can handle. If the endpoint
 // does not wish to receive media (muteIn), the descriptor offers no
 // real codec and NoMedia() reports true.
+//
+// A Descriptor is immutable once built and shared by pointer: signals,
+// slots and histories hold a *Descriptor, so forwarding one copies a
+// word. Producers hand out stable pointers — an EndpointProfile one per
+// content it has described, NoMediaDescriptor and the decoder one per
+// encoding, from a bounded table — and nobody writes through them, the
+// Codecs slice included. The methods read a nil *Descriptor as the zero
+// Descriptor: no address, no codec.
 type Descriptor struct {
 	ID     DescID
 	Addr   string  // receiving IP address (empty for noMedia descriptors)
@@ -82,7 +94,10 @@ type Descriptor struct {
 
 // NoMedia reports whether the descriptor declines all media: it offers
 // no codec other than the NoMedia pseudo-codec.
-func (d Descriptor) NoMedia() bool {
+func (d *Descriptor) NoMedia() bool {
+	if d == nil {
+		return true
+	}
 	for _, c := range d.Codecs {
 		if c != NoMedia {
 			return false
@@ -92,7 +107,10 @@ func (d Descriptor) NoMedia() bool {
 }
 
 // Offers reports whether the descriptor offers codec c.
-func (d Descriptor) Offers(c Codec) bool {
+func (d *Descriptor) Offers(c Codec) bool {
+	if d == nil {
+		return false
+	}
 	for _, dc := range d.Codecs {
 		if dc == c {
 			return true
@@ -102,27 +120,41 @@ func (d Descriptor) Offers(c Codec) bool {
 }
 
 // Equal reports whether two descriptors are identical, including ID.
-func (d Descriptor) Equal(o Descriptor) bool {
-	if d.ID != o.ID || d.Addr != o.Addr || d.Port != o.Port || len(d.Codecs) != len(o.Codecs) {
+func (d *Descriptor) Equal(o *Descriptor) bool {
+	if d == o {
+		return true
+	}
+	return d.orZero().ID == o.orZero().ID && d.SameContent(o)
+}
+
+// SameContent reports whether two descriptors describe the same
+// receiver, ignoring ID. Endpoints use this to re-issue an unchanged
+// descriptor under its existing ID.
+func (d *Descriptor) SameContent(o *Descriptor) bool {
+	a, b := d.orZero(), o.orZero()
+	if a.Addr != b.Addr || a.Port != b.Port || len(a.Codecs) != len(b.Codecs) {
 		return false
 	}
-	for i := range d.Codecs {
-		if d.Codecs[i] != o.Codecs[i] {
+	for i := range a.Codecs {
+		if a.Codecs[i] != b.Codecs[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// SameContent reports whether two descriptors describe the same
-// receiver, ignoring ID. Endpoints use this to re-issue an unchanged
-// descriptor under its existing ID.
-func (d Descriptor) SameContent(o Descriptor) bool {
-	d.ID, o.ID = DescID{}, DescID{}
-	return d.Equal(o)
+var zeroDescriptor Descriptor
+
+// orZero is d, or the zero Descriptor for nil.
+func (d *Descriptor) orZero() *Descriptor {
+	if d == nil {
+		return &zeroDescriptor
+	}
+	return d
 }
 
-func (d Descriptor) String() string {
+func (d *Descriptor) String() string {
+	d = d.orZero()
 	cs := make([]string, len(d.Codecs))
 	for i, c := range d.Codecs {
 		cs[i] = string(c)
@@ -133,13 +165,18 @@ func (d Descriptor) String() string {
 	return fmt.Sprintf("desc(%s %s:%d [%s])", d.ID, d.Addr, d.Port, strings.Join(cs, ","))
 }
 
-// NoMediaDescriptor builds a descriptor that declines all media, as
-// used by application-server goal objects, which mute media flow in
-// both directions (paper Section IV-A). Every such descriptor shares
-// one codec list: like the decoder's interned lists, Descriptor.Codecs
-// is read-only.
-func NoMediaDescriptor(id DescID) Descriptor {
-	return Descriptor{ID: id, Codecs: noMediaCodecs}
+// NoMediaDescriptor returns the descriptor that declines all media
+// under id, as used by application-server goal objects, which mute
+// media flow in both directions (paper Section IV-A). It is the shared
+// record the decoder resolves the same encoding to: one per id, from
+// the bounded descriptor table, so asking again allocates nothing.
+func NoMediaDescriptor(id DescID) *Descriptor {
+	if len(id.Origin) > maxDescriptorKey {
+		return &Descriptor{ID: id, Codecs: noMediaCodecs} // too long to share
+	}
+	d := Descriptor{ID: id, Codecs: noMediaCodecs}
+	var buf [64]byte
+	return internDescriptor(descriptors, AppendDescriptor(buf[:0], &d))
 }
 
 var noMediaCodecs = []Codec{NoMedia}
@@ -173,8 +210,8 @@ func (s Selector) String() string {
 // the highest-priority codec in the descriptor that it is able and
 // willing to send, and the only legal response to a noMedia descriptor
 // is a noMedia selector.
-func AnswerDescriptor(d Descriptor, addr string, port int, sendable []Codec, muteOut bool) Selector {
-	sel := Selector{Answers: d.ID, Addr: addr, Port: port, Codec: NoMedia}
+func AnswerDescriptor(d *Descriptor, addr string, port int, sendable []Codec, muteOut bool) Selector {
+	sel := Selector{Answers: d.orZero().ID, Addr: addr, Port: port, Codec: NoMedia}
 	if muteOut || d.NoMedia() {
 		return sel
 	}
@@ -219,10 +256,13 @@ func (k Kind) String() string {
 // Signal is one protocol message within a tunnel. Only the fields
 // relevant to the Kind are meaningful: Medium and Desc for open, Desc
 // for oack and describe, Sel for select, nothing for close/closeack.
+// Desc points at a shared, immutable descriptor (see Descriptor); Sel
+// stays a value, since a selector answers one descriptor on one
+// caller–callee pair and is never forwarded unchanged to many.
 type Signal struct {
 	Kind   Kind
 	Medium Medium
-	Desc   Descriptor
+	Desc   *Descriptor
 	Sel    Selector
 }
 
@@ -230,11 +270,11 @@ type Signal struct {
 
 // Open builds an open signal requesting a channel of the given medium,
 // describing the opener as a receiver.
-func Open(m Medium, d Descriptor) Signal { return Signal{Kind: KindOpen, Medium: m, Desc: d} }
+func Open(m Medium, d *Descriptor) Signal { return Signal{Kind: KindOpen, Medium: m, Desc: d} }
 
 // Oack builds an affirmative answer to an open, describing the acceptor
 // as a receiver.
-func Oack(d Descriptor) Signal { return Signal{Kind: KindOack, Desc: d} }
+func Oack(d *Descriptor) Signal { return Signal{Kind: KindOack, Desc: d} }
 
 // Close builds a close (or reject) signal.
 func Close() Signal { return Signal{Kind: KindClose} }
@@ -243,7 +283,7 @@ func Close() Signal { return Signal{Kind: KindClose} }
 func CloseAck() Signal { return Signal{Kind: KindCloseAck} }
 
 // Describe carries a fresh descriptor for the sender as a receiver.
-func Describe(d Descriptor) Signal { return Signal{Kind: KindDescribe, Desc: d} }
+func Describe(d *Descriptor) Signal { return Signal{Kind: KindDescribe, Desc: d} }
 
 // Select carries a selector answering a previously received descriptor.
 func Select(s Selector) Signal { return Signal{Kind: KindSelect, Sel: s} }
@@ -432,7 +472,8 @@ func (m Meta) String() string {
 // with neither — the only kind the box core and the model checker ever
 // produce — is byte-for-byte the legacy format. Chan sits in the
 // padding after Seq, so it adds no bytes to an envelope copied by
-// value (TestEnvelopeSize).
+// value, and the signal's descriptor is one pointer: an envelope is
+// 120 bytes (TestEnvelopeSize).
 type Envelope struct {
 	Tunnel int    // tunnel index within the channel; ignored for meta-signals
 	Seq    uint32 // retransmission sequence number; 0 = unsequenced

@@ -7,13 +7,14 @@ import (
 func TestDescriptorNoMedia(t *testing.T) {
 	cases := []struct {
 		name string
-		d    Descriptor
+		d    *Descriptor
 		want bool
 	}{
-		{"empty codec list", Descriptor{}, true},
+		{"no descriptor", nil, true},
+		{"empty codec list", &Descriptor{}, true},
 		{"explicit noMedia", NoMediaDescriptor(DescID{"srv", 1}), true},
-		{"single real codec", Descriptor{Codecs: []Codec{G711}}, false},
-		{"mixed with noMedia", Descriptor{Codecs: []Codec{NoMedia, G711}}, false},
+		{"single real codec", &Descriptor{Codecs: []Codec{G711}}, false},
+		{"mixed with noMedia", &Descriptor{Codecs: []Codec{NoMedia, G711}}, false},
 	}
 	for _, c := range cases {
 		if got := c.d.NoMedia(); got != c.want {
@@ -23,7 +24,7 @@ func TestDescriptorNoMedia(t *testing.T) {
 }
 
 func TestDescriptorOffers(t *testing.T) {
-	d := Descriptor{Codecs: []Codec{G711, G726}}
+	d := &Descriptor{Codecs: []Codec{G711, G726}}
 	if !d.Offers(G711) || !d.Offers(G726) {
 		t.Error("descriptor should offer both listed codecs")
 	}
@@ -35,29 +36,29 @@ func TestDescriptorOffers(t *testing.T) {
 func TestDescriptorEqualAndSameContent(t *testing.T) {
 	a := Descriptor{ID: DescID{"A", 1}, Addr: "10.0.0.1", Port: 5004, Codecs: []Codec{G711, G726}}
 	b := a
-	if !a.Equal(b) {
+	if !a.Equal(&b) {
 		t.Error("identical descriptors must be Equal")
 	}
 	b.ID.Seq = 2
-	if a.Equal(b) {
+	if a.Equal(&b) {
 		t.Error("differing IDs must not be Equal")
 	}
-	if !a.SameContent(b) {
+	if !a.SameContent(&b) {
 		t.Error("differing IDs with same content must be SameContent")
 	}
 	b.Port = 5006
-	if a.SameContent(b) {
+	if a.SameContent(&b) {
 		t.Error("differing ports must not be SameContent")
 	}
 	c := a
 	c.Codecs = []Codec{G726, G711}
-	if a.Equal(c) {
+	if a.Equal(&c) {
 		t.Error("codec priority order is significant")
 	}
 }
 
 func TestAnswerDescriptorChoosesHighestPriority(t *testing.T) {
-	d := Descriptor{ID: DescID{"A", 3}, Addr: "10.0.0.1", Port: 5004, Codecs: []Codec{G711, G726, G729}}
+	d := &Descriptor{ID: DescID{"A", 3}, Addr: "10.0.0.1", Port: 5004, Codecs: []Codec{G711, G726, G729}}
 	sel := AnswerDescriptor(d, "10.0.0.2", 6000, []Codec{G729, G726}, false)
 	if sel.Codec != G726 {
 		t.Errorf("expected highest-priority common codec G726, got %s", sel.Codec)
@@ -71,7 +72,7 @@ func TestAnswerDescriptorChoosesHighestPriority(t *testing.T) {
 }
 
 func TestAnswerDescriptorMuteOut(t *testing.T) {
-	d := Descriptor{ID: DescID{"A", 1}, Addr: "h", Port: 1, Codecs: []Codec{G711}}
+	d := &Descriptor{ID: DescID{"A", 1}, Addr: "h", Port: 1, Codecs: []Codec{G711}}
 	sel := AnswerDescriptor(d, "x", 2, []Codec{G711}, true)
 	if !sel.NoMedia() {
 		t.Error("muteOut must produce a noMedia selector")
@@ -89,7 +90,7 @@ func TestAnswerDescriptorNoMediaDescriptor(t *testing.T) {
 }
 
 func TestAnswerDescriptorNoCommonCodec(t *testing.T) {
-	d := Descriptor{ID: DescID{"A", 1}, Addr: "h", Port: 1, Codecs: []Codec{H263}}
+	d := &Descriptor{ID: DescID{"A", 1}, Addr: "h", Port: 1, Codecs: []Codec{H263}}
 	sel := AnswerDescriptor(d, "x", 2, []Codec{G711}, false)
 	if !sel.NoMedia() {
 		t.Error("no common codec must degrade to noMedia")
@@ -97,7 +98,7 @@ func TestAnswerDescriptorNoCommonCodec(t *testing.T) {
 }
 
 func TestSignalConstructors(t *testing.T) {
-	d := Descriptor{ID: DescID{"A", 1}, Addr: "h", Port: 9, Codecs: []Codec{G711}}
+	d := &Descriptor{ID: DescID{"A", 1}, Addr: "h", Port: 9, Codecs: []Codec{G711}}
 	s := Selector{Answers: d.ID, Addr: "h2", Port: 10, Codec: G711}
 	cases := []struct {
 		sig  Signal
@@ -123,7 +124,7 @@ func TestSignalConstructors(t *testing.T) {
 func TestStringForms(t *testing.T) {
 	// String forms feed logs and traces; they must be non-empty and
 	// distinguish kinds.
-	d := Descriptor{ID: DescID{"A", 1}, Addr: "h", Port: 9, Codecs: []Codec{G711}}
+	d := &Descriptor{ID: DescID{"A", 1}, Addr: "h", Port: 9, Codecs: []Codec{G711}}
 	seen := map[string]bool{}
 	for _, g := range []Signal{Open(Audio, d), Oack(d), Close(), CloseAck(), Describe(d), Select(Selector{Answers: d.ID})} {
 		s := g.String()

@@ -8,9 +8,10 @@
 // caller-provided []byte and returns the extended slice, so both the
 // TCP hot path (via a sync.Pool of frame buffers in WriteFrame) and
 // the model checker's per-state fingerprinting run without allocating.
-// The decode path reuses the caller's payload buffer and interns the
-// protocol's well-known strings (codec and medium names), so
-// steady-state signaling allocates only for genuinely novel strings.
+// The decode path reuses the caller's payload buffer, interns the
+// protocol's well-known strings (codec and medium names) and resolves
+// whole descriptors to shared records, so steady-state signaling
+// allocates only for genuinely novel strings and descriptors.
 package sig
 
 import (
@@ -116,8 +117,9 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // AppendDescriptor appends the deterministic encoding of d to dst and
-// returns the extended slice.
-func AppendDescriptor(dst []byte, d Descriptor) []byte {
+// returns the extended slice; a nil d encodes as the zero Descriptor.
+func AppendDescriptor(dst []byte, d *Descriptor) []byte {
+	d = d.orZero()
 	dst = appendString(dst, d.ID.Origin)
 	dst = appendU32(dst, d.ID.Seq)
 	dst = appendString(dst, d.Addr)
@@ -205,7 +207,8 @@ func validString(what, s string) error {
 	return nil
 }
 
-func (d Descriptor) validate() error {
+func (d *Descriptor) validate() error {
+	d = d.orZero()
 	if len(d.Codecs) > MaxCodecs {
 		return fmt.Errorf("%w: descriptor has %d codecs (max %d)", ErrUnencodable, len(d.Codecs), MaxCodecs)
 	}
@@ -373,65 +376,37 @@ func (r *wreader) strLearn() (string, error) {
 	return defaultIntern.intern(b, true), nil
 }
 
-func decodeDescriptor(r *wreader) (Descriptor, error) {
-	var d Descriptor
-	var err error
-	if d.ID.Origin, err = r.str(); err != nil {
-		return d, err
+// decodeDescriptor checks the bounds of the next descriptor encoding
+// and resolves it, whole, to its shared record: the steady state, where
+// every descriptor on the wire is one some endpoint issued earlier,
+// decodes without allocating.
+func decodeDescriptor(r *wreader) (*Descriptor, error) {
+	start := r.off
+	if _, err := r.strBytes(); err != nil { // origin
+		return nil, err
 	}
-	if d.ID.Seq, err = r.u32(); err != nil {
-		return d, err
+	if _, err := r.u32(); err != nil { // seq
+		return nil, err
 	}
-	if d.Addr, err = r.str(); err != nil {
-		return d, err
+	if _, err := r.strBytes(); err != nil { // addr
+		return nil, err
 	}
-	port, err := r.u32()
-	if err != nil {
-		return d, err
+	if _, err := r.u32(); err != nil { // port
+		return nil, err
 	}
-	d.Port = int(port)
 	n, err := r.u32()
 	if err != nil {
-		return d, err
+		return nil, err
 	}
 	if n > MaxCodecs {
-		return d, ErrCorrupt
+		return nil, ErrCorrupt
 	}
-	if n > 0 {
-		if d.Codecs, err = decodeCodecList(r, int(n)); err != nil {
-			return d, err
-		}
-	}
-	return d, nil
-}
-
-// decodeCodecList decodes n length-prefixed codec names. Whole lists
-// are interned keyed by their wire region: descriptors carry one of a
-// handful of priority lists, so the steady state resolves the region
-// to a shared immutable slice without allocating. Callers must not
-// mutate decoded Codecs.
-func decodeCodecList(r *wreader, n int) ([]Codec, error) {
-	start := r.off
-	for i := 0; i < n; i++ {
+	for i := uint32(0); i < n; i++ {
 		if _, err := r.strBytes(); err != nil {
 			return nil, err
 		}
 	}
-	region := r.p[start:r.off]
-	if cs, ok := (*codecLists.table.Load())[string(region)]; ok {
-		return cs, nil
-	}
-	// First sight of this list: parse it for real and learn it.
-	cs := make([]Codec, n)
-	rr := wreader{p: region}
-	for i := range cs {
-		s, err := rr.str()
-		if err != nil {
-			return nil, err
-		}
-		cs[i] = Codec(s)
-	}
-	return codecLists.add(region, cs), nil
+	return internDescriptor(descriptors, r.p[start:r.off]), nil
 }
 
 func decodeSelector(r *wreader) (Selector, error) {

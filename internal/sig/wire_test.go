@@ -22,7 +22,7 @@ func roundTrip(t *testing.T, e Envelope) Envelope {
 }
 
 func TestWireRoundTripSignals(t *testing.T) {
-	d := Descriptor{ID: DescID{"deviceA", 7}, Addr: "192.168.1.10", Port: 5004, Codecs: []Codec{G711, G726, NoMedia}}
+	d := &Descriptor{ID: DescID{"deviceA", 7}, Addr: "192.168.1.10", Port: 5004, Codecs: []Codec{G711, G726, NoMedia}}
 	sel := Selector{Answers: d.ID, Addr: "192.168.1.20", Port: 6000, Codec: G726}
 	for _, e := range []Envelope{
 		{Tunnel: 0, Sig: Open(Audio, d)},
@@ -40,10 +40,13 @@ func TestWireRoundTripSignals(t *testing.T) {
 }
 
 // normalize maps nil and empty codec slices together: the wire format
-// does not distinguish them and neither does any protocol rule.
+// does not distinguish them and neither does any protocol rule. It
+// copies the descriptor rather than writing through the shared one.
 func normalize(e Envelope) Envelope {
-	if len(e.Sig.Desc.Codecs) == 0 {
-		e.Sig.Desc.Codecs = nil
+	if d := e.Sig.Desc; d != nil && len(d.Codecs) == 0 {
+		c := *d
+		c.Codecs = nil
+		e.Sig.Desc = &c
 	}
 	return e
 }
@@ -116,8 +119,8 @@ func randomCodec(r *rand.Rand) Codec {
 	return all[r.Intn(len(all))]
 }
 
-func randomDescriptor(r *rand.Rand) Descriptor {
-	d := Descriptor{
+func randomDescriptor(r *rand.Rand) *Descriptor {
+	d := &Descriptor{
 		ID:   DescID{Origin: randString(r), Seq: r.Uint32()},
 		Addr: randString(r),
 		Port: r.Intn(65536),
@@ -225,7 +228,7 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 // must reach the writer (and hence a raw TCP conn) in exactly one
 // Write call, header and payload together, and still round-trip.
 func TestWriteFrameSingleWrite(t *testing.T) {
-	d := Descriptor{ID: DescID{"deviceA", 7}, Addr: "192.168.1.10", Port: 5004, Codecs: []Codec{G711, G726}}
+	d := &Descriptor{ID: DescID{"deviceA", 7}, Addr: "192.168.1.10", Port: 5004, Codecs: []Codec{G711, G726}}
 	envs := []Envelope{
 		{Tunnel: 2, Sig: Open(Audio, d)},
 		{Tunnel: 0, Sig: Close()},

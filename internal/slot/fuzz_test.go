@@ -16,8 +16,8 @@ func FuzzSlotFSM(f *testing.F) {
 	f.Add([]byte{0, 8, 5, 11, 3, 3}) // race-ish garbage
 	f.Fuzz(func(t *testing.T, script []byte) {
 		s := New("f", len(script)%2 == 0)
-		d := func(o string, q uint32) sig.Descriptor {
-			return sig.Descriptor{ID: sig.DescID{Origin: o, Seq: q}, Addr: "h", Port: 1, Codecs: []sig.Codec{sig.G711}}
+		d := func(o string, q uint32) *sig.Descriptor {
+			return &sig.Descriptor{ID: sig.DescID{Origin: o, Seq: q}, Addr: "h", Port: 1, Codecs: []sig.Codec{sig.G711}}
 		}
 		sel := func(q uint32, real bool) sig.Selector {
 			c := sig.NoMedia

@@ -76,34 +76,32 @@ func (e Event) String() string {
 // selectors at a slot. These are the history variables used by the
 // paper's model-checking definition of the bothFlowing path state
 // (Section VIII-A) and, via Enabled, the Lenabled/Renabled variables of
-// Section V.
+// Section V. Descriptors are held by pointer to their shared,
+// immutable records (see sig.Descriptor).
 type History struct {
-	DescSent    sig.Descriptor // most recent descriptor sent (open/oack/describe)
-	HasDescSent bool
-	SelSent     sig.Selector // most recent selector sent
-	HasSelSent  bool
-	SelRcvd     sig.Selector // most recent selector received
-	HasSelRcvd  bool
+	DescSent *sig.Descriptor // most recent descriptor sent (open/oack/describe)
+	SelSent  sig.Selector    // most recent selector sent
+	SelRcvd  sig.Selector    // most recent selector received
+
+	HasDescSent, HasSelSent, HasSelRcvd bool
 }
 
-// Slot is one protocol endpoint.
+// Slot is one protocol endpoint. Its small fields come last, so they
+// share one word (TestSlotSize).
 type Slot struct {
-	name      string
-	initiator bool // true if this box initiated setup of the signaling channel
-	state     State
-
-	medium  sig.Medium
-	desc    sig.Descriptor // most recent descriptor received (open, oack, or describe)
-	hasDesc bool
-
-	owesCloseAck bool // a received close has not yet been acknowledged
-	enabled      bool // this end has sent a selector with a real codec (paper §VI-C)
-
-	hist  History
-	stale uint32 // count of discarded stale signals, for diagnostics
+	name   string
+	medium sig.Medium
+	desc   *sig.Descriptor // most recent descriptor received (open, oack, or describe); nil: not described
+	hist   History
 
 	m        *slotMetrics // telemetry instruments; never nil after New
 	openedAt int64        // when the slot last left Closed, as ns since clockBase; 0: unset (telemetry only)
+	stale    uint32       // count of discarded stale signals, for diagnostics
+
+	state        State
+	initiator    bool // true if this box initiated setup of the signaling channel
+	owesCloseAck bool // a received close has not yet been acknowledged
+	enabled      bool // this end has sent a selector with a real codec (paper §VI-C)
 }
 
 // clockBase anchors openedAt, so a slot holds its time as one word and
@@ -168,10 +166,10 @@ func (s *Slot) Medium() sig.Medium { return s.medium }
 
 // Desc returns the cached most-recent remote descriptor, if any. Slots
 // in the opened and flowing states are "described" (paper Section VII).
-func (s *Slot) Desc() (sig.Descriptor, bool) { return s.desc, s.hasDesc }
+func (s *Slot) Desc() (*sig.Descriptor, bool) { return s.desc, s.desc != nil }
 
 // Described reports whether the slot holds a current remote descriptor.
-func (s *Slot) Described() bool { return s.hasDesc }
+func (s *Slot) Described() bool { return s.desc != nil }
 
 // OwesCloseAck reports whether a received close still awaits its
 // closeack.
@@ -213,6 +211,9 @@ func (s *Slot) errf(format string, args ...any) error {
 // this slot. It must be called for every outgoing signal, before the
 // signal is handed to the transport.
 func (s *Slot) Send(g sig.Signal) error {
+	if g.Desc == nil && carriesDesc(g.Kind) {
+		return s.errf("%s requires a descriptor", g.Kind)
+	}
 	switch g.Kind {
 	case sig.KindOpen:
 		if s.state != Closed {
@@ -243,8 +244,7 @@ func (s *Slot) Send(g sig.Signal) error {
 			// A closing slot is no longer "described" (paper Section
 			// VII: only opened and flowing slots are); drop the cache
 			// so flowlinks never propagate a dying slot's descriptor.
-			s.desc = sig.Descriptor{}
-			s.hasDesc = false
+			s.desc = nil
 		default:
 			return s.errf("cannot send close")
 		}
@@ -271,7 +271,12 @@ func (s *Slot) Send(g sig.Signal) error {
 	return nil
 }
 
-func (s *Slot) recordDescSent(d sig.Descriptor) {
+// carriesDesc reports whether a signal of kind k carries a descriptor.
+func carriesDesc(k sig.Kind) bool {
+	return k == sig.KindOpen || k == sig.KindOack || k == sig.KindDescribe
+}
+
+func (s *Slot) recordDescSent(d *sig.Descriptor) {
 	s.hist.DescSent = d
 	s.hist.HasDescSent = true
 }
@@ -287,8 +292,7 @@ func (s *Slot) leaveFlowing() {
 func (s *Slot) reset() {
 	s.transition(Closed)
 	s.medium = ""
-	s.desc = sig.Descriptor{}
-	s.hasDesc = false
+	s.desc = nil
 	s.leaveFlowing()
 }
 
@@ -297,6 +301,9 @@ func (s *Slot) reset() {
 // indicates a protocol violation by the peer; EvStale indicates a
 // legally discarded obsolete signal.
 func (s *Slot) Receive(g sig.Signal) (Event, error) {
+	if g.Desc == nil && carriesDesc(g.Kind) {
+		return EvNone, s.errf("received %s without a descriptor", g.Kind)
+	}
 	switch g.Kind {
 	case sig.KindOpen:
 		switch s.state {
@@ -391,20 +398,14 @@ func (s *Slot) Receive(g sig.Signal) (Event, error) {
 	}
 }
 
-func (s *Slot) cacheDesc(d sig.Descriptor) {
+func (s *Slot) cacheDesc(d *sig.Descriptor) {
 	s.desc = d
-	s.hasDesc = true
 }
 
-// Clone returns a deep copy of the slot, for the model checker.
+// Clone returns a copy of the slot, for the model checker. The copy
+// shares the descriptors it holds, which are immutable.
 func (s *Slot) Clone() *Slot {
 	c := *s
-	if s.desc.Codecs != nil {
-		c.desc.Codecs = append([]sig.Codec(nil), s.desc.Codecs...)
-	}
-	if s.hist.DescSent.Codecs != nil {
-		c.hist.DescSent.Codecs = append([]sig.Codec(nil), s.hist.DescSent.Codecs...)
-	}
 	return &c
 }
 
@@ -415,8 +416,8 @@ func (s *Slot) AppendEncode(dst []byte) []byte {
 	dst = append(dst, s.name...)
 	dst = append(dst, byte(s.state))
 	dst = append(dst, string(s.medium)...)
-	dst = append(dst, boolByte(s.initiator), boolByte(s.hasDesc))
-	if s.hasDesc {
+	dst = append(dst, boolByte(s.initiator), boolByte(s.desc != nil))
+	if s.desc != nil {
 		dst = sig.AppendDescriptor(dst, s.desc)
 	}
 	dst = append(dst, boolByte(s.owesCloseAck), boolByte(s.enabled), boolByte(s.hist.HasDescSent))

@@ -5,12 +5,13 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ipmedia/internal/sig"
 )
 
-func desc(origin string, seq uint32) sig.Descriptor {
-	return sig.Descriptor{ID: sig.DescID{Origin: origin, Seq: seq}, Addr: "10.0.0.1", Port: 5004, Codecs: []sig.Codec{sig.G711}}
+func desc(origin string, seq uint32) *sig.Descriptor {
+	return &sig.Descriptor{ID: sig.DescID{Origin: origin, Seq: seq}, Addr: "10.0.0.1", Port: 5004, Codecs: []sig.Codec{sig.G711}}
 }
 
 func mustSend(t *testing.T, s *Slot, g sig.Signal) {
@@ -307,7 +308,7 @@ func TestQuickPairedSlotsConverge(t *testing.T) {
 		var toR, toL []sig.Signal // in-flight FIFOs
 
 		seq := map[string]uint32{"L": 1, "R": 1}
-		mkDesc := func(o string) sig.Descriptor { return desc(o, seq[o]) }
+		mkDesc := func(o string) *sig.Descriptor { return desc(o, seq[o]) }
 
 		// Random legal actions for a slot: try each candidate signal and
 		// send the first one Send() accepts.
@@ -415,7 +416,7 @@ func TestReSelectNewCodecMidFlow(t *testing.T) {
 	// from the list in the descriptor, send it as a selector... and
 	// begin to send media in the new codec" — no new describe needed.
 	s := New("x", true)
-	d := sig.Descriptor{ID: sig.DescID{Origin: "R", Seq: 1}, Addr: "r", Port: 2,
+	d := &sig.Descriptor{ID: sig.DescID{Origin: "R", Seq: 1}, Addr: "r", Port: 2,
 		Codecs: []sig.Codec{sig.G711, sig.G726}}
 	mustSend(t, s, sig.Open(sig.Audio, desc("L", 1)))
 	mustRecv(t, s, sig.Oack(d), EvOack)
@@ -436,7 +437,7 @@ func TestDescribeSelectUnpaired(t *testing.T) {
 	// select can be sent at any time, even if no describe has been
 	// received since the last select was sent."
 	s := New("x", true)
-	d := sig.Descriptor{ID: sig.DescID{Origin: "R", Seq: 1}, Addr: "r", Port: 2, Codecs: []sig.Codec{sig.G711}}
+	d := &sig.Descriptor{ID: sig.DescID{Origin: "R", Seq: 1}, Addr: "r", Port: 2, Codecs: []sig.Codec{sig.G711}}
 	mustSend(t, s, sig.Open(sig.Audio, desc("L", 1)))
 	mustRecv(t, s, sig.Oack(d), EvOack)
 	// Two describes back to back, no select in between.
@@ -447,5 +448,17 @@ func TestDescribeSelectUnpaired(t *testing.T) {
 	mustSend(t, s, sig.Select(sig.Selector{Answers: d.ID, Codec: sig.NoMedia}))
 	// And concurrent describes in opposite directions don't constrain
 	// each other: a remote describe is fine now too.
-	mustRecv(t, s, sig.Describe(sig.Descriptor{ID: sig.DescID{Origin: "R", Seq: 2}, Addr: "r", Port: 2, Codecs: []sig.Codec{sig.G726}}), EvDescribe)
+	mustRecv(t, s, sig.Describe(&sig.Descriptor{ID: sig.DescID{Origin: "R", Seq: 2}, Addr: "r", Port: 2, Codecs: []sig.Codec{sig.G726}}), EvDescribe)
+}
+
+// TestSlotSize pins a slot's footprint: every tunnel end of a standing
+// call holds one, in its channel record. Both descriptors it caches are
+// pointers to shared records, and its flags share one word.
+func TestSlotSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pinned size is for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Slot{}); got != 208 {
+		t.Fatalf("unsafe.Sizeof(Slot{}) = %d, want 208", got)
+	}
 }

@@ -203,7 +203,7 @@ func TestMuxCarrierZeroAlloc(t *testing.T) {
 			received.Add(int64(n))
 		}
 	}()
-	d := sig.Descriptor{ID: sig.DescID{Origin: "dev", Seq: 1}, Addr: "10.0.0.1", Port: 5004, Codecs: []sig.Codec{sig.G711}}
+	d := &sig.Descriptor{ID: sig.DescID{Origin: "dev", Seq: 1}, Addr: "10.0.0.1", Port: 5004, Codecs: []sig.Codec{sig.G711}}
 	envs := []sig.Envelope{
 		{Tunnel: 1, Sig: sig.Describe(d)},
 		{Meta: &sig.Meta{Kind: sig.MetaApp, App: "tick", Attrs: sig.NewAttrs("k", "v")}},

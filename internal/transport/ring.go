@@ -36,7 +36,7 @@ import (
 
 // ringCap is the per-direction ring capacity, fixed at compile time so
 // the slots sit inline in the channel's store. A parked channel holds
-// its store — both rings, 1.7 KB — for as long as it lives, so this is
+// its store — both rings, 1.1 KB — for as long as it lives, so this is
 // what a host with a hundred thousand idle channels pays per channel;
 // a closed one hands it to the next Dial. Four is sized against
 // measurement, not guessed: a call puts fourteen envelopes on its two

@@ -10,7 +10,7 @@ import (
 )
 
 func env(tunnel int, seq uint32) sig.Envelope {
-	return sig.Envelope{Tunnel: tunnel, Sig: sig.Describe(sig.Descriptor{
+	return sig.Envelope{Tunnel: tunnel, Sig: sig.Describe(&sig.Descriptor{
 		ID: sig.DescID{Origin: "t", Seq: seq}, Addr: "a", Port: 1, Codecs: []sig.Codec{sig.G711},
 	})}
 }
@@ -265,7 +265,7 @@ func TestTCPRoundTripAllSignalKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sig.Descriptor{ID: sig.DescID{Origin: "x", Seq: 1}, Addr: "h", Port: 9, Codecs: []sig.Codec{sig.G711}}
+	d := &sig.Descriptor{ID: sig.DescID{Origin: "x", Seq: 1}, Addr: "h", Port: 9, Codecs: []sig.Codec{sig.G711}}
 	msgs := []sig.Envelope{
 		{Tunnel: 0, Sig: sig.Open(sig.Audio, d)},
 		{Tunnel: 1, Sig: sig.Oack(d)},

@@ -53,7 +53,8 @@ type (
 	Medium = sig.Medium
 	// Codec names a data format for a medium.
 	Codec = sig.Codec
-	// Descriptor describes an endpoint as a receiver of media.
+	// Descriptor describes an endpoint as a receiver of media. It is
+	// immutable once built and shared by pointer.
 	Descriptor = sig.Descriptor
 	// Selector declares an endpoint's intention to send to a described
 	// receiver.
