@@ -99,7 +99,10 @@ bench-pair:
 # teardown — stays within its budget of 10 allocations and 1 KB; and
 # what standing state holds stays within its footprint: an idle
 # standalone runner 3 KB, a pumped in-memory channel with both pumps
-# posted its measured size plus 10 %. The last two lines are
+# posted its measured size plus 10 %, and a parked call — a client box
+# and runner holding a call through a relay to a device on one ring
+# shard, per-event scratch borrowed from the shard — its measured size
+# plus 10 %. The last two lines are
 # race-detector runs of the two recycling rules: the runner's pumps
 # recycle their batch buffer, and may hand it on only after the loop
 # has acked the batch it carried, and a backlog crosses one pump whole
@@ -109,7 +112,7 @@ bench-pair:
 alloc-gate:
 	$(GO) test -run='TestDecodeZeroAlloc|TestDecodeDescriptorZeroAlloc|TestEncodeZeroAlloc|TestFrameRoundTripZeroAlloc|TestInternGrowthLinear|TestDescriptorTableGrowthLinear' ./internal/sig
 	$(GO) test -run='TestServerDescribeZeroAlloc' ./internal/core
-	$(GO) test -run='TestRunnerEventZeroAlloc|TestClusterEventZeroAlloc|TestRunnerEventEndToEndAllocs|TestCallCycleAllocBudget|TestStandaloneRunnerFootprint|TestPumpedChannelFootprint' ./internal/box
+	$(GO) test -run='TestRunnerEventZeroAlloc|TestClusterEventZeroAlloc|TestRunnerEventEndToEndAllocs|TestCallCycleAllocBudget|TestStandaloneRunnerFootprint|TestPumpedChannelFootprint|TestParkedCallFootprint' ./internal/box
 	$(GO) test -run='TestMediaZeroAlloc|TestTSFramingZeroAlloc' ./internal/media
 	$(GO) test -run='TestTSZeroAlloc' ./internal/ts
 	$(GO) test -run='TestRelSendSteadyStateZeroAlloc|TestRingDialAllocBudget|TestMuxCarrierZeroAlloc|TestMuxChannelAllocBudget|TestPipeAllocBudget' ./internal/transport

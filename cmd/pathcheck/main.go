@@ -55,7 +55,7 @@ func main() {
 		fls = []int{*flowlinks}
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "MODEL\tSPEC\tSTATES\tTRANSITIONS\tTIME\tMEMORY\tSAFETY\tLIVENESS")
+	fmt.Fprintln(w, "MODEL\tSPEC\tSTATES\tTRANSITIONS\tTIME\tALLOCATED\tSAFETY\tLIVENESS")
 	failed := 0
 	for _, fl := range fls {
 		for _, cfg := range mcmodel.Configs(fl) {
@@ -64,7 +64,7 @@ func main() {
 			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%v\t%s\t%s\t%s\n",
 				v.Config.Name(), v.Prop,
 				v.Result.States, v.Result.Transitions, v.Result.Elapsed.Round(1e6),
-				fmtBytes(v.Result.MemBytes),
+				fmtBytes(v.Result.AllocBytes),
 				verdict(v.Safety), verdict(v.Liveness))
 			if !v.OK() {
 				failed++

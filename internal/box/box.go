@@ -23,6 +23,7 @@ import (
 	"ipmedia/internal/sig"
 	"ipmedia/internal/slot"
 	"ipmedia/internal/telemetry"
+	"ipmedia/internal/timerwheel"
 	"ipmedia/internal/transport"
 )
 
@@ -136,11 +137,10 @@ type chanInfo struct {
 
 	// Runner state, unused in a box driven without one. Loop goroutine
 	// only.
-	port   transport.Port // nil once closed or lost
-	ready  func()         // the inline port's readiness callback, built once
-	setup  *sig.Meta      // the setup meta announcing this box on the channel, built once
-	lcPeer string         // the lifecycle's peer for the channel
-	lcAt   int64          // Unix ns when the lifecycle saw the channel set up; 0: not set up, or torn down
+	port  transport.Port // nil once closed or lost
+	ready func()         // the inline port's readiness callback, built once
+	setup *sig.Meta      // the setup meta announcing this box on the channel, built once
+	lc    *lcState       // the lifecycle's view of the channel, made by its first setup
 
 	parkPrev, parkNext *chanInfo // links on the box's parked list
 }
@@ -179,21 +179,33 @@ func (l *parkList) remove(ci *chanInfo) {
 	l.n--
 }
 
+// lcState is what the runner's lifecycle keeps of a channel: the peer
+// and when the channel was set up. A record keeps its lcState for the
+// channels it serves next, so only a record's first setup allocates it.
+type lcState struct {
+	peer string
+	at   int64 // Unix ns when the lifecycle saw the channel set up; 0: not set up, or torn down
+}
+
 // boxSlot is a slot together with its place in the box: the channel
 // record that owns it and its tunnel index, so an action naming the
 // slot resolves to (channel, tunnel) by one lookup, and its end of the
 // Maps association: the goal object controlling it and that goal's
-// invocation counter. closer is the closeSlot the slot falls back to
-// when its flowlink partner's channel is destroyed (destroyChannel), so
-// a widowed slot costs no allocation.
+// invocation counter.
 type boxSlot struct {
 	slot.Slot
 	ci     *chanInfo
 	tunnel int
 	goal   core.Goal          // nil until a goal is installed over the slot
 	ctr    *telemetry.Counter // box.goal_invocations.<goal kind>, resolved by the goal's first dispatch
-	closer core.CloseSlot
 }
+
+// widow is the closeSlot a slot falls back to when its flowlink
+// partner's channel is destroyed (destroyChannel). Widows come from the
+// scratch and go back to it when the slot takes another goal or goes,
+// so a widowed slot costs no allocation and a slot that is never
+// widowed holds no closeSlot.
+type widow struct{ core.CloseSlot }
 
 // tunnelSlot returns the slot name for tunnel i, cached so
 // steady-state dispatch does no string building. Indexes outside a
@@ -210,16 +222,51 @@ func (ci *chanInfo) tunnelSlot(i int) string {
 }
 
 // frame holds the per-Handle working state (the event copy the Ctx
-// points at). Frames are pooled per box so steady-state dispatch does
-// not allocate; re-entrant Handle calls simply take a second frame.
+// points at). Frames are pooled in the scratch so steady-state dispatch
+// does not allocate; re-entrant Handle calls simply take a second frame.
 type frame struct {
 	ev  Event
 	ctx Ctx
 }
 
+// scratch is what a box uses only while it handles an event: the
+// recycled output buffer, the frames its Ctx lives in, the action
+// buffer it lends goal objects, destroyChannel's widow list and the
+// goal-counter memo. None of it is state between events, so a box run
+// by a Runner borrows its shard's — one loop goroutine handles every
+// box of the shard, one event at a time, so sharing takes no lock — and
+// a box driven directly builds its own on first use. Nesting is safe:
+// the output buffer, the frames and the widow list are taken and given
+// back, so a nested event takes a fresh one and never aliases one in
+// use, and a goal call's actions are turned into outputs before any
+// other goal call is made.
+type scratch struct {
+	spare    []Output // recycled output buffer (see Recycle)
+	frames   []*frame
+	acts     []core.Action // lent to goal objects (core.ActionLender)
+	widowed  []string      // reused by destroyChannel
+	widows   []*widow      // closeSlots no widowed slot holds
+	goalCtrs map[string]*telemetry.Counter
+	ctrsOf   *telemetry.Registry // the registry goalCtrs' counters are from
+}
+
+// boxTimer is one named timer of a box: whether the program has it
+// armed, and, under a Runner, the wheel timer the runner re-arms in
+// place for the name.
+type boxTimer struct {
+	name  string
+	armed bool              // set and not yet fired or cancelled; a fire of an unarmed timer is stale
+	wheel *timerwheel.Timer // the runner's; nil in a box driven without one
+}
+
 // Box is the synchronous core of one box (peer module involved in
 // media control). It may be driven by the Runner in this package, by
 // the discrete-event simulator, or directly by tests.
+//
+// Between events a box holds its state: slots, goals, channel records,
+// program state and timers. What it needs only during an event is its
+// scratch, which belongs to whoever drives it: the shard of its Runner,
+// or the box itself when it is driven directly.
 type Box struct {
 	name    string
 	profile core.Profile // profile for annotation-created goals
@@ -237,29 +284,24 @@ type Box struct {
 	peak, peakPrev int
 	opens          int
 
-	program  *Program
-	state    *State          // the program's current state
-	pendingT map[string]bool // armed timers
+	program *Program
+	state   *State     // the program's current state
+	timers  []boxTimer // a box holds one or two: searched by name
 
 	// DefaultGoal builds the goal object for a slot that receives
-	// traffic before any annotation or explicit goal covers it. The
-	// default default is a holdSlot with the box profile.
+	// traffic before any annotation or explicit goal covers it. Nil
+	// builds a holdSlot with the box profile.
 	DefaultGoal func(slotName string) core.Goal
 
 	// Hook, if non-nil, observes every event before program transitions
 	// run. Devices and resources use it for autonomous behavior.
 	Hook func(ctx *Ctx, ev *Event)
 
-	outs     []Output
-	spare    []Output // recycled output buffer (see Recycle)
-	frames   []*frame
-	chanVer  uint64
-	dirty    []string // channels mutated since ResetDirtyChannels
-	track    bool     // record dirty channel names (runtime-driven boxes only)
-	goalCtrs map[string]*telemetry.Counter
-
-	acts         []core.Action // lent to goal objects (core.ActionLender)
-	widowScratch []string      // reused by destroyChannel
+	outs    []Output
+	sc      *scratch // the shard's under a Runner; nil until first use otherwise
+	chanVer uint64
+	dirty   []string // channels mutated since ResetDirtyChannels
+	track   bool     // record dirty channel names (runtime-driven boxes only)
 }
 
 // parkSlack is how many channel records a box keeps beyond the most
@@ -274,17 +316,12 @@ const (
 // goals; application servers pass core.ServerProfile, media endpoints
 // their EndpointProfile.
 func New(name string, profile core.Profile) *Box {
-	b := &Box{
-		name:     name,
-		profile:  profile,
-		slots:    map[string]*boxSlot{},
-		chans:    map[string]*chanInfo{},
-		pendingT: map[string]bool{},
+	return &Box{
+		name:    name,
+		profile: profile,
+		slots:   map[string]*boxSlot{},
+		chans:   map[string]*chanInfo{},
 	}
-	b.DefaultGoal = func(slotName string) core.Goal {
-		return core.NewHoldSlot(slotName, b.profile)
-	}
-	return b
 }
 
 // Name returns the box name.
@@ -301,10 +338,20 @@ func (b *Box) Slot(name string) *slot.Slot {
 	return nil
 }
 
-// LendActions implements core.ActionLender: one buffer serves every
-// goal call on this box, because the box turns a call's actions into
-// outputs (emitActions) before it makes the next call.
-func (b *Box) LendActions() *[]core.Action { return &b.acts }
+// LendActions implements core.ActionLender: one buffer, the scratch's,
+// serves every goal call, because a box turns a call's actions into
+// outputs (emitActions) before it or a box sharing its scratch makes
+// the next call.
+func (b *Box) LendActions() *[]core.Action { return &b.scratch().acts }
+
+// scratch returns the box's per-event scratch, building one for a box
+// driven without a Runner.
+func (b *Box) scratch() *scratch {
+	if b.sc == nil {
+		b.sc = new(scratch)
+	}
+	return b.sc
+}
 
 // GoalFor returns the goal object currently controlling the named
 // slot, if any.
@@ -533,7 +580,12 @@ func (b *Box) ensureGoal(s *boxSlot) (core.Goal, error) {
 	if s.goal != nil {
 		return s.goal, nil
 	}
-	g := b.DefaultGoal(s.Name())
+	var g core.Goal
+	if b.DefaultGoal != nil {
+		g = b.DefaultGoal(s.Name())
+	} else {
+		g = core.NewHoldSlot(s.Name(), b.profile)
+	}
 	if err := b.install(g); err != nil {
 		return nil, err
 	}
@@ -547,7 +599,7 @@ func (b *Box) install(g core.Goal) error {
 		if err != nil {
 			return err
 		}
-		s.goal, s.ctr = g, nil
+		b.setGoal(s, g)
 	}
 	acts, err := g.Attach(b)
 	if err != nil {
@@ -555,6 +607,31 @@ func (b *Box) install(g core.Goal) error {
 	}
 	b.emitActions(acts)
 	return nil
+}
+
+// setGoal makes g (nil: none) the goal of s. A widow s held goes back
+// to the scratch: nothing else holds it.
+func (b *Box) setGoal(s *boxSlot, g core.Goal) {
+	if w, ok := s.goal.(*widow); ok {
+		sc := b.scratch()
+		sc.widows = append(sc.widows, w)
+	}
+	s.goal, s.ctr = g, nil
+}
+
+// widow returns a closeSlot for the named slot: one a slot gave back
+// (setGoal), or a new one.
+func (sc *scratch) widow(name string) *widow {
+	var w *widow
+	if n := len(sc.widows); n > 0 {
+		w = sc.widows[n-1]
+		sc.widows[n-1] = nil
+		sc.widows = sc.widows[:n-1]
+	} else {
+		w = new(widow)
+	}
+	w.Reset(name)
+	return w
 }
 
 // emitActions converts goal actions into transport outputs. Every slot
@@ -602,7 +679,9 @@ func (b *Box) destroyChannel(ci *chanInfo) {
 	// Every goal partner of an owned slot is a candidate widow; the ones
 	// still standing once the channel's slots are gone belong to other
 	// channels.
-	widowed := b.widowScratch[:0]
+	sc := b.scratch()
+	widowed := sc.widowed[:0]
+	sc.widowed = nil
 	for i, s := range ci.owned {
 		sn := s.Name()
 		if s.goal != nil {
@@ -613,22 +692,20 @@ func (b *Box) destroyChannel(ci *chanInfo) {
 			}
 		}
 		delete(b.slots, sn)
-		s.goal, s.ctr = nil, nil
+		b.setGoal(s, nil)
 		ci.owned[i] = nil
 	}
 	ci.owned = ci.owned[:0]
 	b.retire(ci)
 	for _, sn := range widowed {
-		w := b.slots[sn]
-		if w == nil {
+		if b.slots[sn] == nil {
 			continue
 		}
-		w.closer.Reset(sn)
-		if err := b.install(&w.closer); err != nil {
+		if err := b.install(sc.widow(sn)); err != nil {
 			b.outs = append(b.outs, Output{Kind: OutNote, Note: "widowed slot cleanup: " + err.Error()})
 		}
 	}
-	b.widowScratch = widowed[:0]
+	sc.widowed = widowed[:0]
 }
 
 // Handle processes one event and returns the outputs it produced. It
@@ -639,15 +716,16 @@ func (b *Box) Handle(ev Event) ([]Output, error) { return b.handle(&ev) }
 // handle is Handle on an event its caller holds, so a runtime's event
 // is copied once, into the frame.
 func (b *Box) handle(ev *Event) ([]Output, error) {
+	sc := b.scratch()
 	saved := b.outs // non-nil only if Handle re-enters mid-event
-	b.outs = b.spare[:0]
-	b.spare = nil
+	b.outs = sc.spare[:0]
+	sc.spare = nil
 
-	f := b.getFrame()
+	f := sc.getFrame()
 	f.ev = *ev
 	f.ctx = Ctx{b: b, ev: &f.ev}
 	err := b.handleFrame(f)
-	b.putFrame(f)
+	sc.putFrame(f)
 
 	outs := b.outs
 	b.outs = saved
@@ -668,45 +746,89 @@ func (b *Box) handleFrame(f *frame) error {
 // Recycle hands an output slice from Handle back to the box for
 // reuse, so steady-state events dispatch without allocating. Only the
 // slice most recently returned by Handle (or one with larger
-// capacity) is worth returning; the box keeps the biggest buffer.
+// capacity) is worth returning; the scratch keeps the biggest buffer.
 func (b *Box) Recycle(outs []Output) {
-	if cap(outs) <= cap(b.spare) {
+	sc := b.scratch()
+	if cap(outs) <= cap(sc.spare) {
 		return
 	}
 	outs = outs[:cap(outs)]
 	for i := range outs {
 		outs[i] = Output{} // drop envelope/string references
 	}
-	b.spare = outs[:0]
+	sc.spare = outs[:0]
 }
 
-func (b *Box) getFrame() *frame {
-	if n := len(b.frames); n > 0 {
-		f := b.frames[n-1]
-		b.frames = b.frames[:n-1]
+func (sc *scratch) getFrame() *frame {
+	if n := len(sc.frames); n > 0 {
+		f := sc.frames[n-1]
+		sc.frames = sc.frames[:n-1]
 		return f
 	}
 	return &frame{}
 }
 
-func (b *Box) putFrame(f *frame) {
+func (sc *scratch) putFrame(f *frame) {
 	f.ev = Event{}
 	f.ctx = Ctx{}
-	b.frames = append(b.frames, f)
+	sc.frames = append(sc.frames, f)
 }
 
 // goalCounter memoizes the per-goal-kind invocation counter, so a
 // slot's first dispatch under a goal does not build the metric name.
-func (b *Box) goalCounter(kind string) *telemetry.Counter {
-	if c := b.goalCtrs[kind]; c != nil {
+// The memo outlives the boxes that filled it, so it starts over when
+// the default registry is replaced.
+func (sc *scratch) goalCounter(kind string) *telemetry.Counter {
+	if reg := telemetry.Default(); reg != sc.ctrsOf {
+		sc.goalCtrs, sc.ctrsOf = nil, reg
+	}
+	if c := sc.goalCtrs[kind]; c != nil {
 		return c
 	}
-	if b.goalCtrs == nil {
-		b.goalCtrs = map[string]*telemetry.Counter{}
+	if sc.goalCtrs == nil {
+		sc.goalCtrs = map[string]*telemetry.Counter{}
 	}
 	c := telemetry.C(MetricGoalInvocationsPrefix + kind)
-	b.goalCtrs[kind] = c
+	sc.goalCtrs[kind] = c
 	return c
+}
+
+// timer returns the index of the named timer in the box's table, -1 if
+// the box has none under the name.
+func (b *Box) timer(name string) int {
+	for i := range b.timers {
+		if b.timers[i].name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// addTimer returns the named timer, adding it unarmed if the box has
+// none under the name. The pointer is good until the table changes.
+func (b *Box) addTimer(name string) *boxTimer {
+	if i := b.timer(name); i >= 0 {
+		return &b.timers[i]
+	}
+	b.timers = append(b.timers, boxTimer{name: name})
+	return &b.timers[len(b.timers)-1]
+}
+
+// disarm marks the i-th timer fired or cancelled. One without a wheel
+// timer has nothing left to keep and leaves the table.
+func (b *Box) disarm(i int) {
+	b.timers[i].armed = false
+	if b.timers[i].wheel == nil {
+		b.dropTimer(i)
+	}
+}
+
+// dropTimer removes the i-th timer from the table.
+func (b *Box) dropTimer(i int) {
+	last := len(b.timers) - 1
+	b.timers[i] = b.timers[last]
+	b.timers[last] = boxTimer{}
+	b.timers = b.timers[:last]
 }
 
 func (b *Box) dispatch(ctx *Ctx, ev *Event) error {
@@ -750,7 +872,7 @@ func (b *Box) dispatch(ctx *Ctx, ev *Event) error {
 		// enabled path does no lookup past the slot's first dispatch.
 		if telemetry.Enabled() {
 			if s.ctr == nil {
-				s.ctr = b.goalCounter(g.Kind())
+				s.ctr = b.scratch().goalCounter(g.Kind())
 			}
 			s.ctr.Inc()
 		}
@@ -761,11 +883,12 @@ func (b *Box) dispatch(ctx *Ctx, ev *Event) error {
 		b.emitActions(acts)
 		return nil
 	case EvTimer:
-		if !b.pendingT[ev.Timer] {
+		i := b.timer(ev.Timer)
+		if i < 0 || !b.timers[i].armed {
 			ev.Timer = "" // stale fire: not guardable
 			return nil
 		}
-		delete(b.pendingT, ev.Timer)
+		b.disarm(i)
 		return nil
 	case EvCall:
 		if ev.Call != nil {

@@ -413,3 +413,36 @@ func TestGarbageOnTheWire(t *testing.T) {
 		t.Fatal("box did not respond after garbage")
 	}
 }
+
+// TestStopSignalRace: a runner makes its stop signal on first use, and
+// waiters and listeners that make it concurrently with Stop all see
+// it: every AwaitChannel returns false at once, before and after Stop,
+// and Stop returns (so the listener's goroutines have exited).
+func TestStopSignalRace(t *testing.T) {
+	r := NewRunner(New("S", core.ServerProfile{Name: "S"}), transport.NewMemNetwork())
+	const waiters = 8
+	results := make(chan bool, 2*waiters)
+	for i := 0; i < waiters; i++ {
+		go func() { results <- r.AwaitChannel("never", time.Minute) }()
+	}
+	listened := make(chan error, 1)
+	go func() { listened <- r.Listen("S", nil) }()
+	r.Stop()
+	for i := 0; i < waiters; i++ {
+		go func() { results <- r.AwaitChannel("never", time.Minute) }()
+	}
+	for i := 0; i < 2*waiters; i++ {
+		select {
+		case ok := <-results:
+			if ok {
+				t.Fatal("AwaitChannel found a channel on a stopped runner")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d AwaitChannel calls still waiting after Stop", 2*waiters-i, 2*waiters)
+		}
+	}
+	if err := <-listened; err != nil {
+		t.Fatal(err)
+	}
+	r.Stop() // the listener's goroutines, however late it started, exit
+}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"ipmedia/internal/core"
@@ -44,7 +45,8 @@ func footprint(n int, build func(round int) (stop func())) int64 {
 // ring-drain scratch until a ring is drained. Over NewMemNetwork, whose
 // ports never drain a ring, 1 000 runners read 1 390 B each on a
 // 2-vCPU x86-64 host; with the scratch inline in every shard they read
-// 13 600 B.
+// 13 600 B. Without timer maps, stop channels or a default-goal closure
+// they read 1 010 B.
 func TestStandaloneRunnerFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation sizes")
@@ -75,7 +77,7 @@ func TestStandaloneRunnerFootprint(t *testing.T) {
 // meta, and two pumps with their ack channel and batch buffer. On a
 // 2-vCPU x86-64 host it reads 4 700 B per channel; with two batch
 // buffers per pump it read 6 450 B. The budget is the one-buffer
-// reading plus 10 %.
+// reading plus 10 %. With 384 B channel records it reads 3 400 B.
 func TestPumpedChannelFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation sizes")
@@ -118,6 +120,85 @@ func TestPumpedChannelFootprint(t *testing.T) {
 	}
 }
 
+// parkedCallProgram is a client that, told to go, dials its relay on
+// channel c with a give-up timer armed, cancels the timer once the call
+// flows and holds the call from then on, counting it in up.
+func parkedCallProgram(relay string, up *atomic.Int64) *Program {
+	s0 := TunnelSlot("c", 0)
+	open := []Annot{OpenSlotAnn(s0, sig.Audio)}
+	return &Program{Initial: "idle", States: []*State{
+		{Name: "idle", Trans: []Trans{
+			{When: func(ctx *Ctx) bool { return ctx.OnApp("gen", "go") }, To: "call"},
+		}},
+		{Name: "call", Annots: open,
+			OnEnter: func(ctx *Ctx) {
+				ctx.Dial("c", relay)
+				ctx.SetTimer("giveup", time.Minute)
+			},
+			Trans: []Trans{
+				{When: func(ctx *Ctx) bool { return ctx.IsFlowing(s0) }, To: "hold",
+					Do: func(ctx *Ctx) { ctx.CancelTimer("giveup"); up.Add(1) }},
+			}},
+		{Name: "hold", Annots: open},
+	}}
+}
+
+// TestParkedCallFootprint holds what a parked call costs: a client box
+// with its runner and program, holding one call through a relay that
+// splices it to a device with a flowLink, all on one ring shard — the
+// standing population of the calls workloads. Its state is the client's
+// box, runner, program and timer, four channel records (client, the
+// relay's two legs, device), two ring stores and the goal objects;
+// per-event scratch belongs to the shard and is not counted per call.
+// On a 2-vCPU x86-64 host 2 000 calls read 7 480 B each (10 050 B when
+// every box kept its own scratch, timer maps and stop channels); the
+// budget is the reading plus 10 %.
+func TestParkedCallFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	const n, budget = 2000, 8230
+	per := footprint(n, func(round int) func() {
+		c := NewCluster(transport.NewRingMemNetwork(), 1)
+		dev := c.Runner(New("fpdev", deviceProfile("fpdev", 5004)))
+		rb := New("fprelay", core.ServerProfile{Name: "fprelay"})
+		rb.Hook = spliceHook("fpdev")
+		relay := c.Runner(rb)
+		for _, r := range []*Runner{dev, relay} {
+			if err := r.Listen(r.Box().Name(), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var up atomic.Int64
+		goEv := Event{Kind: EvEnvelope, Channel: "gen", Env: sig.Envelope{Meta: &sig.Meta{Kind: sig.MetaApp, App: "go"}}}
+		for i := 0; i < n; i++ {
+			name := "fpc" + strconv.Itoa(i)
+			r := c.Runner(New(name, deviceProfile(name, 6000)))
+			r.SetProgram(parkedCallProgram("fprelay", &up))
+			r.Inject(goEv)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for up.Load() < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: %d of %d calls flowing", round, up.Load(), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		// Drain the inbox: what the last calls' set-up queued behind them
+		// (the far ends' acks) is processed before the reading.
+		for i := 0; i < 3; i++ {
+			relay.Do(func(*Ctx) {})
+		}
+		noErrs(t, dev, relay)
+		return c.Stop
+	})
+	t.Logf("parked call: %d B (budget %d B); records: Box %d B, Runner %d B, 4 channel records of %d B",
+		per, budget, unsafe.Sizeof(Box{}), unsafe.Sizeof(Runner{}), unsafe.Sizeof(chanInfo{}))
+	if per > budget {
+		t.Fatalf("a parked call holds %d B, budget %d B", per, budget)
+	}
+}
+
 // TestPumpBurstInOrder: a backlog far larger than a batch, queued on a
 // pipe before the runner sees the port, reaches the box whole and in
 // order through one pump posting one batch at a time.
@@ -152,19 +233,29 @@ func TestPumpBurstInOrder(t *testing.T) {
 	}
 }
 
-// TestRecordSizes pins the records a box moves by value: an Event per
-// inbox entry and frame, an Output per entry of a box's output buffer.
-// Each holds one 120-byte envelope, whose descriptor is a pointer to a
-// shared record; the pins keep the footprint of a parked call's inbox
-// and output buffers from creeping back.
+// TestRecordSizes pins the records a box moves by value — an Event per
+// inbox entry and frame, an Output per entry of an output buffer, each
+// holding one 120-byte envelope whose descriptor is a pointer to a
+// shared record — and the records a parked call keeps: its box, its
+// runner and its channel records (four per call through a relay). The
+// pins keep a parked call's footprint from creeping back; a channel
+// record is at the top of its 384 B size class.
 func TestRecordSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the pinned sizes are for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Event{}); got != 176 {
-		t.Errorf("unsafe.Sizeof(Event{}) = %d, want 176", got)
-	}
-	if got := unsafe.Sizeof(Output{}); got != 208 {
-		t.Errorf("unsafe.Sizeof(Output{}) = %d, want 208", got)
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Event", unsafe.Sizeof(Event{}), 176},
+		{"Output", unsafe.Sizeof(Output{}), 208},
+		{"Box", unsafe.Sizeof(Box{}), 232},
+		{"Runner", unsafe.Sizeof(Runner{}), 208},
+		{"chanInfo", unsafe.Sizeof(chanInfo{}), 384},
+	} {
+		if c.got != c.want {
+			t.Errorf("unsafe.Sizeof(%s{}) = %d, want %d", c.name, c.got, c.want)
+		}
 	}
 }

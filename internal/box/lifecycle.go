@@ -33,10 +33,13 @@ func (r *Runner) SetLifecycle(l Lifecycle) {
 // not announced twice. A nil record (an event injected for a channel
 // the box never had) is not tracked. Loop goroutine only.
 func (r *Runner) lcSetup(ci *chanInfo, peer string) {
-	if r.lifecycle == nil || ci == nil || ci.lcAt != 0 {
+	if r.lifecycle == nil || ci == nil || (ci.lc != nil && ci.lc.at != 0) {
 		return
 	}
-	ci.lcPeer, ci.lcAt = peer, time.Now().UnixNano()
+	if ci.lc == nil {
+		ci.lc = new(lcState)
+	}
+	ci.lc.peer, ci.lc.at = peer, time.Now().UnixNano()
 	r.lifecycle.ChannelSetup(r.box.Name(), peer, ci.name)
 }
 
@@ -46,11 +49,11 @@ func (r *Runner) lcSetup(ci *chanInfo, peer string) {
 // still keeps the channel's record, and whichever lands first wins.
 // Loop goroutine only.
 func (r *Runner) lcTeardown(ci *chanInfo) {
-	if r.lifecycle == nil || ci == nil || ci.lcAt == 0 {
+	if r.lifecycle == nil || ci == nil || ci.lc == nil || ci.lc.at == 0 {
 		return
 	}
-	peer, at := ci.lcPeer, ci.lcAt
-	ci.lcPeer, ci.lcAt = "", 0
+	peer, at := ci.lc.peer, ci.lc.at
+	ci.lc.peer, ci.lc.at = "", 0
 	r.lifecycle.ChannelTeardown(r.box.Name(), peer, ci.name, time.Unix(0, at))
 }
 

@@ -90,24 +90,35 @@ type State struct {
 type Program struct {
 	Initial string
 	States  []*State
-	byName  map[string]*State
 }
 
-// compile indexes the program and validates state references.
-func (p *Program) compile() error {
-	p.byName = make(map[string]*State, len(p.States))
+// state returns the named state, nil if the program has none. A program
+// has a handful of states, so a scan costs less than an index each
+// program would keep.
+func (p *Program) state(name string) *State {
 	for _, s := range p.States {
-		if _, dup := p.byName[s.Name]; dup {
-			return fmt.Errorf("box: duplicate program state %q", s.Name)
+		if s.Name == name {
+			return s
 		}
-		p.byName[s.Name] = s
 	}
-	if p.byName[p.Initial] == nil {
+	return nil
+}
+
+// compile validates the program's state names and references.
+func (p *Program) compile() error {
+	for i, s := range p.States {
+		for _, earlier := range p.States[:i] {
+			if earlier.Name == s.Name {
+				return fmt.Errorf("box: duplicate program state %q", s.Name)
+			}
+		}
+	}
+	if p.state(p.Initial) == nil {
 		return fmt.Errorf("box: initial state %q not defined", p.Initial)
 	}
 	for _, s := range p.States {
 		for _, tr := range s.Trans {
-			if p.byName[tr.To] == nil {
+			if p.state(tr.To) == nil {
 				return fmt.Errorf("box: state %q transitions to undefined state %q", s.Name, tr.To)
 			}
 		}
@@ -145,7 +156,7 @@ func (b *Box) SetProgram(p *Program) ([]Output, error) {
 // enterState makes the named state current: it runs OnEnter, then
 // reconciles goal objects with the state's annotations.
 func (b *Box) enterState(ctx *Ctx, name string) error {
-	st := b.program.byName[name]
+	st := b.program.state(name)
 	if st == nil {
 		return fmt.Errorf("box %s: no program state %q", b.name, name)
 	}
@@ -201,7 +212,7 @@ func (b *Box) reconcileGoals(st *State) error {
 		if !stale {
 			continue
 		}
-		s.goal, s.ctr = nil, nil
+		b.setGoal(s, nil)
 		if _, err := b.ensureGoal(s); err != nil {
 			return fmt.Errorf("box %s state %s: reassigning %s: %w", b.name, st.Name, name, err)
 		}
@@ -367,13 +378,15 @@ func (c *Ctx) SendMeta(channel string, m sig.Meta) {
 
 // SetTimer arms (or re-arms) a named timer.
 func (c *Ctx) SetTimer(name string, d time.Duration) {
-	c.b.pendingT[name] = true
+	c.b.addTimer(name).armed = true
 	c.b.outs = append(c.b.outs, Output{Kind: OutTimerSet, Timer: name, Dur: d})
 }
 
 // CancelTimer disarms a named timer.
 func (c *Ctx) CancelTimer(name string) {
-	delete(c.b.pendingT, name)
+	if i := c.b.timer(name); i >= 0 {
+		c.b.disarm(i)
+	}
 	c.b.outs = append(c.b.outs, Output{Kind: OutTimerCancel, Timer: name})
 }
 

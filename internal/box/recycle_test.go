@@ -87,7 +87,7 @@ func boundedRecords(t *testing.T, r *Runner, atOnce int) {
 		if r.acceptN > atOnce {
 			t.Errorf("box %s minted %d accept names for at most %d channels at once", b.name, r.acceptN, atOnce)
 		}
-		if n := len(r.timers); n > 4 {
+		if n := len(b.timers); n > 4 {
 			t.Errorf("box %s keeps %d timers", b.name, n)
 		}
 	})
@@ -200,7 +200,7 @@ func (rig *callCycleRig) mark(tb testing.TB, want int) (allocs, bytes uint64) {
 // allocate what is new per call and nothing else: the two ring pipes'
 // identities, the goal objects (openSlot and its annotation, flowLink,
 // holdSlot) and the two slot names the relay's hook builds. The widowed
-// out-leg's closeSlot lives in its slot. That is 8; the budget leaves
+// out-leg's closeSlot is one the shard keeps for reuse. That is 8; the budget leaves
 // two spare. In bytes a cycle measures 496 B, against 3 920 B when every
 // pipe allocated its rings afresh; the 1 KB budget fails the old pipes
 // and leaves room for the occasional store a collection took from the
@@ -686,8 +686,8 @@ func TestParkedRecordsFollowThePopulation(t *testing.T) {
 }
 
 // TestFiredTimersBounded: a churn of timer names that are armed once
-// and fire leaves the runner no more wheel timers (and fire closures)
-// than runnerCacheCap, the same bound cancelled timers have.
+// and fire leaves the box no more timers (wheel timers and fire
+// closures) than runnerCacheCap, the same bound cancelled timers have.
 func TestFiredTimersBounded(t *testing.T) {
 	r := NewRunner(New("T", core.ServerProfile{Name: "T"}), transport.NewMemNetwork())
 	defer r.Stop()
@@ -697,12 +697,12 @@ func TestFiredTimersBounded(t *testing.T) {
 			ctx.SetTimer("once"+strconv.Itoa(i), time.Millisecond)
 		}
 	})
-	await(t, r, "every timer fired", func(ctx *Ctx) bool { return len(ctx.Box().pendingT) == 0 })
-	r.Do(func(*Ctx) {
-		if n := len(r.timers); n > runnerCacheCap {
-			t.Errorf("after %d one-shot timers fired the runner keeps %d, want at most %d", names, n, runnerCacheCap)
-		}
-	})
+	await(t, r, "every timer fired", func(ctx *Ctx) bool { return armedTimers(ctx.Box()) == 0 })
+	kept := 0
+	r.Do(func(ctx *Ctx) { kept = len(ctx.Box().timers) })
+	if kept > runnerCacheCap {
+		t.Errorf("after %d one-shot timers fired the box keeps %d, want at most %d", names, kept, runnerCacheCap)
+	}
 	// A timer re-armed from its own fire keeps its one wheel timer.
 	fires := 0
 	r.Box().Hook = func(ctx *Ctx, ev *Event) {
@@ -712,14 +712,33 @@ func TestFiredTimersBounded(t *testing.T) {
 			}
 		}
 	}
-	var tick *timerwheel.Timer
+	var tick, got *timerwheel.Timer
 	r.Do(func(ctx *Ctx) { ctx.SetTimer("tick", time.Millisecond) })
-	r.Do(func(*Ctx) { tick = r.timers["tick"] })
+	r.Do(func(ctx *Ctx) { tick = wheelTimer(ctx.Box(), "tick") })
 	await(t, r, "the self-re-arming timer fired five times", func(*Ctx) bool { return fires == 5 })
-	r.Do(func(*Ctx) {
-		if got := r.timers["tick"]; got != nil && got != tick {
-			t.Errorf("a timer re-armed from its own fire was given a second wheel timer")
-		}
-	})
+	r.Do(func(ctx *Ctx) { got = wheelTimer(ctx.Box(), "tick") })
+	if got != nil && got != tick {
+		t.Errorf("a timer re-armed from its own fire was given a second wheel timer")
+	}
 	noErrs(t, r)
+}
+
+// armedTimers counts the box's armed timers.
+func armedTimers(b *Box) int {
+	n := 0
+	for _, t := range b.timers {
+		if t.armed {
+			n++
+		}
+	}
+	return n
+}
+
+// wheelTimer returns the wheel timer the box keeps under name, nil if
+// it keeps none.
+func wheelTimer(b *Box, name string) *timerwheel.Timer {
+	if i := b.timer(name); i >= 0 {
+		return b.timers[i].wheel
+	}
+	return nil
 }

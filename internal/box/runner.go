@@ -14,18 +14,25 @@
 // The runtime is built for footprint: events cross the inbox as typed
 // records (no per-event closure), bursts of envelopes cross it as one
 // batch, in-process channels are SPSC rings drained inline by the
-// consumer's shard (no pump goroutine per port), and the box's output
-// buffer is recycled between events — so steady-state envelope
-// dispatch allocates nothing.
+// consumer's shard (no pump goroutine per port), and output buffers are
+// recycled between events — so steady-state envelope dispatch
+// allocates nothing.
 //
-// An idle or call-holding box pays only for what it uses. A standalone
-// runner holds its runner record, a shard with its inbox and loop
-// goroutine, and the box: about 2 KB of heap besides the goroutine's
-// stack. The shard's ring-drain scratch (64 envelopes, 7.5 KB) is
-// allocated by the first ring drain, so a runner whose ports are all
-// batch ports never holds one. A pumped port holds a goroutine, an ack
-// channel and one batch buffer of 4 envelopes, grown only while the
-// port is bursty.
+// An idle or call-holding box pays only for what it uses. Between
+// events a box holds its state; what it uses only during an event — the
+// output buffer, the frames, the action buffer it lends goal objects,
+// its counter memo — is the shard's scratch, which every box on the
+// shard borrows. A runner holds no timer map and no stop channel until
+// it listens or awaits a channel; its box's timers are a short table of
+// one wheel timer per name. A standalone runner holds its runner
+// record, a shard with its inbox, scratch and loop goroutine, and the
+// box: about 1 KB of heap besides the goroutine's stack. A parked call
+// through a relay — client box and runner, four channel records, two
+// ring stores, its goals — is about 7.5 KB (TestParkedCallFootprint).
+// The shard's ring-drain scratch (64 envelopes, 7.5 KB) is allocated by
+// the first ring drain, so a runner whose ports are all batch ports
+// never holds one. A pumped port holds a goroutine, an ack channel and
+// one batch buffer of 4 envelopes, grown only while the port is bursty.
 package box
 
 import (
@@ -69,9 +76,10 @@ const (
 	ringDrainMax   = 256
 )
 
-// runnerCacheCap bounds the idle (fired or cancelled) timers a runner
-// keeps for re-arming, so a pathological churn of unique timer names
-// cannot grow it without bound. Real boxes hold a handful of timers.
+// runnerCacheCap bounds the idle (fired or cancelled) timers a box run
+// by a runner keeps for re-arming, so a pathological churn of unique
+// timer names cannot grow its table without bound. Real boxes hold one
+// or two timers.
 const runnerCacheCap = 512
 
 // teardownMeta is the one teardown meta-signal every runner sends and
@@ -103,7 +111,7 @@ type inboxItem struct {
 	ack     chan<- struct{}    // itemBatch: signaled when the batch is processed
 	port    transport.Port     // itemAccept, itemPortLost: the port concerned; itemBatch: the source
 	nameFor func(n int) string // itemAccept: names the n-th accepted channel (nil: in<k>, reused)
-	done    chan struct{}      // itemEvent: signaled after dispatch (Do)
+	done    chan struct{}      // itemEvent, itemStop: signaled after dispatch (Do) or cleanup (Stop)
 }
 
 // inbox is the shard's MPSC queue: producers append under a mutex,
@@ -193,6 +201,10 @@ type shard struct {
 
 	mLoop *telemetry.Counter
 
+	// scratch is the per-event scratch every box placed on the shard
+	// borrows (see scratch): loop goroutine only.
+	scratch scratch
+
 	// drainBuf is the loop-goroutine-only scratch for draining inline
 	// ports, allocated by the shard's first ring drain: a standalone
 	// runner whose ports are all batch ports (a Router's, over
@@ -238,7 +250,7 @@ func (s *shard) loop() {
 
 func (s *shard) close() { s.inbox.close() }
 
-// donePool recycles the completion channels Do blocks on.
+// donePool recycles the completion channels Do and Stop block on.
 var donePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
 // Runner drives one Box over a transport.Network, multiplexed onto a
@@ -248,18 +260,17 @@ type Runner struct {
 	net transport.Network
 	sh  *shard
 
-	closed   bool // guarded by sh.inbox.mu; set by pushStop
-	stopc    chan struct{}
-	stopDone chan struct{}
+	closed   bool          // guarded by sh.inbox.mu; set by pushStop
+	stopc    chan struct{} // closed with closed; made on first use (stopSignal), guarded by sh.inbox.mu
 	stopOnce sync.Once
 	ownShard bool
 	wg       sync.WaitGroup // pumps and accept goroutines
 
 	// loop-goroutine-only state; per-channel state (port, readiness
-	// callback, setup meta, lifecycle) is in the box's channel records
-	timers    map[string]*timerwheel.Timer // one per timer name, re-armed in place
-	acceptN   int                          // accept names minted so far
-	chanVer   uint64                       // box.ChanVersion after the last dispatched item
+	// callback, setup meta, lifecycle) is in the box's channel records,
+	// per-timer state (the wheel timer re-armed in place) in its timers
+	acceptN   int    // accept names minted so far
+	chanVer   uint64 // box.ChanVersion after the last dispatched item
 	lifecycle Lifecycle
 
 	mu    sync.Mutex
@@ -318,21 +329,27 @@ func NewRunner(b *Box, net transport.Network) *Runner {
 
 func newRunner(b *Box, net transport.Network, sh *shard, own bool) *Runner {
 	b.TrackDirtyChannels()
+	b.sc = &sh.scratch
 	r := &Runner{
 		box:      b,
 		net:      net,
 		sh:       sh,
 		ownShard: own,
-		stopc:    make(chan struct{}),
-		stopDone: make(chan struct{}),
-		timers:   map[string]*timerwheel.Timer{},
 		mTracer:  telemetry.T(),
+	}
+	// Timers an earlier runner of this box left behind: their wheel
+	// timers are stopped and that runner's. Armed ones stay armed, as
+	// the box sees them; the rest go.
+	for i := len(b.timers) - 1; i >= 0; i-- {
+		if b.timers[i].wheel = nil; !b.timers[i].armed {
+			b.dropTimer(i)
+		}
 	}
 	for _, ci := range b.chans {
 		// Records an earlier runner of this box left behind: their ports
 		// are closed, their callbacks and lifecycle are that runner's.
 		// One that was only waiting for its port to go can be parked now.
-		ci.port, ci.ready, ci.lcPeer, ci.lcAt = nil, nil, "", 0
+		ci.port, ci.ready, ci.lc = nil, nil, nil
 		b.retire(ci)
 	}
 	return r
@@ -354,16 +371,15 @@ func (r *Runner) Box() *Box { return r.box }
 func (r *Runner) Shard() int { return r.sh.id }
 
 // execute dispatches one inbox item and returns the number of loop
-// iterations (box events) it amounted to. Shard loop goroutine only.
+// iterations (box events) it amounted to. An item's done is signaled
+// last, once the loop is through with the box. Shard loop goroutine
+// only.
 func (r *Runner) execute(it *inboxItem) int {
 	n := 0
 	switch it.kind {
 	case itemEvent:
 		n = 1
 		r.handle(&it.ev)
-		if it.done != nil {
-			it.done <- struct{}{}
-		}
 	case itemBatch:
 		n = len(it.batch)
 		ci := it.ev.ci
@@ -386,11 +402,13 @@ func (r *Runner) execute(it *inboxItem) int {
 		n = r.drainRing(it.ev.ci)
 	case itemStop:
 		r.closeAll()
-		close(r.stopDone)
 	}
 	if v := r.box.ChanVersion(); v != r.chanVer {
 		r.chanVer = v
 		r.notifyChanged()
+	}
+	if it.done != nil {
+		it.done <- struct{}{}
 	}
 	return n
 }
@@ -442,45 +460,69 @@ func (r *Runner) drainRing(ci *chanInfo) int {
 }
 
 // closeAll is the runner's loop-side cleanup, executed by its stop
-// item (or inline by Stop when the shard loop is already gone).
+// item (or inline by Stop when the shard loop is already gone). The box
+// gives the shard's scratch back: driven directly after this, it builds
+// its own.
 func (r *Runner) closeAll() {
 	for _, ci := range r.box.chans {
 		if ci.port != nil {
 			ci.port.Close()
 		}
 	}
-	for _, t := range r.timers {
-		t.Stop()
+	for _, t := range r.box.timers {
+		if t.wheel != nil {
+			t.wheel.Stop()
+		}
 	}
 	r.lcFlush()
 	r.notifyAllWaiters()
+	r.box.sc = nil
 }
 
-// pushStop marks the runner closed and enqueues its stop item in one
-// critical section: everything pushed before is processed first,
-// nothing lands after. pushed reports whether the item was enqueued;
-// already reports the runner was closed beforehand (a concurrent Stop
-// owns the item).
-func (r *Runner) pushStop() (pushed, already bool) {
+// pushStop marks the runner closed, closes its stop signal if one was
+// made, and enqueues its stop item carrying done, in one critical
+// section: everything pushed before is processed first, nothing lands
+// after. It reports false if the shard loop is gone, so no item was
+// enqueued.
+func (r *Runner) pushStop(done chan struct{}) bool {
 	q := r.sh.inbox
 	q.mu.Lock()
-	if r.closed {
-		q.mu.Unlock()
-		return false, true
-	}
 	r.closed = true
+	if r.stopc != nil {
+		close(r.stopc)
+	}
 	if q.closed {
 		q.mu.Unlock()
-		return false, false
+		return false
 	}
-	q.items = append(q.items, inboxItem{kind: itemStop, r: r})
+	q.items = append(q.items, inboxItem{kind: itemStop, r: r, done: done})
 	if len(q.items) == 1 {
 		q.cond.Signal()
 	}
 	q.mu.Unlock()
 	q.depth.Inc()
 	q.depthShard.Inc()
-	return true, false
+	return true
+}
+
+// stopSignal returns the channel the runner's Stop closes, made on
+// first use: only a listening or awaiting runner pays for one. Unless
+// the runner is stopped, which it reports, it adds goroutines to wg
+// under the lock pushStop takes, so they are counted before Stop waits.
+func (r *Runner) stopSignal(goroutines int) (stop <-chan struct{}, stopped bool) {
+	q := r.sh.inbox
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if r.stopc == nil {
+		r.stopc = make(chan struct{})
+		if r.closed {
+			close(r.stopc)
+		}
+	}
+	if !r.closed {
+		r.wg.Add(goroutines)
+	}
+	return r.stopc, r.closed
 }
 
 // Stop shuts the runner down and waits for its cleanup, pumps, and
@@ -488,20 +530,21 @@ func (r *Runner) pushStop() (pushed, already bool) {
 // that lose the race with Stop are refused, so concurrent Connect,
 // Listen, and pump deliveries cannot strand work or touch a drained
 // loop. On a shared (Cluster) shard the loop itself keeps running for
-// the other boxes; a standalone runner's private shard exits.
+// the other boxes; a standalone runner's private shard exits. A
+// concurrent Stop waits in stopOnce until the cleanup is done.
 func (r *Runner) Stop() {
 	r.stopOnce.Do(func() {
-		close(r.stopc)
-		pushed, already := r.pushStop()
-		if !pushed && !already {
+		donec := donePool.Get().(chan struct{})
+		if r.pushStop(donec) {
+			<-donec
+		} else {
 			// The shard loop is gone (inbox closed before this runner
 			// stopped), so no stop item will ever execute. With the loop
 			// dead its state is safe to clean from here.
 			r.closeAll()
-			close(r.stopDone)
 		}
+		donePool.Put(donec)
 	})
-	<-r.stopDone
 	if r.ownShard {
 		r.sh.close()
 		r.sh.wg.Wait()
@@ -609,29 +652,33 @@ func (r *Runner) setupMetaFor(ci *chanInfo) *sig.Meta {
 	return ci.setup
 }
 
-// armTimer arms (or re-arms) the named timer. A runner keeps one wheel
-// timer per name and re-arms it in place, so a recurring timer costs
-// its first arm only. Loop goroutine only.
+// armTimer arms (or re-arms) the named timer. The box's timer of the
+// name keeps one wheel timer, re-armed in place, so a recurring timer
+// costs its first arm only. Loop goroutine only.
 func (r *Runner) armTimer(name string, d time.Duration) {
-	if t := r.timers[name]; t != nil {
-		t.Reset(d)
+	t := r.box.addTimer(name)
+	if t.wheel != nil {
+		t.wheel.Reset(d)
 		return
 	}
-	r.timers[name] = r.sh.wheel.Schedule(d, func() {
-		// Wheel goroutine: just post; the box's pendingT set makes
-		// stale fires (cancel racing this post) harmless.
+	t.wheel = r.sh.wheel.Schedule(d, func() {
+		// Wheel goroutine: just post; the box's armed flag makes stale
+		// fires (cancel racing this post) harmless.
 		r.sh.inbox.push(inboxItem{kind: itemEvent, r: r, ev: Event{Kind: EvTimer, Timer: name}})
 	})
 }
 
 // dropIdleTimer forgets the named timer, which has just fired or been
-// stopped, if the runner holds more than runnerCacheCap of them. A
-// timer the box has pending stays: the program re-armed it in the same
-// event (or before a stale fire got here), and a second wheel timer
-// under the name would fire it early. Loop goroutine only.
+// stopped, if the box holds more than runnerCacheCap timers. A timer
+// the box has armed stays: the program re-armed it in the same event
+// (or before a stale fire got here), and a second wheel timer under the
+// name would fire it early. Loop goroutine only.
 func (r *Runner) dropIdleTimer(name string) {
-	if len(r.timers) > runnerCacheCap && !r.box.pendingT[name] {
-		delete(r.timers, name)
+	if len(r.box.timers) <= runnerCacheCap {
+		return
+	}
+	if i := r.box.timer(name); i >= 0 && !r.box.timers[i].armed {
+		r.box.dropTimer(i)
 	}
 }
 
@@ -719,8 +766,8 @@ func (r *Runner) process(outs []Output) {
 		case OutTimerSet:
 			r.armTimer(o.Timer, o.Dur)
 		case OutTimerCancel:
-			if t := r.timers[o.Timer]; t != nil {
-				t.Stop()
+			if i := r.box.timer(o.Timer); i >= 0 && r.box.timers[i].wheel != nil {
+				r.box.timers[i].wheel.Stop()
 				r.dropIdleTimer(o.Timer)
 			}
 		case OutNote:
@@ -864,7 +911,11 @@ func (r *Runner) Listen(addr string, nameFor func(n int) string) error {
 	if err != nil {
 		return err
 	}
-	r.wg.Add(1)
+	stop, stopped := r.stopSignal(1)
+	if stopped {
+		l.Close()
+		return nil
+	}
 	go func() {
 		defer r.wg.Done()
 		defer l.Close()
@@ -882,7 +933,7 @@ func (r *Runner) Listen(addr string, nameFor func(n int) string) error {
 		}
 	}()
 	go func() {
-		<-r.stopc
+		<-stop
 		l.Close()
 	}()
 	return nil
@@ -976,6 +1027,7 @@ func (r *Runner) unwait(name string, w chan struct{}) {
 // changed.
 func (r *Runner) AwaitChannel(name string, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
+	stop, _ := r.stopSignal(0)
 	for {
 		// Register before checking, so a change that lands between the
 		// check and the wait cannot be missed.
@@ -1005,7 +1057,7 @@ func (r *Runner) AwaitChannel(name string, timeout time.Duration) bool {
 		case <-t.C:
 			r.unwait(name, w)
 			return false
-		case <-r.stopc:
+		case <-stop:
 			t.Stop()
 			r.unwait(name, w)
 			return false

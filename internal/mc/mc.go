@@ -127,7 +127,7 @@ type Result struct {
 	States      int
 	Transitions int
 	Elapsed     time.Duration
-	MemBytes    uint64 // heap growth during exploration
+	AllocBytes  uint64 // bytes allocated during exploration (what the explorer built, kept or not)
 	Workers     int    // exploration goroutines actually used
 	Deadlocks   []string
 	SafetyErrs  []string
@@ -172,6 +172,8 @@ func Explore(init State, opts Options) (*Graph, *Result) {
 	if maxStates == 0 {
 		maxStates = 30_000_000
 	}
+	// Bytes allocated, not heap in use: a difference of HeapAlloc
+	// readings depends on when the collector last ran.
 	var msBefore runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
 	start := time.Now()
@@ -197,9 +199,7 @@ func Explore(init State, opts Options) (*Graph, *Result) {
 	}
 	var msAfter runtime.MemStats
 	runtime.ReadMemStats(&msAfter)
-	if msAfter.HeapAlloc > msBefore.HeapAlloc {
-		res.MemBytes = msAfter.HeapAlloc - msBefore.HeapAlloc
-	}
+	res.AllocBytes = msAfter.TotalAlloc - msBefore.TotalAlloc
 	return g, res
 }
 

@@ -71,6 +71,35 @@ func TestExploreCountsStates(t *testing.T) {
 	}
 }
 
+// TestAllocBytesStable: a run reports the bytes its exploration
+// allocated, and two runs of one model report the same to within 5 %,
+// however the collector's cycles fall.
+func TestAllocBytesStable(t *testing.T) {
+	const n = 5000
+	m := newToy()
+	for i := 0; i < n; i++ {
+		m.edge(i, i+1, 0)
+		m.edge(i, i+2, 1)
+	}
+	m.quies[n], m.quies[n+1] = true, true
+	var got [2]uint64
+	for i := range got {
+		_, res := explore(t, m)
+		if res.States != n+2 {
+			t.Fatalf("states = %d, want %d", res.States, n+2)
+		}
+		got[i] = res.AllocBytes
+	}
+	t.Logf("allocated: %d B, %d B", got[0], got[1])
+	if got[0] == 0 || got[1] == 0 {
+		t.Fatalf("an exploration of %d states reports %d B and %d B allocated", n+2, got[0], got[1])
+	}
+	lo, hi := min(got[0], got[1]), max(got[0], got[1])
+	if float64(hi-lo) > 0.05*float64(lo) {
+		t.Fatalf("two runs of one model report %d B and %d B allocated, more than 5 %% apart", got[0], got[1])
+	}
+}
+
 func TestDeadlockDetection(t *testing.T) {
 	m := newToy()
 	m.edge(0, 1, 0)
