@@ -92,7 +92,9 @@ bench-pair:
 # filling the intern table costs O(n) bytes, not a copy of the table
 # per string, and so does filling the descriptor table; a ring-network dial, accept and close stay within their
 # budget of one allocation of at most 128 B (the pipe's identity: its
-# rings are a store an earlier channel released), an in-memory pipe
+# rings are a store an earlier channel released), a ring's send and the
+# drain that empties it allocate nothing (the slots the send leases go
+# back to the pool for the next burst), an in-memory pipe
 # is one allocation, and a mux channel's dial, accept and close at both
 # ends stay within 8; a whole call
 # through a relay already holding 600 others — dial, splice, flow,
@@ -103,22 +105,25 @@ bench-pair:
 # and runner holding a call through a relay to a device on one ring
 # shard, per-event scratch borrowed from the shard — its measured size
 # plus 10 %. The last two lines are
-# race-detector runs of the two recycling rules: the runner's pumps
+# race-detector runs of the recycling rules: the runner's pumps
 # recycle their batch buffer, and may hand it on only after the loop
 # has acked the batch it carried, and a backlog crosses one pump whole
 # and in order; a ring store goes to the next channel only once both
 # ends of its last one have closed, so no envelope reaches a later
-# channel and a stale port touches nothing.
+# channel and a stale port touches nothing; and a ring's slot buffer
+# goes back to the pool only once the ring is empty and its producer
+# is not writing, so envelopes leased one at a time keep their order
+# and their channel.
 alloc-gate:
 	$(GO) test -run='TestDecodeZeroAlloc|TestDecodeDescriptorZeroAlloc|TestEncodeZeroAlloc|TestFrameRoundTripZeroAlloc|TestInternGrowthLinear|TestDescriptorTableGrowthLinear' ./internal/sig
 	$(GO) test -run='TestServerDescribeZeroAlloc' ./internal/core
 	$(GO) test -run='TestRunnerEventZeroAlloc|TestClusterEventZeroAlloc|TestRunnerEventEndToEndAllocs|TestCallCycleAllocBudget|TestStandaloneRunnerFootprint|TestPumpedChannelFootprint|TestParkedCallFootprint' ./internal/box
 	$(GO) test -run='TestMediaZeroAlloc|TestTSFramingZeroAlloc' ./internal/media
 	$(GO) test -run='TestTSZeroAlloc' ./internal/ts
-	$(GO) test -run='TestRelSendSteadyStateZeroAlloc|TestRingDialAllocBudget|TestMuxCarrierZeroAlloc|TestMuxChannelAllocBudget|TestPipeAllocBudget' ./internal/transport
+	$(GO) test -run='TestRelSendSteadyStateZeroAlloc|TestRingDialAllocBudget|TestRingSendDrainZeroAlloc|TestMuxCarrierZeroAlloc|TestMuxChannelAllocBudget|TestPipeAllocBudget' ./internal/transport
 	$(GO) test -run='TestStoreZeroAlloc' ./internal/store
 	$(GO) test -race -run='TestPumpStateReusedOnlyAfterAck|TestPumpBurstInOrder' ./internal/box
-	$(GO) test -race -run='TestRingStoreIsolation|TestRingStalePort|TestRingCloseVsSend' ./internal/transport
+	$(GO) test -race -run='TestRingStoreIsolation|TestRingStalePort|TestRingCloseVsSend|TestRingLeaseRace' ./internal/transport
 
 # cluster-smoke is the multi-process resilience gate: call lifecycles
 # across 2 supervised shard processes with a SIGKILL of the busiest

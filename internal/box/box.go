@@ -35,8 +35,11 @@ func TunnelSlot(channel string, i int) string {
 }
 
 // slotChannel recovers the channel name and tunnel index from a slot
-// name.
+// name. Most slots are tunnel 0's, so that suffix is tried first.
 func slotChannel(name string) (string, int, bool) {
+	if strings.HasSuffix(name, ".t0") {
+		return name[:len(name)-3], 0, true
+	}
 	i := strings.LastIndex(name, ".t")
 	if i < 0 {
 		return "", 0, false
@@ -131,7 +134,7 @@ type chanInfo struct {
 	minted    bool        // a default accept name (in<k>): any accepted channel may reopen the record
 	parked    bool        // on the box's parked list
 	slotNames []string    // cached TunnelSlot names, indexed by tunnel
-	owned     []*boxSlot  // the live slots of this channel (newSlot adds them)
+	owned     []*boxSlot  // the live slots of this channel (newSlot adds them); the box finds a slot here
 	own1      [1]*boxSlot // owned's first backing: most channels carry one tunnel
 	s0        boxSlot     // storage for tunnel 0's slot, reset for each channel the record serves
 
@@ -264,14 +267,15 @@ type boxTimer struct {
 // the discrete-event simulator, or directly by tests.
 //
 // Between events a box holds its state: slots, goals, channel records,
-// program state and timers. What it needs only during an event is its
-// scratch, which belongs to whoever drives it: the shard of its Runner,
-// or the box itself when it is driven directly.
+// program state and timers. A slot lives in the record of its channel,
+// whose name its own carries (TunnelSlot), and carries its goal: the
+// Maps association is the records' slots, with no table of its own.
+// What a box needs only during an event is its scratch, which belongs
+// to whoever drives it: the shard of its Runner, or the box itself when
+// it is driven directly.
 type Box struct {
 	name    string
 	profile core.Profile // profile for annotation-created goals
-
-	slots map[string]*boxSlot // each slot carries its goal: the Maps association
 
 	// chans holds every channel record by name — live, closing or parked
 	// — live counts the live ones and parked lists the parked ones. peak
@@ -319,7 +323,6 @@ func New(name string, profile core.Profile) *Box {
 	return &Box{
 		name:    name,
 		profile: profile,
-		slots:   map[string]*boxSlot{},
 		chans:   map[string]*chanInfo{},
 	}
 }
@@ -332,7 +335,7 @@ func (b *Box) Profile() core.Profile { return b.profile }
 
 // Slot implements core.Slots for this box's goal objects.
 func (b *Box) Slot(name string) *slot.Slot {
-	if bs := b.slots[name]; bs != nil {
+	if bs := b.slotOf(name); bs != nil {
 		return &bs.Slot
 	}
 	return nil
@@ -356,7 +359,7 @@ func (b *Box) scratch() *scratch {
 // GoalFor returns the goal object currently controlling the named
 // slot, if any.
 func (b *Box) GoalFor(name string) core.Goal {
-	if s := b.slots[name]; s != nil {
+	if s := b.slotOf(name); s != nil {
 		return s.goal
 	}
 	return nil
@@ -373,9 +376,11 @@ func (b *Box) State() string {
 // SlotNames returns the box's slot names, sorted for deterministic
 // iteration.
 func (b *Box) SlotNames() []string {
-	out := make([]string, 0, len(b.slots))
-	for n := range b.slots {
-		out = append(out, n)
+	out := []string{}
+	for _, ci := range b.chans {
+		for _, s := range ci.owned {
+			out = append(out, s.Name())
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -387,7 +392,7 @@ func (b *Box) Links() [][2]string {
 	var out [][2]string
 	seen := map[string]bool{}
 	for _, name := range b.SlotNames() {
-		g := b.slots[name].goal
+		g := b.slotOf(name).goal
 		if g == nil || seen[name] {
 			continue
 		}
@@ -542,12 +547,33 @@ func (b *Box) markDirty(name string) {
 	}
 }
 
+// slotOf returns the named slot, nil if the box has none: a slot of a
+// live channel, found in the record of the channel its name carries.
+func (b *Box) slotOf(name string) *boxSlot {
+	ch, _, ok := slotChannel(name)
+	if !ok {
+		return nil
+	}
+	if ci := b.channel(ch); ci != nil {
+		return ci.slot(name)
+	}
+	return nil
+}
+
+// slot returns the channel's slot of the given name, nil if it has
+// none. Most channels own one slot.
+func (ci *chanInfo) slot(name string) *boxSlot {
+	for _, s := range ci.owned {
+		if s.Name() == name {
+			return s
+		}
+	}
+	return nil
+}
+
 // ensureSlot returns the named slot, creating it on first use; the
 // name must be a tunnel of a channel the box holds.
 func (b *Box) ensureSlot(name string) (*boxSlot, error) {
-	if s := b.slots[name]; s != nil {
-		return s, nil
-	}
 	ch, tunnel, ok := slotChannel(name)
 	if !ok {
 		return nil, fmt.Errorf("box %s: malformed slot name %q", b.name, name)
@@ -555,6 +581,9 @@ func (b *Box) ensureSlot(name string) (*boxSlot, error) {
 	ci := b.channel(ch)
 	if ci == nil {
 		return nil, fmt.Errorf("box %s: slot %q references unknown channel %q", b.name, name, ch)
+	}
+	if s := ci.slot(name); s != nil {
+		return s, nil
 	}
 	return b.newSlot(ci, tunnel, name), nil
 }
@@ -569,7 +598,6 @@ func (b *Box) newSlot(ci *chanInfo, tunnel int, name string) *boxSlot {
 	}
 	s.Slot.Reset(name, ci.initiator)
 	s.ci, s.tunnel, s.goal, s.ctr = ci, tunnel, nil, nil
-	b.slots[name] = s
 	ci.owned = append(ci.owned, s)
 	return s
 }
@@ -641,7 +669,7 @@ func (sc *scratch) widow(name string) *widow {
 func (b *Box) emitActions(acts []core.Action) {
 	for i := range acts {
 		a := &acts[i]
-		s := b.slots[a.Slot]
+		s := b.slotOf(a.Slot)
 		if s == nil {
 			continue
 		}
@@ -691,14 +719,13 @@ func (b *Box) destroyChannel(ci *chanInfo) {
 				}
 			}
 		}
-		delete(b.slots, sn)
 		b.setGoal(s, nil)
 		ci.owned[i] = nil
 	}
 	ci.owned = ci.owned[:0]
 	b.retire(ci)
 	for _, sn := range widowed {
-		if b.slots[sn] == nil {
+		if b.slotOf(sn) == nil {
 			continue
 		}
 		if err := b.install(sc.widow(sn)); err != nil {
@@ -848,10 +875,8 @@ func (b *Box) dispatch(ctx *Ctx, ev *Event) error {
 			return nil
 		}
 		name := ci.tunnelSlot(ev.Env.Tunnel)
-		var s *boxSlot
-		if ev.Env.Tunnel == 0 && len(ci.owned) > 0 && ci.owned[0] == &ci.s0 {
-			s = &ci.s0 // tunnel 0's slot lives in the record (see newSlot)
-		} else if s = b.slots[name]; s == nil {
+		s := ci.slot(name)
+		if s == nil {
 			s = b.newSlot(ci, ev.Env.Tunnel, name)
 		}
 		g, err := b.ensureGoal(s)

@@ -86,9 +86,11 @@ func (c *Cluster) RunnerOn(shard int, b *Box) *Runner {
 	return r
 }
 
-// Stop stops every runner created through the cluster (concurrently —
-// cleanup items land on all shards at once), then shuts the shard
-// loops and timer wheels down. Idempotent.
+// Stop stops every runner created through the cluster, then shuts the
+// shard loops and timer wheels down. Idempotent. Every runner's stop
+// item is posted before Stop waits for any, so the cleanup lands on all
+// shards at once, and all of it from the calling goroutine: a goroutine
+// per runner would leave its record with the runtime for good.
 func (c *Cluster) Stop() {
 	c.mu.Lock()
 	if c.stopped {
@@ -103,15 +105,12 @@ func (c *Cluster) Stop() {
 	rs := c.runners
 	c.mu.Unlock()
 
-	var wg sync.WaitGroup
 	for _, r := range rs {
-		wg.Add(1)
-		go func(r *Runner) {
-			defer wg.Done()
-			r.Stop()
-		}(r)
+		r.stopOnce.Do(r.postStop)
 	}
-	wg.Wait()
+	for _, r := range rs {
+		r.Stop()
+	}
 	for _, s := range c.shards {
 		s.close()
 	}

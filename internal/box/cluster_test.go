@@ -2,7 +2,10 @@ package box
 
 import (
 	"fmt"
+	"runtime"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -201,6 +204,43 @@ func TestClusterStopIdempotent(t *testing.T) {
 	c.Stop()
 	for _, r := range rs {
 		r.Stop()
+	}
+}
+
+// TestClusterStopStartsNoGoroutines: stopping a 2 000-runner cluster
+// posts every stop item and waits on each from the calling goroutine.
+// A goroutine per runner would each leave a record the runtime keeps
+// for the life of the process (about 440 B), so a sampler polling
+// runtime.NumGoroutine while Stop runs may see at most the count before
+// Stop plus the shards and two.
+func TestClusterStopStartsNoGoroutines(t *testing.T) {
+	const n, shards = 2000, 2
+	c := NewCluster(transport.NewRingMemNetwork(), shards)
+	for i := 0; i < n; i++ {
+		name := "stop" + strconv.Itoa(i)
+		c.Runner(New(name, core.ServerProfile{Name: name}))
+	}
+	var peak atomic.Int64
+	quit, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			if g := int64(runtime.NumGoroutine()); g > peak.Load() {
+				peak.Store(g)
+			}
+			select {
+			case <-quit:
+				return
+			default:
+			}
+		}
+	}()
+	before := runtime.NumGoroutine()
+	c.Stop()
+	close(quit)
+	<-sampled
+	if p, limit := peak.Load(), int64(before+shards+2); p > limit {
+		t.Fatalf("stopping %d runners ran %d goroutines at once, %d before Stop; limit %d", n, p, before, limit)
 	}
 }
 

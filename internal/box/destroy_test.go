@@ -40,10 +40,22 @@ func handle(tb testing.TB, b *Box, ev Event) {
 	b.Recycle(outs)
 }
 
+// slotMap is every slot b holds, by name, read from its channel
+// records.
+func slotMap(b *Box) map[string]*boxSlot {
+	m := map[string]*boxSlot{}
+	for _, ci := range b.chans {
+		for _, s := range ci.owned {
+			m[s.Name()] = s
+		}
+	}
+	return m
+}
+
 // goalCount is how many of b's slots a goal object controls.
 func goalCount(b *Box) int {
 	n := 0
-	for _, s := range b.slots {
+	for _, s := range slotMap(b) {
 		if s.goal != nil {
 			n++
 		}
@@ -81,7 +93,7 @@ func TestDestroyChannelOnlyOwnSlots(t *testing.T) {
 		g core.Goal
 	}
 	before := make(map[string]held, standing)
-	for name, s := range b.slots {
+	for name, s := range slotMap(b) {
 		before[name] = held{&s.Slot, s.goal}
 	}
 
@@ -97,7 +109,7 @@ func TestDestroyChannelOnlyOwnSlots(t *testing.T) {
 	}
 	victims := map[string]*boxSlot{}
 	for _, sn := range []string{"victim.t0", "victim.t1", "victim.t7", "victim.t1500"} {
-		s := b.slots[sn]
+		s := b.slotOf(sn)
 		if s == nil || s.goal == nil {
 			t.Fatalf("setup: slot %s missing or without a goal", sn)
 		}
@@ -113,7 +125,7 @@ func TestDestroyChannelOnlyOwnSlots(t *testing.T) {
 	if b.HasChannel("victim") {
 		t.Error("victim channel survived its teardown")
 	}
-	for name := range b.slots {
+	for name := range slotMap(b) {
 		if strings.HasPrefix(name, "victim.") {
 			t.Errorf("slot %s survived its channel", name)
 		}
@@ -123,8 +135,8 @@ func TestDestroyChannelOnlyOwnSlots(t *testing.T) {
 			t.Errorf("goal mapping %s survived its channel", name)
 		}
 	}
-	if len(b.slots) != standing || goalCount(b) != standing {
-		t.Errorf("box holds %d slots / %d goals, want %d each", len(b.slots), goalCount(b), standing)
+	if len(slotMap(b)) != standing || goalCount(b) != standing {
+		t.Errorf("box holds %d slots / %d goals, want %d each", len(slotMap(b)), goalCount(b), standing)
 	}
 	for name, was := range before {
 		if b.Slot(name) != was.s {
@@ -171,8 +183,8 @@ func TestDestroyChannelOnlyOwnSlots(t *testing.T) {
 		t.Errorf("a signal after a closeSlot replaced the holdSlot counted %d holdSlot and %d closeSlot invocations, want 0 and 1", dh, dc)
 	}
 	handle(t, b, teardown("victim"))
-	if len(b.slots) != standing {
-		t.Errorf("after redial and teardown the box holds %d slots, want %d", len(b.slots), standing)
+	if n := len(slotMap(b)); n != standing {
+		t.Errorf("after redial and teardown the box holds %d slots, want %d", n, standing)
 	}
 }
 
@@ -183,8 +195,8 @@ func TestAddChannelTwiceKeepsOwnedSlots(t *testing.T) {
 	b := standingBox(t, 1)
 	b.AddChannel("s0", true)
 	handle(t, b, teardown("s0"))
-	if len(b.slots) != 0 || b.record("s0").s0.goal != nil {
-		t.Fatalf("teardown left %d slots, or the goal of s0.t0, behind", len(b.slots))
+	if n := len(slotMap(b)); n != 0 || b.record("s0").s0.goal != nil {
+		t.Fatalf("teardown left %d slots, or the goal of s0.t0, behind", n)
 	}
 }
 

@@ -149,15 +149,17 @@ func parkedCallProgram(relay string, up *atomic.Int64) *Program {
 // standing population of the calls workloads. Its state is the client's
 // box, runner, program and timer, four channel records (client, the
 // relay's two legs, device), two ring stores and the goal objects;
-// per-event scratch belongs to the shard and is not counted per call.
-// On a 2-vCPU x86-64 host 2 000 calls read 7 480 B each (10 050 B when
-// every box kept its own scratch, timer maps and stop channels); the
-// budget is the reading plus 10 %.
+// per-event scratch belongs to the shard and is not counted per call,
+// and neither are ring slots, which a channel leases only while
+// envelopes wait in it. On a 2-vCPU x86-64 host 2 000 calls read
+// 4 900 B each (7 480 B when every ring kept its slots inline and every
+// box a slot map, 10 050 B when every box also kept its own scratch,
+// timer maps and stop channels); the budget is the reading plus 10 %.
 func TestParkedCallFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation sizes")
 	}
-	const n, budget = 2000, 8230
+	const n, budget = 2000, 5390
 	per := footprint(n, func(round int) func() {
 		c := NewCluster(transport.NewRingMemNetwork(), 1)
 		dev := c.Runner(New("fpdev", deviceProfile("fpdev", 5004)))
@@ -192,8 +194,10 @@ func TestParkedCallFootprint(t *testing.T) {
 		noErrs(t, dev, relay)
 		return c.Stop
 	})
-	t.Logf("parked call: %d B (budget %d B); records: Box %d B, Runner %d B, 4 channel records of %d B",
-		per, budget, unsafe.Sizeof(Box{}), unsafe.Sizeof(Runner{}), unsafe.Sizeof(chanInfo{}))
+	box, runner, rec := int64(unsafe.Sizeof(Box{})), int64(unsafe.Sizeof(Runner{})), int64(unsafe.Sizeof(chanInfo{}))
+	t.Logf("parked call: %d B (budget %d B): Box %d B, Runner %d B, 4 channel records of %d B, and %d B besides "+
+		"(two ring stores and pipes, the client's program and channel map, goals, profiles, setup metas, names, timer)",
+		per, budget, box, runner, rec, per-box-runner-4*rec)
 	if per > budget {
 		t.Fatalf("a parked call holds %d B, budget %d B", per, budget)
 	}
@@ -250,7 +254,7 @@ func TestRecordSizes(t *testing.T) {
 	}{
 		{"Event", unsafe.Sizeof(Event{}), 176},
 		{"Output", unsafe.Sizeof(Output{}), 208},
-		{"Box", unsafe.Sizeof(Box{}), 232},
+		{"Box", unsafe.Sizeof(Box{}), 224},
 		{"Runner", unsafe.Sizeof(Runner{}), 208},
 		{"chanInfo", unsafe.Sizeof(chanInfo{}), 384},
 	} {

@@ -197,24 +197,28 @@ func (b *Box) reconcileGoals(st *State) error {
 	// abandoned slot must not stay attached to the old goal object —
 	// two controllers would fight over the shared slot. It falls back
 	// to the box default.
-	for name, s := range b.slots {
-		g := s.goal
-		if g == nil {
-			continue
-		}
-		stale := false
-		for _, other := range g.SlotNames() {
-			if b.GoalFor(other) != g {
-				stale = true
-				break
+	for _, ci := range b.chans {
+		for _, s := range ci.owned {
+			if err := b.unstale(s); err != nil {
+				return fmt.Errorf("box %s state %s: reassigning %s: %w", b.name, st.Name, s.Name(), err)
 			}
 		}
-		if !stale {
-			continue
-		}
-		b.setGoal(s, nil)
-		if _, err := b.ensureGoal(s); err != nil {
-			return fmt.Errorf("box %s state %s: reassigning %s: %w", b.name, st.Name, name, err)
+	}
+	return nil
+}
+
+// unstale hands s to the box default if its goal no longer controls
+// all of that goal's slots.
+func (b *Box) unstale(s *boxSlot) error {
+	g := s.goal
+	if g == nil {
+		return nil
+	}
+	for _, other := range g.SlotNames() {
+		if b.GoalFor(other) != g {
+			b.setGoal(s, nil)
+			_, err := b.ensureGoal(s)
+			return err
 		}
 	}
 	return nil
@@ -229,7 +233,7 @@ func (b *Box) buildGoal(ann Annot) (core.Goal, error) {
 	case AnnOpen:
 		// Enforce the paper's precondition here: openSlot(s,m) can
 		// annotate a state only if s is closed on entry.
-		if s := b.slots[ann.Slot1]; s != nil && (s.State() != slot.Closed || s.OwesCloseAck()) {
+		if s := b.slotOf(ann.Slot1); s != nil && (s.State() != slot.Closed || s.OwesCloseAck()) {
 			return nil, fmt.Errorf("openSlot(%s) precondition: slot is %s", ann.Slot1, s.State())
 		}
 		return core.NewOpenSlot(ann.Slot1, ann.Medium, prof), nil
@@ -306,25 +310,25 @@ func (c *Ctx) Fail(err error) {
 // IsClosed reports the closed predicate for a slot; missing slots read
 // as closed.
 func (c *Ctx) IsClosed(name string) bool {
-	s := c.b.slots[name]
+	s := c.b.slotOf(name)
 	return s == nil || s.IsClosed()
 }
 
 // IsOpening reports the opening predicate for a slot.
 func (c *Ctx) IsOpening(name string) bool {
-	s := c.b.slots[name]
+	s := c.b.slotOf(name)
 	return s != nil && s.IsOpening()
 }
 
 // IsOpened reports the opened predicate for a slot.
 func (c *Ctx) IsOpened(name string) bool {
-	s := c.b.slots[name]
+	s := c.b.slotOf(name)
 	return s != nil && s.IsOpened()
 }
 
 // IsFlowing reports the flowing predicate for a slot.
 func (c *Ctx) IsFlowing(name string) bool {
-	s := c.b.slots[name]
+	s := c.b.slotOf(name)
 	return s != nil && s.IsFlowing()
 }
 

@@ -111,7 +111,7 @@ type inboxItem struct {
 	ack     chan<- struct{}    // itemBatch: signaled when the batch is processed
 	port    transport.Port     // itemAccept, itemPortLost: the port concerned; itemBatch: the source
 	nameFor func(n int) string // itemAccept: names the n-th accepted channel (nil: in<k>, reused)
-	done    chan struct{}      // itemEvent, itemStop: signaled after dispatch (Do) or cleanup (Stop)
+	done    chan struct{}      // itemEvent: signaled after dispatch (Do)
 }
 
 // inbox is the shard's MPSC queue: producers append under a mutex,
@@ -250,7 +250,7 @@ func (s *shard) loop() {
 
 func (s *shard) close() { s.inbox.close() }
 
-// donePool recycles the completion channels Do and Stop block on.
+// donePool recycles the completion channels Do blocks on.
 var donePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
 // Runner drives one Box over a transport.Network, multiplexed onto a
@@ -264,7 +264,7 @@ type Runner struct {
 	stopc    chan struct{} // closed with closed; made on first use (stopSignal), guarded by sh.inbox.mu
 	stopOnce sync.Once
 	ownShard bool
-	wg       sync.WaitGroup // pumps and accept goroutines
+	wg       sync.WaitGroup // pumps, accept goroutines and the stop item's cleanup
 
 	// loop-goroutine-only state; per-channel state (port, readiness
 	// callback, setup meta, lifecycle) is in the box's channel records,
@@ -371,9 +371,9 @@ func (r *Runner) Box() *Box { return r.box }
 func (r *Runner) Shard() int { return r.sh.id }
 
 // execute dispatches one inbox item and returns the number of loop
-// iterations (box events) it amounted to. An item's done is signaled
-// last, once the loop is through with the box. Shard loop goroutine
-// only.
+// iterations (box events) it amounted to. An item's done is signaled,
+// and a stop item releases Stop, last, once the loop is through with
+// the box. Shard loop goroutine only.
 func (r *Runner) execute(it *inboxItem) int {
 	n := 0
 	switch it.kind {
@@ -409,6 +409,9 @@ func (r *Runner) execute(it *inboxItem) int {
 	}
 	if it.done != nil {
 		it.done <- struct{}{}
+	}
+	if it.kind == itemStop {
+		r.wg.Done()
 	}
 	return n
 }
@@ -480,11 +483,12 @@ func (r *Runner) closeAll() {
 }
 
 // pushStop marks the runner closed, closes its stop signal if one was
-// made, and enqueues its stop item carrying done, in one critical
-// section: everything pushed before is processed first, nothing lands
-// after. It reports false if the shard loop is gone, so no item was
-// enqueued.
-func (r *Runner) pushStop(done chan struct{}) bool {
+// made, and enqueues its stop item, in one critical section: everything
+// pushed before is processed first, nothing lands after. The item holds
+// the runner's wait group until its cleanup is done, so every Stop
+// waits for it. It reports false if the shard loop is gone, so no item
+// was enqueued.
+func (r *Runner) pushStop() bool {
 	q := r.sh.inbox
 	q.mu.Lock()
 	r.closed = true
@@ -495,7 +499,8 @@ func (r *Runner) pushStop(done chan struct{}) bool {
 		q.mu.Unlock()
 		return false
 	}
-	q.items = append(q.items, inboxItem{kind: itemStop, r: r, done: done})
+	r.wg.Add(1)
+	q.items = append(q.items, inboxItem{kind: itemStop, r: r})
 	if len(q.items) == 1 {
 		q.cond.Signal()
 	}
@@ -531,25 +536,24 @@ func (r *Runner) stopSignal(goroutines int) (stop <-chan struct{}, stopped bool)
 // Listen, and pump deliveries cannot strand work or touch a drained
 // loop. On a shared (Cluster) shard the loop itself keeps running for
 // the other boxes; a standalone runner's private shard exits. A
-// concurrent Stop waits in stopOnce until the cleanup is done.
+// concurrent Stop waits for the same cleanup.
 func (r *Runner) Stop() {
-	r.stopOnce.Do(func() {
-		donec := donePool.Get().(chan struct{})
-		if r.pushStop(donec) {
-			<-donec
-		} else {
-			// The shard loop is gone (inbox closed before this runner
-			// stopped), so no stop item will ever execute. With the loop
-			// dead its state is safe to clean from here.
-			r.closeAll()
-		}
-		donePool.Put(donec)
-	})
+	r.stopOnce.Do(r.postStop)
 	if r.ownShard {
 		r.sh.close()
 		r.sh.wg.Wait()
 	}
 	r.wg.Wait()
+}
+
+// postStop starts the runner's shutdown without waiting for it: it
+// posts the stop item or, if the shard loop is gone (its inbox closed
+// before this runner stopped), so no stop item would ever execute,
+// cleans up from here — with the loop dead its state is safe to touch.
+func (r *Runner) postStop() {
+	if !r.pushStop() {
+		r.closeAll()
+	}
 }
 
 // Errs returns the box errors observed so far.

@@ -10,6 +10,12 @@
 // the way out. A port therefore costs no goroutine, no per-envelope
 // channel handoff, and — in steady state — no lock on either side.
 //
+// A ring holds envelope slots only while it holds envelopes: the
+// producer leases a slot buffer from a pool when the ring goes
+// empty→non-empty, and the consumer returns it when it drains the ring
+// empty. An idle channel — a parked call's — keeps its rings' indices,
+// flags and callback, not their slots.
+//
 // The SPSC contract: exactly one goroutine sends on a given port
 // (for runner-owned ports this is the owning shard loop) and exactly
 // one drains it (the peer's shard loop, via the readiness callback).
@@ -35,16 +41,17 @@ import (
 )
 
 // ringCap is the per-direction ring capacity, fixed at compile time so
-// the slots sit inline in the channel's store. A parked channel holds
-// its store — both rings, 1.1 KB — for as long as it lives, so this is
-// what a host with a hundred thousand idle channels pays per channel;
-// a closed one hands it to the next Dial. Four is sized against
-// measurement, not guessed: a call puts fourteen envelopes on its two
-// channels, three or four per direction per channel over the channel's
-// whole life, and transport.ring_occupancy.<n> (what each drain found
-// waiting) has never read past three, with transport.ring_spills at
-// zero, on one shard or across four (EXPERIMENTS.md "Channel churn"). A
-// burst past the ring takes the spill path.
+// a burst's slots are one leased buffer (ringBuf, 480 B). A parked
+// channel holds its store — both rings' control fields, 208 B, and no
+// slots — for as long as it lives, so this is what a host with a
+// hundred thousand idle channels pays per channel; a closed one hands
+// the store to the next Dial. Four is sized against measurement, not
+// guessed: a call puts fourteen envelopes on its two channels, three or
+// four per direction per channel over the channel's whole life, and
+// transport.ring_occupancy.<n> (what each drain found waiting) has
+// never read past three, with transport.ring_spills at zero, on one
+// shard or across four (EXPERIMENTS.md "Channel churn"). A burst past
+// the ring takes the spill path.
 const (
 	ringCap  = 4
 	ringMask = ringCap - 1
@@ -70,13 +77,40 @@ func newRingMetrics() *ringMetrics {
 	return m
 }
 
+// ringBuf is a ring's slots, leased for one burst: from the push that
+// finds the ring empty to the drain that empties it.
+type ringBuf struct {
+	slots [ringCap]sig.Envelope
+}
+
+// ringBufs holds the slot buffers no ring has leased. A buffer goes back
+// with every slot cleared.
+var ringBufs = sync.Pool{New: func() any { return new(ringBuf) }}
+
+// The bits of spscRing.tw beside the tail index.
+const (
+	ringLeased    = 1 << 0 // buf holds the ring's leased slot buffer
+	ringWriting   = 1 << 1 // the producer is writing a slot: the buffer may not be returned
+	ringTailShift = 2
+)
+
 // spscRing is the receive side of one direction of a ring channel: a
 // Lamport queue (the producer owns tail, the consumer owns head, and
 // each reads the other's index before touching a slot) plus the spill.
+//
+// The slots are a leased ringBuf. Tail shares one word with a leased
+// bit and a writing bit, and the invariant is that an unleased ring is
+// empty (head == tail). The producer claims every write by setting
+// writing with a CAS, attaches a buffer if none is leased, writes the
+// slot and publishes tail+1 with leased set. The consumer, finding the
+// ring empty, detaches with one CAS that expects leased, not writing
+// and tail == head — so the producer never writes into a buffer it no
+// longer holds — then clears buf if no new lease replaced it, and only
+// then returns the buffer to the pool.
 type spscRing struct {
-	head  atomic.Uint64 // next index to pop; consumer-owned
-	tail  atomic.Uint64 // next index to push; producer-owned
-	slots [ringCap]sig.Envelope
+	head atomic.Uint64           // next index to pop; consumer-owned
+	tw   atomic.Uint64           // tail<<ringTailShift | ringWriting | ringLeased; tail is producer-owned
+	buf  atomic.Pointer[ringBuf] // the leased slots; nil while the ring is unleased and idle
 
 	mu        sync.Mutex
 	spill     []sig.Envelope // FIFO overflow, always younger than ring content
@@ -92,8 +126,11 @@ type spscRing struct {
 // nonEmpty reports whether data is pending. Consumer goroutine only
 // (it reads the consumer-owned head).
 func (r *spscRing) nonEmpty() bool {
-	return r.head.Load() != r.tail.Load() || r.spillN.Load() > 0
+	return r.head.Load() != r.tail() || r.spillN.Load() > 0
 }
+
+// tail is the next index to push.
+func (r *spscRing) tail() uint64 { return r.tw.Load() >> ringTailShift }
 
 // push enqueues e, spilling when the ring is full or a spill is
 // already in progress (FIFO across the ring/spill boundary). The spill
@@ -104,12 +141,19 @@ func (r *spscRing) push(e sig.Envelope) error {
 		return ErrClosed
 	}
 	if r.spillN.Load() == 0 {
-		if t := r.tail.Load(); t-r.head.Load() < ringCap {
-			r.slots[t&ringMask] = e
-			r.tail.Store(t + 1)
+		w := r.claim()
+		if t := w >> ringTailShift; t-r.head.Load() < ringCap {
+			b := r.buf.Load()
+			if w&ringLeased == 0 { // empty and unleased: lease for this burst
+				b = ringBufs.Get().(*ringBuf)
+				r.buf.Store(b)
+			}
+			b.slots[t&ringMask] = e
+			r.tw.Store((t+1)<<ringTailShift | ringLeased)
 			r.notify()
 			return nil
 		}
+		r.tw.Store(w) // full: give the claim back and spill
 	}
 	r.mu.Lock()
 	if r.closed.Load() {
@@ -122,6 +166,38 @@ func (r *spscRing) push(e sig.Envelope) error {
 	r.m.spills.Inc()
 	r.notify()
 	return nil
+}
+
+// claim sets the writing bit and returns the word it was set on, which
+// the consumer cannot change until the producer stores the word again.
+// Only the consumer's detach can make the CAS fail, and it cannot do so
+// twice in a row: it needs the leased bit that only this goroutine sets.
+// Producer goroutine only.
+func (r *spscRing) claim() uint64 {
+	for {
+		w := r.tw.Load()
+		if r.tw.CompareAndSwap(w, w|ringWriting) {
+			return w
+		}
+	}
+}
+
+// release returns the slot buffer of a ring the consumer has found
+// empty at head h, unless the ring is unleased, the producer is writing
+// or an envelope has arrived. Nothing changes buf while the ring is
+// leased, so the buffer read before the detach is the one detached. The producer may lease a new buffer the moment the
+// detach lands; buf is cleared only if it has not. Consumer goroutine
+// only.
+func (r *spscRing) release(h uint64) {
+	w := h<<ringTailShift | ringLeased
+	if r.tw.Load() != w {
+		return
+	}
+	b := r.buf.Load()
+	if r.tw.CompareAndSwap(w, h<<ringTailShift) {
+		r.buf.CompareAndSwap(b, nil)
+		ringBufs.Put(b)
+	}
 }
 
 // notify raises the edge notification if none is outstanding. It may
@@ -162,14 +238,17 @@ func (r *spscRing) tryRecvBatch(buf []sig.Envelope) (int, bool) {
 		// nothing younger than the spill.
 		spilled := r.spillN.Load() > 0
 		h := r.head.Load()
-		avail := int(r.tail.Load() - h)
+		avail := int(r.tail() - h)
 		n := min(avail, len(buf))
-		for i := 0; i < n; i++ {
-			s := &r.slots[(h+uint64(i))&ringMask]
-			buf[i] = *s
-			*s = sig.Envelope{} // drop Meta references promptly
-		}
 		if n > 0 {
+			// A non-empty ring is leased, and stays so: only this
+			// goroutine detaches.
+			b := r.buf.Load()
+			for i := 0; i < n; i++ {
+				s := &b.slots[(h+uint64(i))&ringMask]
+				buf[i] = *s
+				*s = sig.Envelope{} // drop Meta references promptly
+			}
 			r.head.Store(h + uint64(n))
 			r.m.occupancy[avail-1].Inc()
 		}
@@ -197,10 +276,12 @@ func (r *spscRing) tryRecvBatch(buf []sig.Envelope) (int, bool) {
 		if n > 0 {
 			return n, true
 		}
-		// Empty: disarm the edge, then re-check. Data that raced in is
-		// either claimed by re-arming the flag ourselves (continue
-		// draining) or the producer won the CAS and its notification
-		// is already in flight (safe to report empty).
+		// Empty: hand the slots back for the next burst, disarm the
+		// edge, then re-check. Data that raced in is either claimed by
+		// re-arming the flag ourselves (continue draining) or the
+		// producer won the CAS and its notification is already in
+		// flight (safe to report empty).
+		r.release(h)
 		r.notified.Store(false)
 		if r.nonEmpty() {
 			if r.notified.CompareAndSwap(false, true) {
@@ -262,7 +343,8 @@ type ringPipe struct {
 	store  *ringStore
 }
 
-// ringStore is a ring channel's storage: both rings, slots inline.
+// ringStore is a ring channel's storage: both rings, whose slots are
+// leased per burst (see spscRing).
 //
 // A store is reused only after both ends have closed. Under the SPSC
 // contract an end's Close runs on its owner goroutine after that
@@ -282,15 +364,19 @@ type ringStore struct {
 var ringStores = sync.Pool{New: func() any { return new(ringStore) }}
 
 // reset returns a ring to its freshly made state: slots the consumer
-// never drained cleared, indices zeroed, spill dropped, no close, no
-// outstanding notification, no callback. Both ends are closed, so
-// nothing else touches the ring.
+// never drained cleared and their buffer returned, indices zeroed,
+// spill dropped, no close, no outstanding notification, no callback.
+// Both ends are closed, so nothing else touches the ring.
 func (r *spscRing) reset() {
-	for h, t := r.head.Load(), r.tail.Load(); h != t; h++ {
-		r.slots[h&ringMask] = sig.Envelope{}
+	if b := r.buf.Load(); b != nil {
+		for h, t := r.head.Load(), r.tail(); h != t; h++ {
+			b.slots[h&ringMask] = sig.Envelope{}
+		}
+		r.buf.Store(nil)
+		ringBufs.Put(b)
 	}
 	r.head.Store(0)
-	r.tail.Store(0)
+	r.tw.Store(0)
 	r.spill, r.spillHead = nil, 0
 	r.spillN.Store(0)
 	r.closed.Store(false)

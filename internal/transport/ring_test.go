@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ipmedia/internal/sig"
 	"ipmedia/internal/telemetry"
@@ -698,4 +699,166 @@ func TestLayersRefuseRingPorts(t *testing.T) {
 			t.Error("accept: a ring carrier was taken")
 		}
 	})
+}
+
+// TestRingLeaseRace ping-pongs one envelope at a time on many pipes at
+// once (run with -race), so every envelope leases a slot buffer and
+// every drain returns it, while the peer's next push races the return.
+// Each envelope carries its pipe's serial and a sequence number: every
+// end must receive its peer's envelopes in order, and none of another
+// channel's.
+func TestRingLeaseRace(t *testing.T) {
+	const pipes, rounds, volleys = 8, 20, 200
+	var serial atomic.Uint32
+	var wg sync.WaitGroup
+	for w := 0; w < pipes; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds && !t.Failed(); i++ {
+				a, b := RingPipe("a", "b")
+				id := int(serial.Add(1))
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					volley(t, b, id, volleys, false)
+				}()
+				volley(t, a, id, volleys, true)
+				<-done
+				a.Close()
+				b.Close()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// volley is one end of a TestRingLeaseRace channel: it answers each
+// envelope its peer sends with the next of its own (serve sends the
+// first), until each side has sent n, checking that what arrives is the
+// peer's next envelope on this channel.
+func volley(t *testing.T, p Port, id, n int, serve bool) {
+	ip := p.(InlinePort)
+	var buf [ringCap]sig.Envelope
+	sent, want := 0, uint32(0)
+	if serve {
+		if err := p.Send(sig.Envelope{Tunnel: id, Seq: 0}); err != nil {
+			t.Error(err)
+			return
+		}
+		sent++
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for want < uint32(n) {
+		k, open := ip.TryRecvBatch(buf[:])
+		if !open {
+			t.Errorf("channel %d closed under its ends", id)
+			return
+		}
+		for _, e := range buf[:k] {
+			if e.Tunnel != id || e.Seq != want {
+				t.Errorf("channel %d: received channel %d's envelope %d, want its own %d", id, e.Tunnel, e.Seq, want)
+				return
+			}
+			want++
+			if sent < n {
+				if err := p.Send(sig.Envelope{Tunnel: id, Seq: uint32(sent)}); err != nil {
+					t.Error(err)
+					return
+				}
+				sent++
+			}
+		}
+		if k == 0 {
+			if time.Now().After(deadline) {
+				t.Errorf("channel %d: stuck at envelope %d of %d", id, want, n)
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+}
+
+// TestRingIdleHoldsNoBuffer: a ring leases its slots for a burst only —
+// one drained empty holds no buffer, and neither does a store reset
+// with envelopes its consumer never drained.
+func TestRingIdleHoldsNoBuffer(t *testing.T) {
+	a, b := newRingPipe("a", "b", newRingMetrics())
+	if a.recv.buf.Load() != nil || a.send.buf.Load() != nil {
+		t.Fatal("a new channel's rings hold slot buffers")
+	}
+	var buf [ringCap]sig.Envelope
+	for _, n := range []int{1, ringCap, ringCap + 2} { // the last one spills
+		for i := 0; i < n; i++ {
+			if err := a.Send(sig.Envelope{Seq: uint32(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a.send.buf.Load() == nil {
+			t.Fatalf("a ring holding %d envelopes holds no slot buffer", n)
+		}
+		for got := 0; ; {
+			k, _ := b.TryRecvBatch(buf[:])
+			if k == 0 {
+				break
+			}
+			got += k
+		}
+		if b.recv.buf.Load() != nil || b.recv.tw.Load()&ringLeased != 0 {
+			t.Fatalf("after a burst of %d a ring drained empty still leases its slots", n)
+		}
+	}
+	a.Send(sig.Envelope{Seq: 1})
+	b.Send(sig.Envelope{Seq: 2})
+	st := a.pipe.store
+	a.Close()
+	b.Close()
+	for i := range st.rings {
+		if r := &st.rings[i]; r.buf.Load() != nil || r.tw.Load() != 0 || r.head.Load() != 0 {
+			t.Fatalf("reset ring %d kept buffer %p, word %#x, head %d", i, r.buf.Load(), r.tw.Load(), r.head.Load())
+		}
+	}
+}
+
+// TestRingSendDrainZeroAlloc: a send that leases a ring's slots and the
+// drain that empties the ring and returns them allocate nothing in
+// steady state; the pool hands the buffer back to the next burst.
+func TestRingSendDrainZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	a, b := RingPipe("a", "b")
+	defer a.Close()
+	defer b.Close()
+	ip := b.(InlinePort)
+	ip.SetReady(func() {})
+	var buf [ringCap]sig.Envelope
+	cycle := func() {
+		a.Send(sig.Envelope{Seq: 1})
+		a.Send(sig.Envelope{Seq: 2})
+		for {
+			if n, _ := ip.TryRecvBatch(buf[:]); n == 0 {
+				break
+			}
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("a send-drain cycle allocates %.2f times, want 0", allocs)
+	}
+}
+
+// TestRingStoreSize pins what an idle ring channel holds beyond its
+// identity: both rings' indices, flags, spill and callback, with no
+// slots (1 152 B when each ring kept its four slots inline).
+func TestRingStoreSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pinned size is for 64-bit platforms")
+	}
+	const budget = 256
+	got := unsafe.Sizeof(ringStore{})
+	t.Logf("ring store: %d B", got)
+	if got > budget {
+		t.Fatalf("unsafe.Sizeof(ringStore{}) = %d, budget %d", got, budget)
+	}
 }
