@@ -13,7 +13,8 @@
 // co-location, and a channel between two boxes is the same channel
 // whether its peer is on this shard (inline ring, drained by our own
 // loop), another shard (inline ring, drained by the peer's loop), or
-// another process (a TCP pump). Boxes cannot observe their placement;
+// another process (a TCP port, drained by our own loop on its reader's
+// edge). Boxes cannot observe their placement;
 // "shards today, processes tomorrow" is a config change, not a model
 // change.
 package box

@@ -508,6 +508,14 @@ func (p *muxPort) RecvBatch(buf []sig.Envelope) (int, bool) {
 	return p.up.popBatch(buf)
 }
 
+// SetReady implements InlinePort: the carrier's reader raises the edge.
+func (p *muxPort) SetReady(fn func()) { p.up.setReady(fn) }
+
+// TryRecvBatch implements InlinePort.
+func (p *muxPort) TryRecvBatch(buf []sig.Envelope) (int, bool) {
+	return p.up.tryPopBatch(buf)
+}
+
 func (p *muxPort) Close() error {
 	p.once.Do(func() {
 		p.c.unregister(p)

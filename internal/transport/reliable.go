@@ -337,8 +337,8 @@ func (l *relListener) Close() error {
 func (l *relListener) Addr() string { return l.under.Addr() }
 
 // RelPort is one end of a reliable signaling channel. It implements
-// Port and BatchPort; its identity survives reconnection of the
-// underlying transport.
+// Port, BatchPort and InlinePort; its identity survives reconnection of
+// the underlying transport.
 type RelPort struct {
 	net *RelNetwork
 	cfg RelConfig
@@ -797,6 +797,15 @@ func (p *RelPort) finish() {
 // RecvBatch implements BatchPort.
 func (p *RelPort) RecvBatch(buf []sig.Envelope) (int, bool) {
 	return p.up.popBatch(buf)
+}
+
+// SetReady implements InlinePort: the layer's reader of the wire below
+// raises the edge.
+func (p *RelPort) SetReady(fn func()) { p.up.setReady(fn) }
+
+// TryRecvBatch implements InlinePort.
+func (p *RelPort) TryRecvBatch(buf []sig.Envelope) (int, bool) {
+	return p.up.tryPopBatch(buf)
 }
 
 // lingerFactor bounds how long a closing port may keep its wire alive

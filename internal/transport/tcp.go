@@ -156,6 +156,14 @@ func (p *tcpPort) RecvBatch(buf []sig.Envelope) (int, bool) {
 	return p.in.popBatch(buf)
 }
 
+// SetReady implements InlinePort: the reader goroutine raises the edge.
+func (p *tcpPort) SetReady(fn func()) { p.in.setReady(fn) }
+
+// TryRecvBatch implements InlinePort.
+func (p *tcpPort) TryRecvBatch(buf []sig.Envelope) (int, bool) {
+	return p.in.tryPopBatch(buf)
+}
+
 func (p *tcpPort) Close() error {
 	p.once.Do(func() {
 		p.out.close()
