@@ -202,3 +202,74 @@ func TestFaultNetworkSeverAndPartition(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestFaultPortKeepsReceiveContracts: a fault port has the receive
+// contracts of the port it wraps. Over an in-memory pipe end it is a
+// BatchPort only; over a mux port it is an InlinePort as well, whose
+// readiness edge and non-blocking drain are the mux port's. A ring port,
+// which has no blocking contract and one sender, is refused.
+func TestFaultPortKeepsReceiveContracts(t *testing.T) {
+	n := NewFaultNetwork(NewMemNetwork(), FaultProfile{})
+
+	a, b := Pipe("a", "b")
+	fp := wrapped(t, n, a)
+	if _, inline := fp.(InlinePort); inline {
+		t.Errorf("a fault port over a pipe end is an InlinePort")
+	}
+	if _, batch := fp.(BatchPort); !batch {
+		t.Errorf("a fault port over a pipe end is not a BatchPort")
+	}
+	fp.Close()
+	b.Close()
+
+	m := NewMux(NewMemNetwork())
+	defer m.Close()
+	addr, err := m.ListenCarrier("carrier")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := m.Listen("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dialed, err := m.Dial(addr, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, ok := wrapped(t, n, dialed).(InlinePort)
+	if !ok {
+		t.Fatalf("a fault port over a mux port is not an InlinePort")
+	}
+	if _, batch := in.(BatchPort); !batch {
+		t.Errorf("a fault port over a mux port is not a BatchPort")
+	}
+	wake := make(chan struct{}, 1)
+	in.SetReady(func() {
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+	})
+	accepted.Send(sig.Envelope{Tunnel: 7, Sig: sig.Close()})
+	select {
+	case <-wake:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no readiness edge through the fault port")
+	}
+	buf := make([]sig.Envelope, 4)
+	if k, _ := in.TryRecvBatch(buf); k != 1 || buf[0].Tunnel != 7 {
+		t.Errorf("drained %d envelopes (%v), want the one sent", k, buf[:k])
+	}
+	in.Close()
+	accepted.Close()
+
+	ra, rb := RingPipe("a", "b")
+	if _, err := n.wrap(ra); err == nil {
+		t.Errorf("a ring port was put behind fault injection")
+	}
+	rb.Close()
+}
