@@ -94,16 +94,20 @@ bench-pair:
 # budget of one allocation of at most 128 B (the pipe's identity: its
 # rings are a store an earlier channel released), a ring's send and the
 # drain that empties it allocate nothing (the slots the send leases go
-# back to the pool for the next burst), an in-memory pipe
-# is one allocation, and a mux channel's dial, accept and close at both
-# ends stay within 8; a whole call
+# back to the pool for the next burst), a queue — an in-memory pipe's
+# or a mux channel's — drained empty holds no buffer unless a burst
+# grew it, and its send and the drain that empties it allocate nothing
+# either (the initial-size buffer the send leases goes back to its
+# pool), an in-memory pipe is one allocation, and a mux channel's dial,
+# accept and close at both ends stay within 8; a whole call
 # through a relay already holding 600 others — dial, splice, flow,
 # teardown — stays within its budget of 10 allocations and 1 KB; and
 # what standing state holds stays within its footprint: an idle
-# standalone runner 3 KB, fresh or after draining a channel (its loop
-# lends the drain buffer back when it parks), a pumped in-memory
-# channel with both pumps posted and a mux channel drained on the loop
-# each its measured size plus 10 %, and a parked call — a client box
+# standalone runner 3 KB fresh and its measured size plus 10 % after
+# draining a channel (its loop lends its whole turn — scratch, inbox
+# slices, drain buffer — back when it parks, and a parked one holds
+# none of it), a pumped in-memory channel with both pumps posted and a
+# mux channel drained on the loop each its measured size plus 10 %, and a parked call — a client box
 # and runner holding a call through a relay to a device on one ring
 # shard, per-event scratch borrowed from the shard — its measured size
 # plus 10 %; and 500 mux channels between two runners start no
@@ -112,9 +116,11 @@ bench-pair:
 # and may hand it on only after the loop has acked the batch it
 # carried; a backlog crosses one pump, or the loop's drain of a queue
 # port, whole and in order, and what reaches the port of a torn-down
-# channel never reaches the channel that takes its name next; a queue's
-# readiness edge loses no wake-up and no envelope to producers racing
-# each other and a close; a ring store goes to the next channel only
+# channel never reaches the channel that takes its name next; events
+# pushed into a standalone runner whose loop parks and wakes between
+# waves, with a Stop racing the last wave, are each handled once and in
+# order; a queue's readiness edge loses no wake-up and no envelope to
+# producers racing each other and a close; a ring store goes to the next channel only
 # once both ends of its last one have closed, so no envelope reaches a
 # later channel and a stale port touches nothing; and a ring's slot
 # buffer goes back to the pool only once the ring is empty and its
@@ -123,12 +129,12 @@ bench-pair:
 alloc-gate:
 	$(GO) test -run='TestDecodeZeroAlloc|TestDecodeDescriptorZeroAlloc|TestEncodeZeroAlloc|TestFrameRoundTripZeroAlloc|TestInternGrowthLinear|TestDescriptorTableGrowthLinear' ./internal/sig
 	$(GO) test -run='TestServerDescribeZeroAlloc' ./internal/core
-	$(GO) test -run='TestRunnerEventZeroAlloc|TestClusterEventZeroAlloc|TestRunnerEventEndToEndAllocs|TestCallCycleAllocBudget|TestStandaloneRunnerFootprint|TestPumpedChannelFootprint|TestQueueChannelFootprint|TestParkedCallFootprint|TestQueueChannelStartsNoGoroutine' ./internal/box
+	$(GO) test -run='TestRunnerEventZeroAlloc|TestClusterEventZeroAlloc|TestRunnerEventEndToEndAllocs|TestCallCycleAllocBudget|TestStandaloneRunnerFootprint|TestPumpedChannelFootprint|TestQueueChannelFootprint|TestParkedCallFootprint|TestParkedStandaloneHoldsNoTurnState|TestQueueChannelStartsNoGoroutine' ./internal/box
 	$(GO) test -run='TestMediaZeroAlloc|TestTSFramingZeroAlloc' ./internal/media
 	$(GO) test -run='TestTSZeroAlloc' ./internal/ts
-	$(GO) test -run='TestRelSendSteadyStateZeroAlloc|TestRingDialAllocBudget|TestRingSendDrainZeroAlloc|TestMuxCarrierZeroAlloc|TestMuxChannelAllocBudget|TestPipeAllocBudget' ./internal/transport
+	$(GO) test -run='TestRelSendSteadyStateZeroAlloc|TestRingDialAllocBudget|TestRingSendDrainZeroAlloc|TestQueueIdleHoldsNoBuffer|TestQueueSendDrainZeroAlloc|TestMuxCarrierZeroAlloc|TestMuxChannelAllocBudget|TestPipeAllocBudget' ./internal/transport
 	$(GO) test -run='TestStoreZeroAlloc' ./internal/store
-	$(GO) test -race -run='TestPumpStateReusedOnlyAfterAck|TestPumpBurstInOrder|TestDrainBurstInOrder|TestDrainStragglersMissTheNextChannel' ./internal/box
+	$(GO) test -race -run='TestPumpStateReusedOnlyAfterAck|TestPumpBurstInOrder|TestDrainBurstInOrder|TestDrainStragglersMissTheNextChannel|TestStandaloneParkWakeRace' ./internal/box
 	$(GO) test -race -run='TestQueueReadyEdgeRace|TestRingStoreIsolation|TestRingStalePort|TestRingCloseVsSend|TestRingLeaseRace' ./internal/transport
 
 # cluster-smoke is the multi-process resilience gate: call lifecycles

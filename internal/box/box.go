@@ -237,8 +237,10 @@ type frame struct {
 // buffer it lends goal objects, destroyChannel's widow list and the
 // goal-counter memo. None of it is state between events, so a box run
 // by a Runner borrows its shard's — one loop goroutine handles every
-// box of the shard, one event at a time, so sharing takes no lock — and
-// a box driven directly builds its own on first use. Nesting is safe:
+// box of the shard, one event at a time, so sharing takes no lock; it
+// is part of the shard's turn, which a parked standalone loop lends
+// back — and a box driven directly builds its own on first use. The
+// memo travels with the scratch. Nesting is safe:
 // the output buffer, the frames and the widow list are taken and given
 // back, so a nested event takes a fresh one and never aliases one in
 // use, and a goal call's actions are turned into outputs before any
@@ -302,7 +304,7 @@ type Box struct {
 	Hook func(ctx *Ctx, ev *Event)
 
 	outs    []Output
-	sc      *scratch // the shard's under a Runner; nil until first use otherwise
+	sc      *scratch // under a Runner, its shard's turn's (nil while a standalone loop is parked); otherwise nil until first use
 	chanVer uint64
 	dirty   []string // channels mutated since ResetDirtyChannels
 	track   bool     // record dirty channel names (runtime-driven boxes only)

@@ -41,27 +41,33 @@ func footprint(n int, build func(round int) (stop func())) int64 {
 }
 
 // TestStandaloneRunnerFootprint holds what an idle standalone runner
-// costs: its box, its runner record and its private shard, but no drain
-// buffer — a shard holds one only while its loop is busy. 1 000 fresh
-// runners read 930 B each on a 2-vCPU x86-64 host (13 600 B with the
-// drain buffer inline in every shard). A runner that has drained a
-// channel, lost its port and gone idle again reads 2 270 B: its channel
-// map and parked channel record besides. A shard that kept its drain
-// buffer after the drain would add 7.7 KB to it.
+// costs: its box, its runner record and its private shard, but no turn
+// — no scratch, inbox slices or drain buffer: a standalone shard holds
+// one only while its loop is busy. 1 000 fresh runners read 790 B each
+// on a 2-vCPU x86-64 host (13 600 B with the drain buffer inline in
+// every shard), under a 3 KB budget. A runner that has drained a
+// channel, lost its port and gone idle again reads 1 400 B: its channel
+// map and parked channel record besides; its budget is that reading
+// plus 10 %. A shard that kept its scratch and inbox slices after the
+// drain read 2 275 B, and one that kept its drain buffer too would add
+// 7.7 KB to that.
 func TestStandaloneRunnerFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation sizes")
 	}
-	const n, budget = 1000, 3 << 10
+	const n = 1000
 	net := transport.NewMemNetwork()
-	for _, drained := range []bool{false, true} {
+	for _, c := range []struct {
+		drained bool
+		budget  int64
+	}{{false, 3 << 10}, {true, 1550}} {
 		per := footprint(n, func(round int) func() {
 			rs := make([]*Runner, n)
 			for i := range rs {
 				name := fmt.Sprintf("idle%d.%d", round, i)
 				rs[i] = NewRunner(New(name, core.ServerProfile{Name: name}), net)
 			}
-			if drained {
+			if c.drained {
 				for _, r := range rs {
 					drainOnce(t, r)
 				}
@@ -72,9 +78,9 @@ func TestStandaloneRunnerFootprint(t *testing.T) {
 				}
 			}
 		})
-		t.Logf("idle standalone runner (drained a channel: %v): %d B", drained, per)
-		if per > budget {
-			t.Fatalf("an idle standalone runner (drained a channel: %v) holds %d B, budget %d B", drained, per, budget)
+		t.Logf("idle standalone runner (drained a channel: %v): %d B", c.drained, per)
+		if per > c.budget {
+			t.Fatalf("an idle standalone runner (drained a channel: %v) holds %d B, budget %d B", c.drained, per, c.budget)
 		}
 	}
 }
@@ -116,15 +122,16 @@ func TestPumpedChannelFootprint(t *testing.T) {
 // InlinePort as well as a BatchPort, over an in-memory carrier. It
 // holds both mux ports with their receive queues, both channel records
 // with the dialer's setup meta and their readiness callbacks, and no
-// goroutine, ack channel or batch buffer. On a 2-vCPU x86-64 host it
-// reads 2 220 B per channel, against 3 450 B for a pumped in-memory
-// channel (TestPumpedChannelFootprint). The budget is the reading plus
-// 10 %.
+// goroutine, ack channel or batch buffer; a queue drained empty holds
+// no buffer. On a 2-vCPU x86-64 host it reads 1 470 B per channel
+// (2 030–2 280 B while every queue kept its first buffer), against
+// 3 450 B for a pumped in-memory channel (TestPumpedChannelFootprint).
+// The budget is the reading plus 10 %.
 func TestQueueChannelFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation sizes")
 	}
-	const n, budget = 500, 2450
+	const n, budget = 500, 1620
 	per := channelFootprint(t, newMuxNet(t), n)
 	t.Logf("mux channel drained inline, both ends: %d B", per)
 	if per > budget {

@@ -294,8 +294,8 @@ func TestAcceptNameReuse(t *testing.T) {
 	// What the first incarnation may still have in flight, delivered now:
 	// its port's readiness item and loss report, which carry the record
 	// the re-accepted channel reopened.
-	srv.sh.inbox.push(inboxItem{kind: itemDrain, r: srv, ev: Event{Kind: EvEnvelope, Channel: first, ci: rec}})
-	srv.sh.inbox.push(inboxItem{kind: itemPortLost, r: srv, ev: Event{Channel: first, ci: rec}, port: oldPort})
+	srv.sh.inbox.push(&inboxItem{kind: itemDrain, r: srv, ev: Event{Kind: EvEnvelope, Channel: first, ci: rec}})
+	srv.sh.inbox.push(&inboxItem{kind: itemPortLost, r: srv, ev: Event{Channel: first, ci: rec}, port: oldPort})
 	survived := false
 	srv.Do(func(ctx *Ctx) {
 		survived = ctx.Box().HasChannel(first) && ctx.Box().record(first) == rec &&
@@ -490,7 +490,7 @@ func TestPumpStragglersMissTheNextChannel(t *testing.T) {
 		return sig.Envelope{Meta: &sig.Meta{Kind: sig.MetaApp, App: name}}
 	}
 	accept := func(p transport.Port) {
-		r.sh.inbox.push(inboxItem{kind: itemAccept, r: r, port: p})
+		r.sh.inbox.push(&inboxItem{kind: itemAccept, r: r, port: p})
 	}
 	barrier := func() { r.Do(func(*Ctx) {}) }
 
@@ -566,7 +566,7 @@ func TestDrainStragglersMissTheNextChannel(t *testing.T) {
 		return sig.Envelope{Meta: &sig.Meta{Kind: sig.MetaApp, App: name}}
 	}
 	accept := func(p transport.Port) {
-		r.sh.inbox.push(inboxItem{kind: itemAccept, r: r, port: p})
+		r.sh.inbox.push(&inboxItem{kind: itemAccept, r: r, port: p})
 	}
 	barrier := func() { r.Do(func(*Ctx) {}) }
 

@@ -24,15 +24,19 @@
 // its counter memo — is the shard's scratch, which every box on the
 // shard borrows. A runner holds no timer map and no stop channel until
 // it listens or awaits a channel; its box's timers are a short table of
-// one wheel timer per name. A standalone runner holds its runner
-// record, a shard with its inbox, scratch and loop goroutine, and the
-// box: about 1 KB of heap besides the goroutine's stack. A parked call
-// through a relay — client box and runner, four channel records, two
-// ring stores, its goals — is about 5 KB (TestParkedCallFootprint).
-// The drain buffer (64 envelopes, 7.5 KB) is a standalone shard's only
-// while its loop is busy: a loop about to park lends it back to a pool,
-// so an idle standalone runner holds none, however many channels it has
-// drained.
+// one wheel timer per name. A parked call through a relay — client box
+// and runner, four channel records, two ring stores, its goals — is
+// about 5 KB (TestParkedCallFootprint).
+//
+// What a shard loop uses only while it has work is its turn: the
+// scratch, the inbox's two ping-pong slices and the drain buffer (64
+// envelopes, 7.5 KB). A Cluster shard, one of a few, keeps its turn. A
+// standalone shard, one of thousands behind a Router, lends its turn
+// back to a pool whenever its loop parks and takes one again when the
+// next push wakes it, so an idle standalone runner holds its runner
+// record, its box and a shard with an empty inbox and a parked loop
+// goroutine — about 1 KB of heap besides the goroutine's stack, however
+// many events it has handled and channels it has drained.
 // A port with only the blocking contract (an in-memory queue pipe) is
 // pumped: it holds a goroutine, an ack channel and one batch buffer of
 // 4 envelopes, grown only while the port is bursty.
@@ -40,6 +44,7 @@ package box
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -80,8 +85,25 @@ const (
 )
 
 // drainBufs holds the drain buffers of parked shard loops (see
-// shard.drainBuf).
+// turn.drain).
 var drainBufs = sync.Pool{New: func() any { return new([drainBatch]sig.Envelope) }}
+
+// turn is what a shard loop uses only while it has work: the scratch
+// its boxes borrow, the inbox's two ping-pong slices, and the buffer
+// ports are drained into. A Cluster shard keeps its turn for life. A
+// standalone shard lends its turn back to turns before its loop parks
+// (shard.lend), and the push that wakes it takes one (inbox.add): one
+// Get and one Put a wake-up, so the thousands of idle standalone shards
+// of a Router's host hold none.
+type turn struct {
+	scratch scratch
+	items   []inboxItem               // the producers' append target
+	spare   []inboxItem               // the loop's last batch, cleared: the next append target
+	drain   *[drainBatch]sig.Envelope // taken from drainBufs by the first drain; loop goroutine only
+}
+
+// turns holds the turns of parked standalone shard loops.
+var turns = sync.Pool{New: func() any { return new(turn) }}
 
 // runnerCacheCap bounds the idle (fired or cancelled) timers a box run
 // by a runner keeps for re-arming, so a pathological churn of unique
@@ -125,7 +147,9 @@ type inboxItem struct {
 // inbox is the shard's MPSC queue: producers append under a mutex,
 // the loop swaps the whole pending slice out in one drain. The two
 // slices ping-pong, so steady state runs with zero queue allocation
-// and one lock round-trip per burst rather than per event.
+// and one lock round-trip per burst rather than per event. Both are the
+// loop's turn's, which a parked standalone loop has lent back: the push
+// that finds no turn takes one.
 //
 // The inbox mutex is also the runner-liveness lock: each runner's
 // closed flag is read by push and written by pushStop under it, so a
@@ -134,7 +158,7 @@ type inboxItem struct {
 type inbox struct {
 	mu         sync.Mutex
 	cond       sync.Cond
-	items      []inboxItem
+	turn       *turn // nil while a standalone loop is parked with its turn lent back; set under mu
 	closed     bool
 	depth      *telemetry.Gauge // process-wide aggregate
 	depthShard *telemetry.Gauge // per-shard (nil for standalone shards)
@@ -150,20 +174,36 @@ func newInbox(shardGauge *telemetry.Gauge) *inbox {
 // runner — is closed. The checks and the append happen under one lock
 // with the loop's shard.next, so a successful push is always processed
 // before the loop (or the runner) exits.
-func (q *inbox) push(it inboxItem) bool {
+func (q *inbox) push(it *inboxItem) bool {
 	q.mu.Lock()
 	if q.closed || (it.r != nil && it.r.closed) {
 		q.mu.Unlock()
 		return false
 	}
-	q.items = append(q.items, it)
-	if len(q.items) == 1 {
-		q.cond.Signal()
-	}
+	q.add(it)
 	q.mu.Unlock()
 	q.depth.Inc()
 	q.depthShard.Inc()
 	return true
+}
+
+// add appends it, taking a turn if the loop has none, and wakes the
+// loop if it was waiting. Caller holds q.mu. Items come by pointer and
+// are copied in place, not appended: a pump's first push takes a turn
+// from the pool at this depth, and the copies that passing and
+// appending a 264-byte item by value put on the stack made every new
+// pump goroutine grow its stack there.
+func (q *inbox) add(it *inboxItem) {
+	if q.turn == nil {
+		q.turn = turns.Get().(*turn)
+	}
+	t := q.turn
+	n := len(t.items)
+	t.items = slices.Grow(t.items, 1)[:n+1]
+	t.items[n] = *it
+	if n == 0 {
+		q.cond.Signal()
+	}
 }
 
 func (q *inbox) close() {
@@ -185,16 +225,11 @@ type shard struct {
 
 	mLoop *telemetry.Counter
 
-	// scratch is the per-event scratch every box placed on the shard
-	// borrows (see scratch): loop goroutine only.
-	scratch scratch
-
-	// drainBuf is the loop-goroutine-only buffer ports are drained
-	// into, taken from drainBufs by the first drain. A standalone
-	// shard lends it back whenever its loop parks, so the thousands of
-	// idle standalone shards of a Router's host keep none; a Cluster
-	// shard, one of a few, keeps it.
-	drainBuf *[drainBatch]sig.Envelope
+	// box is a standalone shard's one box, whose scratch pointer the loop
+	// sets when it takes a turn and clears when it lends the turn back;
+	// set by newRunner before anything is pushed. Nil on a Cluster shard,
+	// whose boxes borrow the scratch of the turn it keeps.
+	box *Box
 }
 
 func newShard(id int, wheel *timerwheel.Wheel) *shard {
@@ -208,6 +243,9 @@ func newShard(id int, wheel *timerwheel.Wheel) *shard {
 		wheel: wheel,
 		mLoop: telemetry.C(MetricLoopIterations),
 	}
+	if id >= 0 {
+		s.inbox.turn = new(turn)
+	}
 	s.wg.Add(1)
 	go s.loop()
 	return s
@@ -215,10 +253,8 @@ func newShard(id int, wheel *timerwheel.Wheel) *shard {
 
 func (s *shard) loop() {
 	defer s.wg.Done()
-	var batch []inboxItem
 	for {
-		var ok bool
-		batch, ok = s.next(batch)
+		batch, ok := s.next()
 		if !ok {
 			return
 		}
@@ -226,6 +262,8 @@ func (s *shard) loop() {
 		for i := range batch {
 			n += batch[i].r.execute(&batch[i])
 		}
+		clear(batch) // drop envelope/closure references
+		s.inbox.turn.spare = batch[:0]
 		// One counter round-trip per drain, not per event: under load a
 		// drain carries a burst, and the shared atomic would otherwise
 		// bounce between every core on every dispatch.
@@ -234,36 +272,53 @@ func (s *shard) loop() {
 }
 
 // next blocks until work is queued, then returns the whole pending
-// batch, installing recycled (the previous batch, already processed)
-// as the new inbox append target. Before a standalone shard's loop
-// parks it lends the drain buffer back to drainBufs; that runs under
-// inbox.mu, and touches only the loop's own state. ok is false once the
-// inbox is closed and empty. Loop goroutine only.
-func (s *shard) next(recycled []inboxItem) ([]inboxItem, bool) {
-	for i := range recycled {
-		recycled[i] = inboxItem{} // drop envelope/closure references
-	}
+// batch, installing the turn's spare slice (the previous batch, already
+// processed) as the new inbox append target. Before a standalone
+// shard's loop parks, and before it exits, it lends its turn back. ok
+// is false once the inbox is closed and empty. Loop goroutine only.
+func (s *shard) next() ([]inboxItem, bool) {
 	q := s.inbox
 	q.mu.Lock()
-	for len(q.items) == 0 {
+	for q.turn == nil || len(q.turn.items) == 0 {
+		s.lend()
 		if q.closed {
 			q.mu.Unlock()
 			return nil, false
 		}
-		if s.drainBuf != nil && s.id < 0 {
-			// The buffer holds no envelopes: a drain clears what it
-			// hands over.
-			drainBufs.Put(s.drainBuf)
-			s.drainBuf = nil
-		}
 		q.cond.Wait()
 	}
-	batch := q.items
-	q.items = recycled[:0]
+	t := q.turn
+	batch := t.items
+	t.items, t.spare = t.spare, nil
+	if s.box != nil {
+		s.box.sc = &t.scratch
+	}
 	q.mu.Unlock()
 	q.depth.Add(int64(-len(batch)))
 	q.depthShard.Add(int64(-len(batch)))
 	return batch, true
+}
+
+// lend gives a standalone shard's turn back to turns, with its drain
+// buffer to drainBufs, and clears its box's scratch pointer, so neither
+// the shard nor the box holds any of it while the loop is parked. A
+// Cluster shard keeps its turn: one of a few, it would pay a pool round
+// trip on every wake-up for nothing. The turn's slices and drain buffer
+// hold no envelopes: the loop and a drain clear what they hand over.
+// Caller holds inbox.mu; loop goroutine only.
+func (s *shard) lend() {
+	q := s.inbox
+	t := q.turn
+	if t == nil || s.id >= 0 {
+		return
+	}
+	if t.drain != nil {
+		drainBufs.Put(t.drain)
+		t.drain = nil
+	}
+	s.box.sc = nil
+	q.turn = nil
+	turns.Put(t)
 }
 
 func (s *shard) close() { s.inbox.close() }
@@ -347,7 +402,13 @@ func NewRunner(b *Box, net transport.Network) *Runner {
 
 func newRunner(b *Box, net transport.Network, sh *shard, own bool) *Runner {
 	b.TrackDirtyChannels()
-	b.sc = &sh.scratch
+	if own {
+		// The loop points the box at a scratch while it holds a turn;
+		// nothing is pushed yet, so it holds none.
+		sh.box, b.sc = b, nil
+	} else {
+		b.sc = &sh.inbox.turn.scratch
+	}
 	r := &Runner{
 		box:      b,
 		net:      net,
@@ -452,10 +513,11 @@ func (r *Runner) drain(ci *chanInfo) int {
 	if ip == nil {
 		return 0
 	}
-	if r.sh.drainBuf == nil {
-		r.sh.drainBuf = drainBufs.Get().(*[drainBatch]sig.Envelope)
+	t := r.sh.inbox.turn
+	if t.drain == nil {
+		t.drain = drainBufs.Get().(*[drainBatch]sig.Envelope)
 	}
-	buf := r.sh.drainBuf[:]
+	buf := t.drain[:]
 	events := 0
 	for events < drainMax {
 		n, ok := ip.TryRecvBatch(buf)
@@ -484,7 +546,7 @@ func (r *Runner) drain(ci *chanInfo) int {
 	}
 	// Fairness cap hit with the port possibly non-empty and the edge
 	// NOT re-armed: hand the loop back and queue another drain.
-	r.sh.inbox.push(inboxItem{kind: itemDrain, r: r, ev: Event{Kind: EvEnvelope, Channel: ci.name, ci: ci}})
+	r.sh.inbox.push(&inboxItem{kind: itemDrain, r: r, ev: Event{Kind: EvEnvelope, Channel: ci.name, ci: ci}})
 	return events
 }
 
@@ -526,10 +588,7 @@ func (r *Runner) pushStop() bool {
 		return false
 	}
 	r.wg.Add(1)
-	q.items = append(q.items, inboxItem{kind: itemStop, r: r})
-	if len(q.items) == 1 {
-		q.cond.Signal()
-	}
+	q.add(&inboxItem{kind: itemStop, r: r})
 	q.mu.Unlock()
 	q.depth.Inc()
 	q.depthShard.Inc()
@@ -615,7 +674,7 @@ func (r *Runner) fail(err error) {
 // own shard would wait on itself.
 func (r *Runner) Do(f func(ctx *Ctx)) {
 	donec := donePool.Get().(chan struct{})
-	if !r.sh.inbox.push(inboxItem{kind: itemEvent, r: r, ev: Event{Kind: EvCall, Call: f}, done: donec}) {
+	if !r.sh.inbox.push(&inboxItem{kind: itemEvent, r: r, ev: Event{Kind: EvCall, Call: f}, done: donec}) {
 		donePool.Put(donec)
 		return
 	}
@@ -636,7 +695,7 @@ func (r *Runner) SetProgram(p *Program) {
 
 // Inject delivers an event as if it came from a transport, for tests.
 func (r *Runner) Inject(ev Event) {
-	r.sh.inbox.push(inboxItem{kind: itemEvent, r: r, ev: ev})
+	r.sh.inbox.push(&inboxItem{kind: itemEvent, r: r, ev: ev})
 }
 
 // handle runs one event through the box and processes its outputs.
@@ -694,7 +753,7 @@ func (r *Runner) armTimer(name string, d time.Duration) {
 	t.wheel = r.sh.wheel.Schedule(d, func() {
 		// Wheel goroutine: just post; the box's armed flag makes stale
 		// fires (cancel racing this post) harmless.
-		r.sh.inbox.push(inboxItem{kind: itemEvent, r: r, ev: Event{Kind: EvTimer, Timer: name}})
+		r.sh.inbox.push(&inboxItem{kind: itemEvent, r: r, ev: Event{Kind: EvTimer, Timer: name}})
 	})
 }
 
@@ -722,7 +781,7 @@ func (r *Runner) dropIdleTimer(name string) {
 func (r *Runner) readyFnFor(ci *chanInfo) func() {
 	if ci.ready == nil {
 		ci.ready = func() {
-			r.sh.inbox.push(inboxItem{kind: itemDrain, r: r, ev: Event{Kind: EvEnvelope, Channel: ci.name, ci: ci}})
+			r.sh.inbox.push(&inboxItem{kind: itemDrain, r: r, ev: Event{Kind: EvEnvelope, Channel: ci.name, ci: ci}})
 		}
 	}
 	return ci.ready
@@ -762,7 +821,7 @@ func (r *Runner) process(outs []Output) {
 				// down (e.g. its listener stopping first during cluster
 				// shutdown), and the refused-after-stop push is what ends
 				// the cycle once this runner is closed.
-				r.sh.inbox.push(inboxItem{kind: itemEvent, r: r,
+				r.sh.inbox.push(&inboxItem{kind: itemEvent, r: r,
 					ev: Event{Kind: EvEnvelope, Channel: o.Channel,
 						Env: sig.Envelope{Meta: &sig.Meta{Kind: sig.MetaUnavailable}}}})
 				continue
@@ -866,7 +925,7 @@ func (r *Runner) pump(ci *chanInfo, p transport.Port, bp transport.BatchPort) {
 		if n == len(st.buf) && want < pumpBatchMax {
 			want *= 2 // saturated drain: the port is bursty, scale up
 		}
-		if !r.sh.inbox.push(inboxItem{kind: itemBatch, r: r, port: p,
+		if !r.sh.inbox.push(&inboxItem{kind: itemBatch, r: r, port: p,
 			ev: Event{Kind: EvEnvelope, Channel: ci.name, ci: ci}, batch: st.buf[:n], ack: st.ack}) {
 			return
 		}
@@ -876,7 +935,7 @@ func (r *Runner) pump(ci *chanInfo, p transport.Port, bp transport.BatchPort) {
 	// Transport gone without a teardown: synthesize one so the box
 	// cleans up. The item executes outside the box core because
 	// portLost re-enters handle.
-	r.sh.inbox.push(inboxItem{kind: itemPortLost, r: r, ev: Event{Channel: ci.name, ci: ci}, port: p})
+	r.sh.inbox.push(&inboxItem{kind: itemPortLost, r: r, ev: Event{Channel: ci.name, ci: ci}, port: p})
 }
 
 // pumpState is what a pump keeps besides its goroutine: the channel the
@@ -955,7 +1014,7 @@ func (r *Runner) Listen(addr string, nameFor func(n int) string) error {
 			if err != nil {
 				return
 			}
-			if !r.sh.inbox.push(inboxItem{kind: itemAccept, r: r, port: p, nameFor: nameFor}) {
+			if !r.sh.inbox.push(&inboxItem{kind: itemAccept, r: r, port: p, nameFor: nameFor}) {
 				// Lost the race with Stop: the loop will never register
 				// this port, so close it here instead of leaking it.
 				p.Close()

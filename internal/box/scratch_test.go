@@ -152,8 +152,8 @@ func TestShardScratchBorrowed(t *testing.T) {
 	var sa, sb *scratch
 	ra.Do(func(ctx *Ctx) { sa = ctx.Box().sc })
 	rb.Do(func(ctx *Ctx) { sb = ctx.Box().sc })
-	if sa == nil || sa != sb || sa != &c.shards[0].scratch {
-		t.Fatalf("boxes on one shard hold scratch %p and %p, want the shard's %p", sa, sb, &c.shards[0].scratch)
+	if sa == nil || sa != sb || sa != &c.shards[0].inbox.turn.scratch {
+		t.Fatalf("boxes on one shard hold scratch %p and %p, want the shard's %p", sa, sb, &c.shards[0].inbox.turn.scratch)
 	}
 	ra.Stop()
 	a := ra.Box()
@@ -162,7 +162,7 @@ func TestShardScratchBorrowed(t *testing.T) {
 	}
 	a.AddChannel("x", false)
 	handle(t, a, Event{Kind: EvEnvelope, Channel: "x", Env: sig.Envelope{Sig: sig.Open(sig.Audio, &sig.Descriptor{})}})
-	if a.sc == nil || a.sc == &c.shards[0].scratch {
+	if a.sc == nil || a.sc == &c.shards[0].inbox.turn.scratch {
 		t.Fatalf("a box driven directly after its runner stopped did not build its own scratch")
 	}
 }

@@ -278,7 +278,8 @@ func TestMuxChannelAllocBudget(t *testing.T) {
 }
 
 // TestPipeAllocBudget: an in-memory pipe — both ports and both queues —
-// is one allocation; a queue's backing array waits for its first push.
+// is one allocation; a queue leases its buffer only while envelopes
+// wait in it.
 func TestPipeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")

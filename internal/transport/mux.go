@@ -126,7 +126,8 @@ func (m *Mux) Listen(logical string) (Listener, error) {
 	if _, ok := m.listeners[logical]; ok {
 		return nil, fmt.Errorf("transport: mux: logical address %q already in use", logical)
 	}
-	l := &muxListener{m: m, name: logical, accept: make(chan Port, 256), done: make(chan struct{})}
+	l := &muxListener{m: m, name: logical}
+	l.accepts.init(muxAcceptBacklog)
 	m.listeners[logical] = l
 	// Opens name the listener: seed the decoder so a carrier's open
 	// frames decode without allocating.
@@ -269,32 +270,23 @@ func (m *Mux) forgetCarrier(c *muxCarrier) {
 	m.mu.Unlock()
 }
 
+// muxAcceptBacklog is how many accepted logical channels a listener
+// queues for Accept before it refuses opens.
+const muxAcceptBacklog = 256
+
 // muxListener hands accepted logical channels to the box runtime.
 type muxListener struct {
-	m      *Mux
-	name   string
-	accept chan Port
-	done   chan struct{}
-	once   sync.Once
+	m       *Mux
+	name    string
+	accepts acceptQueue
 }
 
-func (l *muxListener) Accept() (Port, error) {
-	select {
-	case p, ok := <-l.accept:
-		if !ok {
-			return nil, ErrClosed
-		}
-		return p, nil
-	case <-l.done:
-		return nil, ErrClosed
-	}
-}
+func (l *muxListener) Accept() (Port, error) { return l.accepts.take() }
 
 func (l *muxListener) Close() error {
-	l.once.Do(func() {
-		close(l.done)
+	if l.accepts.close() {
 		l.m.forgetListener(l.name)
-	})
+	}
 	return nil
 }
 
@@ -428,14 +420,11 @@ func (c *muxCarrier) accept(cid uint32, logical string) {
 		return
 	}
 	c.m.channels.Inc()
-	select {
-	case l.accept <- p:
-	default:
-		// Accept backlog full: refuse rather than stall the carrier —
-		// every other logical channel on it would head-of-line block.
-		c.unregister(p)
+	// A full backlog refuses rather than stalls the carrier — every
+	// other logical channel on it would head-of-line block — and so
+	// does a listener closed since the lookup; either hangs p up.
+	if l.accepts.offer(p, false) != nil {
 		c.m.drops.Inc()
-		c.port.Send(muxClose(cid))
 	}
 }
 

@@ -208,12 +208,11 @@ func (n *RelNetwork) Listen(addr string) (Listener, error) {
 		return nil, err
 	}
 	l := &relListener{
-		under:  under,
-		net:    n,
-		byID:   map[string]*RelPort{},
-		accept: make(chan *RelPort, 16),
-		done:   make(chan struct{}),
+		under: under,
+		net:   n,
+		byID:  map[string]*RelPort{},
 	}
+	l.accepts.init(16)
 	go l.run()
 	return l, nil
 }
@@ -221,11 +220,9 @@ func (n *RelNetwork) Listen(addr string) (Listener, error) {
 // relListener greets every accepted underlying channel and either
 // surfaces a new RelPort or rebinds a reconnect to its existing one.
 type relListener struct {
-	under  Listener
-	net    *RelNetwork
-	accept chan *RelPort
-	done   chan struct{}
-	once   sync.Once
+	under   Listener
+	net     *RelNetwork
+	accepts acceptQueue
 
 	mu   sync.Mutex
 	byID map[string]*RelPort
@@ -301,11 +298,7 @@ func (l *relListener) greet(under Port) {
 		return
 	}
 	p.adopt(under, in, peerAck)
-	select {
-	case l.accept <- p:
-	case <-l.done:
-		p.Close()
-	}
+	l.accepts.offer(p, true)
 }
 
 func (l *relListener) forget(id string) {
@@ -314,23 +307,12 @@ func (l *relListener) forget(id string) {
 	l.mu.Unlock()
 }
 
-func (l *relListener) Accept() (Port, error) {
-	select {
-	case p, ok := <-l.accept:
-		if !ok {
-			return nil, ErrClosed
-		}
-		return p, nil
-	case <-l.done:
-		return nil, ErrClosed
-	}
-}
+func (l *relListener) Accept() (Port, error) { return l.accepts.take() }
 
 func (l *relListener) Close() error {
-	l.once.Do(func() {
-		close(l.done)
+	if l.accepts.close() {
 		l.under.Close()
-	})
+	}
 	return nil
 }
 

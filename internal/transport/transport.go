@@ -139,6 +139,87 @@ type Listener interface {
 	Addr() string
 }
 
+// acceptQueue is a listener's backlog: the accepted ports Accept has
+// not taken yet, at most max of them. Close hangs up every port still
+// queued, and a port offered after Close is hung up instead of queued,
+// both under the queue's lock, so no port is stranded in a closed
+// listener with its dialer waiting on a channel nobody reads.
+type acceptQueue struct {
+	mu     sync.Mutex
+	cond   sync.Cond // signals a queued port, a taken one, or the close
+	ports  []Port
+	max    int
+	closed bool
+}
+
+func (q *acceptQueue) init(max int) {
+	q.max = max
+	q.cond.L = &q.mu
+}
+
+// offer queues p for Accept. A full queue refuses it with ErrBacklog,
+// or with wait set, waits until Accept takes a port; a closed one
+// refuses it with ErrClosed. A refused port is closed.
+func (q *acceptQueue) offer(p Port, wait bool) error {
+	q.mu.Lock()
+	for !q.closed && len(q.ports) >= q.max && wait {
+		q.cond.Wait()
+	}
+	var err error
+	switch {
+	case q.closed:
+		err = ErrClosed
+	case len(q.ports) >= q.max:
+		err = ErrBacklog
+	default:
+		q.ports = append(q.ports, p)
+		q.cond.Broadcast()
+	}
+	q.mu.Unlock()
+	if err != nil {
+		p.Close()
+	}
+	return err
+}
+
+// take blocks until a port is queued, and returns the oldest, or until
+// the queue is closed.
+func (q *acceptQueue) take() (Port, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.ports) == 0 && !q.closed {
+		q.cond.Wait()
+	}
+	if q.closed {
+		return nil, ErrClosed
+	}
+	p := q.ports[0]
+	n := copy(q.ports, q.ports[1:])
+	q.ports[n] = nil
+	q.ports = q.ports[:n]
+	q.cond.Broadcast()
+	return p, nil
+}
+
+// close closes the queue and hangs up the ports in it. It reports
+// whether this call closed it.
+func (q *acceptQueue) close() bool {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return false
+	}
+	q.closed = true
+	ports := q.ports
+	q.ports = nil
+	q.cond.Broadcast()
+	q.mu.Unlock()
+	for _, p := range ports {
+		p.Close()
+	}
+	return true
+}
+
 // Network abstracts channel establishment so the same box runtime runs
 // over in-memory queues or TCP.
 type Network interface {
@@ -150,9 +231,12 @@ type Network interface {
 // process-wide depth gauge; deliver, if non-nil, counts envelopes
 // actually handed to the consumer. max, if positive, bounds the queue:
 // push fails with ErrBacklog when full. Ports embed their queues (see
-// init), so a queue costs no allocation of its own until its first
-// push. The envelopes live in a circular buffer, so a push or a pop
-// costs the same however deep the backlog behind it.
+// init), so a queue costs no allocation of its own. The envelopes live
+// in a circular buffer, so a push or a pop costs the same however deep
+// the backlog behind it. An idle queue holds no buffer: a push that
+// finds none leases a queueInitCap one from queueBufs, and the take
+// that drains the queue empty gives it back. A buffer grown past that
+// size by a burst stays with its queue.
 //
 // A queue has one consumer, which reads it one of two ways: a goroutine
 // blocking in popBatch, or a scheduler draining with tryPopBatch on the
@@ -163,7 +247,7 @@ type Network interface {
 type queue struct {
 	mu     sync.Mutex
 	cond   sync.Cond
-	ring   []sig.Envelope // circular buffer: n envelopes from ring[head]
+	ring   []sig.Envelope // circular buffer: n envelopes from ring[head]; nil or leased while it has queueInitCap slots
 	head   int
 	n      int
 	closed bool
@@ -175,12 +259,17 @@ type queue struct {
 	deliver *telemetry.Counter
 }
 
-// queueInitCap is the buffer a queue allocates on its first push. A
+// queueInitCap is the size of the buffer a queue leases for a burst. A
 // signaling channel rarely holds more than a couple of envelopes
-// between drains, so one buffer of this size serves most channels for
-// life; a larger one raised calls-mux's live heap with no fewer
-// allocations.
+// between drains, so a buffer of this size serves most bursts; a larger
+// one raised calls-mux's live heap with no fewer allocations. Only this
+// size is leased: dropping a grown buffer when its queue drained, so
+// that a bursty channel grew a new one each burst, more than doubled
+// calls-mux's allocated bytes per call.
 const queueInitCap = 2
+
+// queueBufs holds the initial-size buffers of drained queues.
+var queueBufs = sync.Pool{New: func() any { return new([queueInitCap]sig.Envelope) }}
 
 func newQueue(depth *telemetry.Gauge, deliver *telemetry.Counter, max int) *queue {
 	q := &queue{}
@@ -235,13 +324,29 @@ func (q *queue) edge() func() {
 	return q.ready
 }
 
-// grow doubles the full buffer (or allocates the first one), unwrapping
-// the queued envelopes to its front. Caller holds q.mu.
+// grow leases an initial-size buffer for an empty queue, or doubles
+// the full one, unwrapping the queued envelopes to its front and giving
+// a leased buffer it outgrew back. Caller holds q.mu.
 func (q *queue) grow() {
-	ring := make([]sig.Envelope, max(queueInitCap, 2*len(q.ring)))
+	if q.ring == nil {
+		q.ring = queueBufs.Get().(*[queueInitCap]sig.Envelope)[:]
+		return
+	}
+	ring := make([]sig.Envelope, 2*len(q.ring))
 	k := copy(ring, q.ring[q.head:])
 	copy(ring[k:], q.ring[:q.head])
+	q.lendBack()
 	q.ring, q.head = ring, 0
+}
+
+// lendBack gives a leased buffer, which holds no envelopes, back to
+// queueBufs; a grown one is kept. Caller holds q.mu.
+func (q *queue) lendBack() {
+	if len(q.ring) == queueInitCap {
+		clear(q.ring)
+		queueBufs.Put((*[queueInitCap]sig.Envelope)(q.ring))
+		q.ring, q.head = nil, 0
+	}
 }
 
 // popBatch blocks until the queue is non-empty or closed, then moves
@@ -291,6 +396,9 @@ func (q *queue) take(buf []sig.Envelope) int {
 		q.head -= len(q.ring)
 	}
 	q.n -= n
+	if q.n == 0 {
+		q.lendBack()
+	}
 	q.mu.Unlock()
 	q.depth.Add(int64(-n))
 	q.deliver.Add(uint64(n))
@@ -434,11 +542,9 @@ func (n *MemNetwork) stripe(addr string) *memStripe {
 }
 
 type memListener struct {
-	addr   string
-	stripe *memStripe
-	accept chan Port
-	once   sync.Once
-	done   chan struct{}
+	addr    string
+	stripe  *memStripe
+	accepts acceptQueue
 }
 
 // Listen implements Network.
@@ -449,7 +555,8 @@ func (n *MemNetwork) Listen(addr string) (Listener, error) {
 	if _, ok := s.listeners[addr]; ok {
 		return nil, fmt.Errorf("transport: address %q already in use", addr)
 	}
-	l := &memListener{addr: addr, stripe: s, accept: make(chan Port, 16), done: make(chan struct{})}
+	l := &memListener{addr: addr, stripe: s}
+	l.accepts.init(16)
 	s.listeners[addr] = l
 	return l, nil
 }
@@ -469,35 +576,28 @@ func (n *MemNetwork) Dial(addr string) (Port, error) {
 	} else {
 		near, far = Pipe(addr, "dialer")
 	}
-	select {
-	case l.accept <- far:
-		telemetry.C(MetricDials).Inc()
-		return near, nil
-	case <-l.done:
-		return nil, ErrClosed
+	if err := l.accepts.offer(far, true); err != nil {
+		near.Close()
+		return nil, err
 	}
+	telemetry.C(MetricDials).Inc()
+	return near, nil
 }
 
 func (l *memListener) Accept() (Port, error) {
-	select {
-	case p, ok := <-l.accept:
-		if !ok {
-			return nil, ErrClosed
-		}
+	p, err := l.accepts.take()
+	if err == nil {
 		telemetry.C(MetricAccepts).Inc()
-		return p, nil
-	case <-l.done:
-		return nil, ErrClosed
 	}
+	return p, err
 }
 
 func (l *memListener) Close() error {
-	l.once.Do(func() {
-		close(l.done)
+	if l.accepts.close() {
 		l.stripe.mu.Lock()
 		delete(l.stripe.listeners, l.addr)
 		l.stripe.mu.Unlock()
-	})
+	}
 	return nil
 }
 

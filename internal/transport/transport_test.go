@@ -370,3 +370,181 @@ func TestQueueReadyEdgeRace(t *testing.T) {
 		b.Close()
 	}
 }
+
+// TestQueueIdleHoldsNoBuffer: a queue leases its buffer for a burst
+// only. A pipe end drained empty after a burst of 1 or 2 envelopes — a
+// drain of the blocking or the readiness contract — holds no buffer; a
+// queue a burst of 5 grew keeps its grown buffer, so a bursty channel
+// does not allocate a new one every burst.
+func TestQueueIdleHoldsNoBuffer(t *testing.T) {
+	a, b := Pipe("a", "b")
+	defer a.Close()
+	q := b.(*memPort).recvFrom
+	if q.ring != nil {
+		t.Fatal("a new pipe end holds a buffer")
+	}
+	var buf [8]sig.Envelope
+	for _, c := range []struct {
+		burst  int
+		inline bool // drain with tryPopBatch, not RecvBatch
+		keeps  bool
+	}{{1, false, false}, {2, false, false}, {1, true, false}, {2, true, false}, {5, false, true}} {
+		for i := 0; i < c.burst; i++ {
+			if err := a.Send(env(1, uint32(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if q.ring == nil {
+			t.Fatalf("a queue holding %d envelopes holds no buffer", c.burst)
+		}
+		grown := len(q.ring)
+		for got := 0; got < c.burst; {
+			var n int
+			if c.inline {
+				n, _ = q.tryPopBatch(buf[:])
+			} else {
+				n, _ = b.(BatchPort).RecvBatch(buf[:])
+			}
+			got += n
+		}
+		switch {
+		case !c.keeps && q.ring != nil:
+			t.Errorf("after a burst of %d (inline drain: %v) a queue drained empty holds %d slots", c.burst, c.inline, len(q.ring))
+		case c.keeps && len(q.ring) != grown:
+			t.Errorf("after a burst of %d a queue drained empty holds %d slots, want the %d it grew", c.burst, len(q.ring), grown)
+		}
+		for _, e := range q.ring {
+			if e.Sig.Desc != nil {
+				t.Fatalf("a drained queue's buffer still references an envelope")
+			}
+		}
+	}
+	if len(q.ring) <= queueInitCap {
+		t.Fatalf("a burst of 5 left a buffer of %d slots: the grown case shows nothing", len(q.ring))
+	}
+}
+
+// TestQueueSendDrainZeroAlloc: a send that leases a queue's buffer and
+// the drain that empties the queue and gives it back allocate nothing
+// in steady state, on an in-memory pipe and on a mux channel, whose
+// carrier's reader goroutine fills the queue.
+func TestQueueSendDrainZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	pa, pb := Pipe("a", "b")
+	defer pa.Close()
+	_, _, _, ma, mb := muxChannel(t, NewMemNetwork(), "carrier")
+	for _, c := range []struct {
+		name      string
+		near, far Port
+	}{{"pipe", pa, pb}, {"mux", ma, mb}} {
+		bp := c.far.(BatchPort)
+		var buf [4]sig.Envelope
+		cycle := func() {
+			c.near.Send(sig.Envelope{Tunnel: 1, Sig: sig.Close()})
+			c.near.Send(sig.Envelope{Tunnel: 2, Sig: sig.Close()})
+			for got := 0; got < 2; {
+				n, ok := bp.RecvBatch(buf[:])
+				if !ok {
+					t.Fatalf("%s: channel closed", c.name)
+				}
+				got += n
+			}
+		}
+		cycle()
+		if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+			t.Errorf("%s: a send-drain cycle allocates %.2f times, want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestListenerCloseHangsUpBacklog: closing a listener hangs up the
+// channels queued in its accept backlog. Over an in-memory network of
+// queue pipes or of rings, a mux and the reliable layer, three channels are dialed and queued,
+// none accepted; once the listener closes, each dialer sees its channel
+// close within a second — over the reliable layer, once its redials
+// give up, there being no listener left. A port offered to a closed
+// backlog is hung up, not queued.
+func TestListenerCloseHangsUpBacklog(t *testing.T) {
+	const dials = 3
+	for _, c := range []struct {
+		name string
+		net  func(t *testing.T) Network
+	}{
+		{"mem", func(*testing.T) Network { return NewMemNetwork() }},
+		{"ring", func(*testing.T) Network { return NewRingMemNetwork() }},
+		{"mux", func(t *testing.T) Network {
+			a, b, addr := muxPair(t, NewMemNetwork())
+			return muxDialer{a, b, addr}
+		}},
+		{"rel", func(*testing.T) Network {
+			return NewRelNetwork(NewMemNetwork(), RelConfig{GiveUpAfter: 200 * time.Millisecond})
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := c.net(t)
+			l, err := n.Listen("x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ports := make([]Port, dials)
+			for i := range ports {
+				if ports[i], err = n.Dial(l.Addr()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			q := backlogOf(l)
+			deadline := time.Now().Add(2 * time.Second)
+			for q.queued() < dials {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of %d channels queued for Accept", q.queued(), dials)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			l.Close()
+			for i, p := range ports {
+				if e, ok := recvWithin(t, p, time.Second); ok {
+					t.Fatalf("dialer %d: received %v, want its channel closed", i, e)
+				}
+			}
+			near, far := Pipe("near", "far")
+			if err := q.offer(far, true); err != ErrClosed {
+				t.Fatalf("a closed backlog took a port (%v)", err)
+			}
+			if _, ok := recvWithin(t, near, time.Second); ok {
+				t.Fatal("a port offered to a closed backlog was not hung up")
+			}
+		})
+	}
+}
+
+// muxDialer is a Network over a pair of muxes: a listens on b, and a
+// dials b's carrier.
+type muxDialer struct {
+	a, b    *Mux
+	carrier string
+}
+
+func (n muxDialer) Listen(addr string) (Listener, error) { return n.b.Listen(addr) }
+func (n muxDialer) Dial(addr string) (Port, error)       { return n.a.Dial(n.carrier, addr) }
+
+// backlogOf returns a listener's accept backlog.
+func backlogOf(l Listener) *acceptQueue {
+	switch l := l.(type) {
+	case *memListener:
+		return &l.accepts
+	case *muxListener:
+		return &l.accepts
+	case *relListener:
+		return &l.accepts
+	}
+	panic(fmt.Sprintf("no accept backlog in %T", l))
+}
+
+// queued reports how many ports wait in q for Accept.
+func (q *acceptQueue) queued() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.ports)
+}
